@@ -6,8 +6,15 @@ Total masses satisfy the in-law recursion
 
 with independent factors.  Populations approximate one step by drawing the
 b^2 factors uniformly with replacement from the current population
-(population dynamics); the exact tree of depth n is used only to assemble
-cylinder-mass vectors on top of population-drawn leaves.
+(population dynamics); the exact tree of depth n is used only on top of
+population-drawn leaves, for cylinder-level quantities.
+
+Leaf arrays follow the lattice edge order: leaf k of a generation-n tree is
+edge k, the base-b^2 integer whose most significant digit is the top-level
+(branch, segment) pair.  A cylinder p then has mass b^(-d_n) prod_{e in p} l_e
+(d_n branch decisions per path), so the total mass is the tree reduction
+``tree_total`` and cylinder vectors (``assemble``) are needed only where a
+check is stated per cylinder.
 
 One stabilization is essential: the empirical mean obeys mean' = mean^b, so
 an O(N^-1/2) sampling drift at depth m is amplified by b^m and the raw
@@ -40,7 +47,7 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 from .lattice import LatticeParams, path_count_int
-from .rfunction import SEED_KINDS, VarianceProfile, seed_raw_moments
+from .rfunction import SEED_KINDS, VarianceProfile
 
 # Stream realms (second key component after the master seed).
 _REALM_SEED = 0
@@ -90,9 +97,6 @@ class SeedSpec:
         sigma = math.sqrt(variance)
         signs = 2.0 * rng.integers(0, 2, size=size) - 1.0
         return 1.0 + sigma * signs
-
-    def raw_moments(self, variance: float, k_max: int) -> list:
-        return seed_raw_moments(self.kind, variance, k_max)
 
 
 @dataclass(frozen=True)
@@ -423,29 +427,36 @@ def upsilon_combine(sub_vectors: np.ndarray) -> np.ndarray:
     return np.concatenate(branch_vecs, axis=-1) / b
 
 
-def _assemble(leaves: np.ndarray, b: int, n: int) -> np.ndarray:
-    """Cylinder vector from hierarchically ordered leaf masses (leading axes batch)."""
-    if n == 0:
-        return leaves
-    block = leaves.shape[-1] // (b * b)
-    children = np.stack(
-        [
-            np.stack(
-                [
-                    _assemble(
-                        leaves[..., (i * b + j) * block : (i * b + j + 1) * block],
-                        b,
-                        n - 1,
-                    )
-                    for j in range(b)
-                ],
-                axis=-2,
-            )
-            for i in range(b)
-        ],
-        axis=-3,
-    )
-    return upsilon_combine(children)
+def assemble(leaves: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Cylinder vectors from leaf masses in edge order (leading axes batch).
+
+    Applies ``upsilon_combine`` level by level from the leaves up; the result
+    has |Gamma_n| entries per realization, hence the budget check.
+    """
+    _check_measure_budget(b, n)
+    leaves = np.asarray(leaves, dtype=float)
+    if leaves.shape[-1] != b ** (2 * n):
+        raise UsageError(
+            f"{leaves.shape[-1]} leaves given, generation {n} has {b ** (2 * n)} edges"
+        )
+    vectors = leaves[..., None]
+    for _ in range(n):
+        vectors = upsilon_combine(
+            vectors.reshape(*vectors.shape[:-2], -1, b, b, vectors.shape[-1])
+        )
+    return vectors[..., 0, :]
+
+
+def tree_total(leaves: np.ndarray, b: int) -> np.ndarray:
+    """Total mass over leaves in edge order, reduced along the first axis.
+
+    Each level applies T = (1/b) sum_i prod_j T_ij to the b^2 children of a
+    node; trailing axes (draws, say) are carried along.
+    """
+    totals = np.asarray(leaves, dtype=float)
+    while totals.shape[0] > 1:
+        totals = totals.reshape(-1, b, b, *totals.shape[1:]).prod(axis=2).sum(axis=1) / b
+    return totals[0]
 
 
 def default_leaf_population(
@@ -484,12 +495,11 @@ def sample_measure_batch(
     leaf_population: MassPopulation,
     master_seed: int,
 ) -> np.ndarray:
-    """Cylinder-mass vectors for ``count`` independent realizations.
+    """Leaf masses for ``count`` independent realizations at (r, n).
 
-    Returns an array of shape (count, |Gamma_n|); realization ``i`` draws its
-    leaves from the substream (master seed, leaf realm, i).
+    Returns an array of shape (count, b^(2n)) in edge order; realization ``i``
+    draws its leaves from the substream (master seed, leaf realm, i).
     """
-    _check_measure_budget(b, n)
     if leaf_population.r != r - n:
         raise UsageError(
             f"leaf population is at r = {leaf_population.r}, need r - n = {r - n}"
@@ -500,7 +510,7 @@ def sample_measure_batch(
     for i in range(count):
         rng = substream(master_seed, _REALM_LEAF, i)
         leaves[i] = pool[rng.integers(0, pool.size, size=n_leaves)]
-    return _assemble(leaves, b, n)
+    return leaves
 
 
 def sample_measure_cylinders(
@@ -518,7 +528,6 @@ def sample_measure_cylinders(
     """One cylinder-mass realization at (r, n) over population-drawn leaves."""
     if n < 1:
         raise UsageError("generation must be >= 1")
-    _check_measure_budget(b, n)
     if leaf_population is None:
         leaf_population = default_leaf_population(
             b, r, n, depth, seed_spec, master_seed, pop_size, chunks=chunks, profile=profile
@@ -528,17 +537,8 @@ def sample_measure_cylinders(
     leaves = leaf_population.masses[
         rng.integers(0, leaf_population.size, size=n_leaves)
     ]
-    masses = _assemble(leaves, b, n)
-    block = n_leaves // (b * b)
-    subtotals = np.array(
-        [
-            [
-                _assemble(leaves[(i * b + j) * block : (i * b + j + 1) * block], b, n - 1).sum()
-                for j in range(b)
-            ]
-            for i in range(b)
-        ]
-    )
+    masses = assemble(leaves, b, n)
+    subtotals = tree_total(leaves.reshape(b * b, -1).T, b).reshape(b, b)
     prov = replace(
         leaf_population.provenance,
         r=r,

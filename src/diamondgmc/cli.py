@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .cascade import (
     SeedSpec,
+    assemble,
     default_leaf_population,
     fractional_moment,
     sample_measure_batch,
@@ -43,9 +44,10 @@ from .correlation import (
 )
 from .errors import ConvergenceError, DomainError, RangeError, UsageError
 from .gmc import (
-    build_kernel,
     cameron_martin_density,
+    chaos_totals,
     conditional_gmc_experiment,
+    edge_weight,
     kahane_moment,
     renormalization_consistency,
     sample_gmc,
@@ -457,20 +459,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
         )
 
     if cfg.n >= 1:
-        sample = sample_measure_cylinders(
+        leaf = default_leaf_population(
             cfg.b, cfg.r, cfg.n, cfg.depth, seed_spec, cfg.seed,
             pop_size=min(cfg.size, 1_000_000), profile=profile,
+        )
+        sample = sample_measure_cylinders(
+            cfg.b, cfg.r, cfg.n, cfg.depth, seed_spec, cfg.seed,
+            leaf_population=leaf, profile=profile,
         )
         run.checks.append(
             exact_check("measure-additivity-audit", sample.additivity_gap(), 1e-12)
         )
         if cfg.n <= 2:
-            leaf = default_leaf_population(
-                cfg.b, cfg.r, cfg.n, cfg.depth, seed_spec, cfg.seed,
-                pop_size=min(cfg.size, 1_000_000), profile=profile,
-            )
-            batch = sample_measure_batch(
-                cfg.b, cfg.r, cfg.n, cfg.realizations, leaf, cfg.seed
+            batch = assemble(
+                sample_measure_batch(cfg.b, cfg.r, cfg.n, cfg.realizations, leaf, cfg.seed),
+                cfg.b, cfg.n,
             )
             support = enumerate_paths(params, cfg.n)
             target = upsilon_pair_matrix(
@@ -497,13 +500,13 @@ def cmd_gmc(cfg: RunConfig) -> int:
     seed_spec = SeedSpec(cfg.seed_spec)
 
     if cfg.check == "shift":
-        kernel, gram = build_kernel(profile, cfg.r, cfg.a, cfg.n, mode=cfg.mode)
+        lam = edge_weight(profile, cfg.r, cfg.a, cfg.n, cfg.mode)
+        uniform = np.ones((cfg.b * cfg.b) ** cfg.n)  # leaves of the uniform measure
         rng = substream(cfg.seed, 3, 0)
-        uniform = np.full(len(kernel.support), 1.0 / len(kernel.support))
-        real = sample_gmc(uniform, gram, rng)
-        phi = rng.standard_normal(gram.edge_count)
+        real = sample_gmc(uniform, cfg.b, lam, rng)
+        phi = rng.standard_normal(uniform.size)
         shifted = shift_field(real, phi)
-        direct = real.weights * np.exp(gram.factor @ phi)
+        direct = real.weights * np.exp(math.sqrt(lam) * phi)
         rel = float(np.max(np.abs(shifted.weights - direct) / direct))
         run.checks.append(exact_check("shift-covariance", rel, 1e-12))
         lr = math.exp(
@@ -516,17 +519,13 @@ def cmd_gmc(cfg: RunConfig) -> int:
         )
         report = ExperimentReport("shift", checks=run.checks[:])
     elif cfg.check == "kahane":
-        n_used = min(cfg.n, 2)  # enumeration budget for the moment sums
-        kernel, gram = build_kernel(profile, cfg.r, cfg.a, n_used, mode=cfg.mode)
-        uniform = np.full(len(kernel.support), 1.0 / len(kernel.support))
-        rng = substream(cfg.seed, 3, 1)
-        g = rng.standard_normal((gram.edge_count, cfg.draws))
-        logw = gram.factor @ g - 0.5 * gram.kernel_diagonal[:, None]
-        totals = uniform @ np.exp(logw)
-        report = ExperimentReport("kahane", provenance={"n": n_used})
+        lam = edge_weight(profile, cfg.r, cfg.a, cfg.n, cfg.mode)
+        uniform = np.ones((cfg.b * cfg.b) ** cfg.n)
+        totals = chaos_totals(uniform, cfg.b, lam, substream(cfg.seed, 3, 1), cfg.draws)
+        report = ExperimentReport("kahane", provenance={"n": cfg.n})
         report.arrays["totals"] = totals
         for m in (2, 3):
-            formula = kahane_moment(kernel, uniform, m=m)
+            formula = kahane_moment(uniform, cfg.b, lam, m)
             vals = totals**m
             est = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(vals.size))
@@ -564,7 +563,7 @@ def cmd_gmc(cfg: RunConfig) -> int:
         write_csv(
             run.out_dir / f"gmc_{cfg.check}_{label}.csv",
             [label] if arr.shape[1] == 1 else [f"{label}_{i}" for i in range(arr.shape[1])],
-            [[float(v) for v in row] for row in arr],
+            arr,
         )
     return run.finish()
 

@@ -29,7 +29,13 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import UsageError
-from .lattice import CylinderPath, LatticeParams, decision_count, path_count_int
+from .lattice import (
+    CylinderPath,
+    LatticeParams,
+    decision_count,
+    path_count_int,
+    shared_edge_count,
+)
 from .rfunction import VarianceProfile
 
 HISTOGRAM_GENERATION_BUDGET = 16
@@ -240,7 +246,5 @@ def kernel_marginal_identity_check(
 
 def upsilon_pair_matrix(table: CorrelationTable, support) -> np.ndarray:
     """Correlation weights for explicit path pairs (small supports only)."""
-    from .lattice import shared_edge_matrix
-
-    N = shared_edge_matrix(support)
+    N = np.array([[shared_edge_count(p, q) for q in support] for p in support], dtype=float)
     return np.exp(N * table.log1p_R_shifted - 2.0 * table.log_gamma)

@@ -22,9 +22,11 @@ Two index systems are used throughout the package:
   (branch, segment) pairs; its index is the base-``b*s`` integer with the
   top-level pair as the most significant digit.  A path crosses exactly
   ``s^n`` edges, and the shared-edge count ``N_n(p, q)`` is the overlap of
-  the two edge sets.
+  the two edge sets.  The cascade's leaf arrays use this order, which is
+  what lets the chaos functionals run edge-locally on the leaf tree.
 
-Both maps are unit-tested against brute-force enumeration.
+Both conventions are unit-tested against brute-force enumeration (the edge
+maps and the dense incidence matrix live in the test oracles).
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, UsageError
 
-# Hard ceiling on dense enumeration products (paths, edges, incidence cells).
+# Hard ceiling on dense path enumeration.
 ENUMERATION_BUDGET = 1 << 16
-INCIDENCE_CELL_BUDGET = 1 << 24
 
 # Exact integer counts are carried up to this generation; beyond it only the
 # log-space representation is guaranteed (growth is doubly exponential).
@@ -355,47 +356,3 @@ def enumerate_paths(params: LatticeParams, n: int):
             f"{max(k for k in range(n) if path_count_int(params, k) <= ENUMERATION_BUDGET)}"
         )
     return [path_from_index(params, n, i) for i in range(total)]
-
-
-def edge_count(params: LatticeParams, n: int) -> int:
-    """Number of generation-``n`` lattice edges: (b*s)^n."""
-    return (params.b * params.s) ** n
-
-
-def path_edge_indices(p: CylinderPath) -> np.ndarray:
-    """Indices of the ``s^n`` edges crossed by ``p``, ascending."""
-    params, n = p.params, p.generation
-    if n == 0:
-        return np.array([0], dtype=np.int64)
-    top, subs = p.split()
-    width = edge_count(params, n - 1)
-    pieces = []
-    for j, q in enumerate(subs, start=1):
-        base = ((top - 1) * params.s + (j - 1)) * width
-        pieces.append(base + path_edge_indices(q))
-    return np.concatenate(pieces)
-
-
-def incidence_matrix(support) -> np.ndarray:
-    """0/1 matrix with rows = paths of ``support``, columns = generation edges."""
-    if len(support) == 0:
-        raise UsageError("empty support")
-    params, n = support[0].params, support[0].generation
-    cols = edge_count(params, n)
-    if len(support) * cols > INCIDENCE_CELL_BUDGET:
-        raise BudgetError(
-            f"incidence matrix {len(support)} x {cols} exceeds the "
-            f"{INCIDENCE_CELL_BUDGET}-cell budget (b={params.b}, s={params.s}, n={n})"
-        )
-    out = np.zeros((len(support), cols), dtype=np.float64)
-    for row, p in enumerate(support):
-        if p.params != params or p.generation != n:
-            raise UsageError("support paths must share params and generation")
-        out[row, path_edge_indices(p)] = 1.0
-    return out
-
-
-def shared_edge_matrix(support) -> np.ndarray:
-    """Matrix of N_n(p, q) over a support list, via edge incidence."""
-    inc = incidence_matrix(support)
-    return inc @ inc.T

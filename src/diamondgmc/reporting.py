@@ -87,10 +87,6 @@ def se_check(
     )
 
 
-def flagged_check(name: str, estimate: float, se: float, detail: str) -> CheckResult:
-    return CheckResult(name, "flagged", estimate=estimate, se=se, detail=detail)
-
-
 @dataclass
 class ExperimentReport:
     name: str
@@ -124,20 +120,6 @@ class ExperimentReport:
             "notes": list(self.notes),
             "provenance": self.provenance,
         }
-
-    def summary_lines(self):
-        for c in self.checks:
-            yield (
-                f"[{c.verdict.upper():7s}] {self.name}/{c.name}: "
-                f"target={_fmt(c.target)} estimate={_fmt(c.estimate)} "
-                f"se={_fmt(c.se)} {c.tolerance} {c.detail}".rstrip()
-            )
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "-"
-    return f"{x:.6g}"
 
 
 def format_float(x: float) -> str:

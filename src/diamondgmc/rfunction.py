@@ -343,14 +343,6 @@ class VarianceProfile:
         return orbit.depth
 
 
-def evaluate_R(profile: VarianceProfile, r: float) -> float:
-    return profile.evaluate_R(r)
-
-
-def evaluate_R_prime(profile: VarianceProfile, r: float) -> float:
-    return profile.evaluate_R_prime(r)
-
-
 # -- moment ladder ------------------------------------------------------------
 
 

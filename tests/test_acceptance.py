@@ -15,9 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import brute_pair_histogram
+from _oracles import brute_pair_histogram, incidence_matrix
 from diamondgmc.cascade import (
     SeedSpec,
+    assemble,
     default_leaf_population,
     sample_measure_batch,
     simulate_mass_trajectory,
@@ -36,10 +37,9 @@ from diamondgmc.correlation import (
 )
 from diamondgmc.errors import RangeError
 from diamondgmc.gmc import (
-    build_kernel,
     conditional_gmc_experiment,
+    edge_weight,
     kahane_moment,
-    kernel_with_edge_weight,
     renormalization_consistency,
     sample_gmc,
     shift_field,
@@ -222,7 +222,7 @@ def test_criterion_06_measure_level_correlations(profile2, params2):
     leaf = default_leaf_population(
         2, r, n, 24, SeedSpec(), 7, pop_size=4_000_000, profile=profile2
     )
-    batch = sample_measure_batch(2, r, n, count, leaf, 7)
+    batch = assemble(sample_measure_batch(2, r, n, count, leaf, 7), 2, n)
     support = enumerate_paths(params2, n)
     target = upsilon_pair_matrix(correlation_table(profile2, r, n), support)
     prods = batch[:, :, None] * batch[:, None, :]
@@ -235,34 +235,34 @@ def test_criterion_06_measure_level_correlations(profile2, params2):
 
 def test_criterion_07_gmc_identities(profile2, params2):
     start = time.time()
-    kernel, gram = build_kernel(profile2, 0.0, 1.0, 2)
+    lam = edge_weight(profile2, 0.0, 1.0, 2, "exact-discrete")
     rng = substream(7001, 3, 0)
-    uniform = np.full(8, 1.0 / 8.0)
-    real = sample_gmc(uniform, gram, rng)
-    phi = rng.standard_normal(gram.edge_count)
+    uniform = np.ones(16)  # leaves of the uniform cylinder measure
+    real = sample_gmc(uniform, 2, lam, rng)
+    phi = rng.standard_normal(16)
     shifted = shift_field(real, phi)
-    direct = real.weights * np.exp(gram.factor @ phi)
-    shift_dev = float(np.max(np.abs(shifted.weights - direct) / direct))
+    inc = incidence_matrix(enumerate_paths(params2, 2))
+    direct = assemble(real.weights, 2, 2) * np.exp(math.sqrt(lam) * inc @ phi)
+    shift_dev = float(np.max(np.abs(assemble(shifted.weights, 2, 2) - direct) / direct))
     assert shift_dev <= 1e-12
 
     draws = 100_000
-    g = substream(7002, 3, 0).standard_normal((gram.edge_count, draws))
-    weights = np.exp(gram.factor @ g - 0.5 * gram.kernel_diagonal[:, None]) / 8.0
-    mean_se = weights.std(axis=1, ddof=1) / math.sqrt(draws)
-    mean_z = float(np.max(np.abs(weights.mean(axis=1) - 1.0 / 8.0) / mean_se))
+    g = substream(7002, 3, 0).standard_normal((16, draws))
+    weights = assemble(np.exp(math.sqrt(lam) * g - 0.5 * lam).T, 2, 2)
+    mean_se = weights.std(axis=0, ddof=1) / math.sqrt(draws)
+    mean_z = float(np.max(np.abs(weights.mean(axis=0) - 1.0 / 8.0) / mean_se))
     assert mean_z <= 4.0
 
-    totals = weights.sum(axis=0)
+    totals = weights.sum(axis=1)
     kahane_z = []
     for m in (2, 3):
-        formula = kahane_moment(kernel, uniform, m=m)
+        formula = kahane_moment(uniform, 2, lam, m=m)
         vals = totals**m
         se = vals.std(ddof=1) / math.sqrt(draws)
         kahane_z.append(abs(vals.mean() - formula) / se)
         assert kahane_z[-1] <= 4.0
 
-    hand_kernel, _ = kernel_with_edge_weight(params2, 1, math.log(2.0))
-    assert kahane_moment(hand_kernel, np.array([0.5, 0.5]), m=2) == pytest.approx(
+    assert kahane_moment(np.ones(4), 2, math.log(2.0), m=2) == pytest.approx(
         2.5, abs=1e-12
     )
     announce(7, f"shift covariance {shift_dev:.1e}; conditional means max z "

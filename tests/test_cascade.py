@@ -8,6 +8,7 @@ from diamondgmc.cascade import (
     MassPopulation,
     Provenance,
     SeedSpec,
+    assemble,
     default_leaf_population,
     evolve_population,
     fractional_moment,
@@ -189,7 +190,7 @@ class TestMeasureSamples:
         leaf = default_leaf_population(
             2, -4.0, 2, 24, SeedSpec(), 16, pop_size=200_000, profile=profile2
         )
-        batch = sample_measure_batch(2, -4.0, 2, 4000, leaf, 16)
+        batch = assemble(sample_measure_batch(2, -4.0, 2, 4000, leaf, 16), 2, 2)
         se = batch.std(axis=0, ddof=1) / math.sqrt(batch.shape[0])
         assert np.all(np.abs(batch.mean(axis=0) - 1.0 / 8.0) <= 4 * se)
 

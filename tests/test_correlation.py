@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from _oracles import brute_pair_histogram
+from _oracles import brute_pair_histogram, shared_edge_matrix
 from diamondgmc.errors import UsageError
 from diamondgmc.correlation import (
     conditional_pair_histogram,
@@ -20,7 +20,6 @@ from diamondgmc.lattice import (
     enumerate_paths,
     path_count_int,
     path_from_index,
-    shared_edge_matrix,
 )
 from diamondgmc.rfunction import kappa_sq, psi
 

@@ -11,6 +11,9 @@ from _oracles import (
     brute_shared_edges,
     edge_index_from_label,
     edge_label_chains,
+    incidence_matrix,
+    path_edge_indices,
+    shared_edge_matrix,
 )
 from diamondgmc.errors import BudgetError, DomainError, UsageError
 from diamondgmc.lattice import (
@@ -19,19 +22,16 @@ from diamondgmc.lattice import (
     LatticeParams,
     decision_count,
     enumerate_paths,
-    incidence_matrix,
     intersection_fixed_point,
     intersection_hausdorff_dim,
     join_paths,
     kernel_estimate,
     path_count,
     path_count_int,
-    path_edge_indices,
     path_from_index,
     path_index,
     sample_uniform_path,
     shared_edge_count,
-    shared_edge_matrix,
     ultrametric_proxy_distance,
 )
 

@@ -5,7 +5,6 @@ from diamondgmc.reporting import (
     CheckResult,
     ExperimentReport,
     exact_check,
-    flagged_check,
     format_float,
     se_check,
     write_csv,
@@ -32,9 +31,6 @@ class TestChecks:
         c = se_check("m", target=21.0, estimate=4.0, se=0.6, multiplier=4.0)
         assert c.verdict == "flagged"
         assert "reliability" in c.detail
-
-    def test_flagged_check(self):
-        assert flagged_check("m", 1.0, 2.0, "tail-dominated").verdict == "flagged"
 
 
 class TestReport:

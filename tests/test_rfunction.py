@@ -12,8 +12,6 @@ from diamondgmc.rfunction import (
     asymptotic_expansion,
     centered_moment_table,
     eta,
-    evaluate_R,
-    evaluate_R_prime,
     kappa_sq,
     moment_recursion_step,
     moment_table,
@@ -70,7 +68,7 @@ class TestEvaluateR:
         # asymptotic; the omitted term is O(log^2(-r)/r^3)
         prof = VarianceProfile(2)
         r = -1e6
-        val = evaluate_R(prof, r)
+        val = prof.evaluate_R(r)
         ref = asymptotic_R_two_term(2, r)
         assert abs(val - ref) / ref < 1e-6
         assert ref == pytest.approx(2.0e-6, rel=2e-5)
@@ -132,7 +130,7 @@ class TestEvaluateRPrime:
         # derivative of the two-term asymptotic: kappa^2/t^2 + kappa^2 eta (2 log t - 1)/t^3
         prof = VarianceProfile(2)
         t = 1e6
-        val = evaluate_R_prime(prof, -t)
+        val = prof.evaluate_R_prime(-t)
         ref = kappa_sq(2) / t**2 + kappa_sq(2) * eta(2) * (2 * math.log(t) - 1) / t**3
         assert abs(val - ref) / ref < 1e-5
         # the leading term alone is off by the documented ~2.7e-5 relative
