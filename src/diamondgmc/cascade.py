@@ -41,6 +41,7 @@ import json
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,27 +169,23 @@ def _chunk_sizes(total: int, chunks: int):
     return sizes
 
 
-def _evolve_chunk(masses: np.ndarray, b: int, rng: np.random.Generator, count: int):
-    idx = rng.integers(0, masses.size, size=(b, b, count))
-    factors = masses[idx]
-    return factors.prod(axis=1).sum(axis=0) / b
+def population_step(masses: np.ndarray, b: int, streams, pool=None) -> np.ndarray:
+    """One population-dynamics step by resampling with replacement, unnormalized.
 
+    Output chunk ``c`` (sizes from ``_chunk_sizes``) draws the b^2 factors
+    of each entry from ``streams[c]``; an executor ``pool`` runs the chunks
+    concurrently without changing the result.
+    """
+    if masses.size < b * b:
+        raise UsageError(f"population size {masses.size} is below b^2 = {b * b}")
+    sizes = _chunk_sizes(masses.size, len(streams))
 
-def _evolve_array(
-    masses: np.ndarray, b: int, streams, chunks: int, threads: int
-) -> np.ndarray:
-    sizes = _chunk_sizes(masses.size, chunks)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda ic: _evolve_chunk(masses, b, streams[ic[0]], ic[1]),
-                    enumerate(sizes),
-                )
-            )
-    else:
-        parts = [_evolve_chunk(masses, b, streams[c], size) for c, size in enumerate(sizes)]
-    return np.concatenate(parts)
+    def chunk(c):
+        idx = streams[c].integers(0, masses.size, size=(b, b, sizes[c]))
+        return masses[idx].prod(axis=1).sum(axis=0) / b
+
+    chunks = range(len(sizes))
+    return np.concatenate(list(pool.map(chunk, chunks)) if pool else [chunk(c) for c in chunks])
 
 
 def _renormalize(out: np.ndarray):
@@ -198,43 +195,6 @@ def _renormalize(out: np.ndarray):
     if not math.isfinite(pre_mean) or pre_mean <= 0:
         return out, pre_mean, pre_se
     return out / pre_mean, pre_mean, pre_se
-
-
-def evolve_population(
-    pop: MassPopulation,
-    rng: np.random.Generator,
-    chunks: int = 1,
-    threads: int = 1,
-    renormalize: bool = True,
-) -> MassPopulation:
-    """One renormalization step by resampling with replacement.
-
-    With ``renormalize`` (the default) the output is divided by its empirical
-    mean; the pre-normalization mean and its standard error are recorded in
-    the provenance detail.
-    """
-    b = pop.provenance.b
-    if pop.size == 0:
-        raise UsageError("cannot evolve an empty population")
-    if pop.size < b * b:
-        raise UsageError(f"population size {pop.size} is below b^2 = {b * b}")
-    streams = rng.spawn(chunks)
-    out = _evolve_array(pop.masses, b, streams, chunks, threads)
-    detail = dict(pop.provenance.detail)
-    if renormalize:
-        out, pre_mean, pre_se = _renormalize(out)
-        detail["step_pre_means"] = detail.get("step_pre_means", []) + [pre_mean]
-        detail["step_pre_ses"] = detail.get("step_pre_ses", []) + [pre_se]
-        if math.isfinite(pre_mean) and pre_mean > 0:
-            detail["norm_log"] = detail.get("norm_log", 0.0) + math.log(pre_mean)
-    overflow = int(np.count_nonzero(~np.isfinite(out)))
-    prov = replace(
-        pop.provenance,
-        r=pop.r + 1.0,
-        overflow_count=pop.provenance.overflow_count + overflow,
-        detail=detail,
-    )
-    return MassPopulation(pop.r + 1.0, out, prov)
 
 
 def simulate_mass_trajectory(
@@ -258,8 +218,6 @@ def simulate_mass_trajectory(
     """
     if depth < 1:
         raise UsageError("depth must be >= 1")
-    if size < b * b:
-        raise UsageError(f"population size {size} is below b^2 = {b * b}")
     base_level = r - depth
     if base_level > MINIMUM_BASE_LEVEL:
         raise UsageError(
@@ -310,19 +268,21 @@ def simulate_mass_trajectory(
             detail=detail,
         )
 
-    for iteration in range(1, depth + 1):
-        streams = [
-            substream(master_seed, _REALM_EVOLVE, iteration, c) for c in range(chunks)
-        ]
-        masses = _evolve_array(masses, b, streams, chunks, threads)
-        masses, pre_mean, pre_se = _renormalize(masses)
-        pre_means.append(pre_mean)
-        pre_ses.append(pre_se)
-        if math.isfinite(pre_mean) and pre_mean > 0:
-            norm_log += math.log(pre_mean)
-        if iteration in offsets:
-            level = offsets[iteration]
-            out[level] = MassPopulation(level, masses.copy(), provenance(level, True))
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for iteration in range(1, depth + 1):
+            streams = [
+                substream(master_seed, _REALM_EVOLVE, iteration, c) for c in range(chunks)
+            ]
+            # rebinding first frees the input population before renormalizing allocates
+            masses = population_step(masses, b, streams, pool)
+            masses, pre_mean, pre_se = _renormalize(masses)
+            pre_means.append(pre_mean)
+            pre_ses.append(pre_se)
+            if math.isfinite(pre_mean) and pre_mean > 0:
+                norm_log += math.log(pre_mean)
+            if iteration in offsets:
+                level = offsets[iteration]
+                out[level] = MassPopulation(level, masses.copy(), provenance(level, True))
 
     out[r] = MassPopulation(r, masses, provenance(r, False))
     return out
@@ -370,7 +330,8 @@ def fractional_moment(pop: MassPopulation, theta: float):
 class MeasureSample:
     """One realization of the cylinder-mass vector at (r, n).
 
-    ``masses[path_index(p)]`` is the mass of cylinder p; ``child_subtotals``
+    ``masses[k]`` is the mass of the cylinder with ``lattice.path_index`` k,
+    i.e. of row k of ``lattice.enumerate_paths``; ``child_subtotals``
     holds the top-level (branch, segment) sub-measure totals used by the
     additivity audit.
     """

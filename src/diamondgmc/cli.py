@@ -60,7 +60,6 @@ from .lattice import (
     intersection_fixed_point,
     intersection_hausdorff_dim,
     path_count_int,
-    path_from_index,
 )
 from .reporting import (
     SEEDING_BIAS_NOTE,
@@ -173,28 +172,25 @@ def _merge_config(args) -> RunConfig:
 
 
 class _Run:
-    """Collects checks and notes for one command and writes the manifest."""
+    """Collects one command's checks and notes in a report and writes the manifest."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.checks = []
-        self.notes = []
+        self.report = ExperimentReport(cfg.command)
         self.started = time.time()
         self.out_dir = Path(cfg.out)
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def extend(self, report: ExperimentReport):
-        self.checks.extend(report.checks)
+        self.report.checks.extend(report.checks)
         for note in report.notes:
-            if note not in self.notes:
-                self.notes.append(note)
+            if note not in self.report.notes:
+                self.report.notes.append(note)
 
     def finish(self) -> int:
-        failed = [c for c in self.checks if c.verdict == "fail"]
-        flagged = [c for c in self.checks if c.verdict == "flagged"]
-        if failed:
+        if self.report.failed:
             status = 1
-        elif flagged and not self.cfg.allow_flagged:
+        elif self.report.flagged and not self.cfg.allow_flagged:
             status = 2
         else:
             status = 0
@@ -205,12 +201,12 @@ class _Run:
             "config": self.cfg.to_dict(),
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "wall_clock_seconds": time.time() - self.started,
-            "checks": [c.to_dict() for c in self.checks],
-            "notes": self.notes,
+            "checks": [c.to_dict() for c in self.report.checks],
+            "notes": self.report.notes,
             "exit_status": status,
         }
         write_json(self.out_dir / f"{self.cfg.command}_manifest.json", manifest)
-        for c in self.checks:
+        for c in self.report.checks:
             print(f"[{c.verdict.upper():7s}] {c.name}: {c.detail or c.tolerance}")
         print(f"manifest: {self.out_dir / (self.cfg.command + '_manifest.json')}")
         return status
@@ -276,7 +272,7 @@ def cmd_rfunc(cfg: RunConfig) -> int:
     )
     write_csv(run.out_dir / "rfunc_table.csv", header, rows)
 
-    run.checks.append(
+    run.report.add(
         CheckResult(
             "kappa-sq-eta-closed-forms",
             "pass"
@@ -288,10 +284,10 @@ def cmd_rfunc(cfg: RunConfig) -> int:
             detail=f"kappa^2 = {profile.kappa_sq:.17g}, eta = {profile.eta:.17g}",
         )
     )
-    run.checks.append(
+    run.report.add(
         exact_check("psi-identity-residual", psi_resid_max, 1e-10, detail="relative")
     )
-    run.checks.append(
+    run.report.add(
         CheckResult(
             "monotone-increasing",
             "pass" if monotone else "fail",
@@ -303,7 +299,7 @@ def cmd_rfunc(cfg: RunConfig) -> int:
             R = profile.evaluate_R(rv)
             lhs = abs(R * (-rv) / kappa_sq(cfg.b) - 1.0)
             rhs = 1.1 * eta(cfg.b) * math.log(-rv) / (-rv)
-            run.checks.append(
+            run.report.add(
                 CheckResult(
                     f"asymptotic-sandwich(r={rv:g})",
                     "pass" if lhs <= rhs else "fail",
@@ -313,7 +309,7 @@ def cmd_rfunc(cfg: RunConfig) -> int:
                 )
             )
     if flagged_rows:
-        run.checks.append(
+        run.report.add(
             CheckResult(
                 "overflow-rows",
                 "flagged",
@@ -350,22 +346,21 @@ def cmd_correlation(cfg: RunConfig) -> int:
         for n in range(1, n_max + 1)
     ]
     spread = max(abs(m - target) for m in masses)
-    run.checks.append(
+    run.report.add(
         exact_check("upsilon-total-mass-consistency", spread, 1e-9,
                     detail=f"n = 1..{n_max} vs 1 + R(r)")
     )
 
     table2 = correlation_table(profile, cfg.r, 2)
-    margs = [marginal_check(table2, p) for p in enumerate_paths(params, 2)]
     closed = (1.0 + profile.evaluate_R(cfg.r)) / path_count_int(params, 2)
-    dev = max(abs(m - closed) for m in margs)
-    run.checks.append(
+    dev = abs(marginal_check(table2) - closed)
+    run.report.add(
         exact_check("marginal-uniformity(n=2)", dev, 1e-12)
     )
 
     table3 = correlation_table(profile, cfg.r, 3)
     rho_total = lebesgue_decomposition_weights(table3).rho_total()
-    run.checks.append(exact_check("rho-total(n=3)", rho_total - 1.0, 1e-9))
+    run.report.add(exact_check("rho-total(n=3)", rho_total - 1.0, 1e-9))
 
     check_rows = []
     n_rn = min(n_max, 8)
@@ -377,7 +372,7 @@ def cmd_correlation(cfg: RunConfig) -> int:
     peak = max(terms)
     rn_mass = math.exp(peak) * math.fsum(math.exp(t - peak) for t in terms)
     rn_target = 1.0 + profile.evaluate_R(cfg.r + cfg.a)
-    run.checks.append(
+    run.report.add(
         exact_check(f"rn-exactness(n={n_rn})", rn_mass - rn_target, 1e-9)
     )
     check_rows.append(["rn-exactness", rn_mass, rn_target,
@@ -385,12 +380,11 @@ def cmd_correlation(cfg: RunConfig) -> int:
 
     worst_rel = 0.0
     for n in range(1, n_rn + 1):
-        p = path_from_index(params, n, 0)
-        lhs, rhs = kernel_marginal_identity_check(profile, cfg.r, n, p)
+        lhs, rhs = kernel_marginal_identity_check(profile, cfg.r, n)
         rel = abs(lhs - rhs) / abs(rhs)
         worst_rel = max(worst_rel, rel)
         check_rows.append([f"kernel-marginal(n={n})", lhs, rhs, abs(lhs - rhs), rel])
-    run.checks.append(
+    run.report.add(
         exact_check("kernel-marginal-identity", worst_rel, 1e-8, detail="relative")
     )
     write_csv(
@@ -403,7 +397,7 @@ def cmd_correlation(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     run = _Run(cfg)
-    run.notes.append(SEEDING_BIAS_NOTE)
+    run.report.notes.append(SEEDING_BIAS_NOTE)
     params = LatticeParams(cfg.b, cfg.s)
     params.require_critical()
     profile = VarianceProfile(cfg.b)
@@ -438,7 +432,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     drift = [
         (m, s) for m, s in zip(pre_means, pre_ses) if abs(m - 1.0) > 4.0 * s
     ]
-    run.checks.append(
+    run.report.add(
         CheckResult(
             "mean-drift-alarm",
             "flagged" if drift else "pass",
@@ -447,9 +441,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             detail=f"{len(drift)} of {len(pre_means)} steps drifted",
         )
     )
-    run.checks.append(se_check("variance-vs-R", target_var, var, var_se, 4.0))
+    run.report.add(se_check("variance-vs-R", target_var, var, var_se, 4.0))
     if pop.provenance.overflow_count:
-        run.checks.append(
+        run.report.add(
             CheckResult(
                 "overflow-samples",
                 "flagged",
@@ -467,7 +461,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             cfg.b, cfg.r, cfg.n, cfg.depth, seed_spec, cfg.seed,
             leaf_population=leaf, profile=profile,
         )
-        run.checks.append(
+        run.report.add(
             exact_check("measure-additivity-audit", sample.additivity_gap(), 1e-12)
         )
         if cfg.n <= 2:
@@ -482,7 +476,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             prods = batch[:, :, None] * batch[:, None, :]
             se = prods.std(axis=0, ddof=1) / math.sqrt(batch.shape[0])
             worst = float(np.max(np.abs(prods.mean(axis=0) - target) / se))
-            run.checks.append(
+            run.report.add(
                 CheckResult(
                     "pair-correlation-audit",
                     "pass" if worst <= 4.0 else "fail",
@@ -508,16 +502,22 @@ def cmd_gmc(cfg: RunConfig) -> int:
         shifted = shift_field(real, phi)
         direct = real.weights * np.exp(math.sqrt(lam) * phi)
         rel = float(np.max(np.abs(shifted.weights - direct) / direct))
-        run.checks.append(exact_check("shift-covariance", rel, 1e-12))
-        lr = math.exp(
-            -0.5 * float(((real.gaussian - phi) ** 2).sum())
-            + 0.5 * float((real.gaussian**2).sum())
+        report = ExperimentReport("shift")
+        report.add(exact_check("shift-covariance", rel, 1e-12))
+        # the density itself underflows at a few thousand edges: compare logs,
+        # which to first order is the relative comparison of the densities
+        log_lr = -0.5 * float(((real.gaussian - phi) ** 2).sum()) + 0.5 * float(
+            (real.gaussian**2).sum()
         )
-        cm = cameron_martin_density(phi, real.gaussian)
-        run.checks.append(
-            exact_check("cameron-martin-density", (cm - lr) / lr, 1e-12)
-        )
-        report = ExperimentReport("shift", checks=run.checks[:])
+        if math.ulp(abs(log_lr)) > 1e-12:
+            raise RangeError(
+                f"log Cameron-Martin density {log_lr:.6g} has an ulp of "
+                f"{math.ulp(abs(log_lr)):.2g}, coarser than the 1e-12 comparison; "
+                f"use a smaller --n"
+            )
+        cm_dev = cameron_martin_density(phi, real.gaussian) - log_lr
+        report.add(exact_check("cameron-martin-density", cm_dev, 1e-12, detail="log densities"))
+        run.extend(report)
     elif cfg.check == "kahane":
         lam = edge_weight(profile, cfg.r, cfg.a, cfg.n, cfg.mode)
         uniform = np.ones((cfg.b * cfg.b) ** cfg.n)
@@ -575,7 +575,7 @@ def cmd_fixed_point(cfg: RunConfig) -> int:
         dim = intersection_hausdorff_dim(cfg.b, cfg.s)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        run.checks.append(
+        run.report.add(
             CheckResult("subcritical-domain", "fail", detail=str(exc))
         )
         run.finish()
@@ -585,7 +585,7 @@ def cmd_fixed_point(cfg: RunConfig) -> int:
     print(f"intersection_fixed_point({cfg.b},{cfg.s}) = {x:.15f}")
     print(f"intersection_hausdorff_dim({cfg.b},{cfg.s}) = {dim:.15f}")
     print(f"fixed_point_residual = {residual:.3e}")
-    run.checks.append(exact_check("fixed-point-residual", residual, 1e-12))
+    run.report.add(exact_check("fixed-point-residual", residual, 1e-12))
     return run.finish()
 
 

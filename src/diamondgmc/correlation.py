@@ -14,10 +14,16 @@ whose two branches are "same top branch" (shared edges add across the b
 sub-pairs) and "different top branches" (no shared edges, all sub-paths
 free).  Counts are exact big integers; weights are handled in log space.
 
-The per-path conditional histogram (distribution of N against a fixed path)
-follows the same split with the fixed path's decisions walked structurally;
-homogeneity of the path space makes the result path-independent, which the
-tests verify by enumeration rather than assume.
+The conditional histogram (distribution of N against one fixed path) follows
+the same split with only the "same top branch" term recursing:
+
+    c_0 = {1: 1},
+    c_{n+1} = (c_n convolved with itself b times) + (b - 1) |Gamma_n|^b at N = 0.
+
+It reads nothing of the fixed path but its generation: homogeneity of the
+path space makes it path-independent, which the tests verify by enumerating
+``shared_edge_count`` against every path of small generations rather than
+assume.  Paths enter only as decision arrays (see ``lattice``).
 """
 
 from __future__ import annotations
@@ -29,13 +35,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import UsageError
-from .lattice import (
-    CylinderPath,
-    LatticeParams,
-    decision_count,
-    path_count_int,
-    shared_edge_count,
-)
+from .lattice import LatticeParams, decision_count, path_count_int, shared_edge_count
 from .rfunction import VarianceProfile
 
 HISTOGRAM_GENERATION_BUDGET = 16
@@ -92,17 +92,18 @@ def pair_count_histogram(params: LatticeParams, n: int) -> PairCountHistogram:
     return PairCountHistogram(params, n, _histogram_counts(params.b, n))
 
 
-def conditional_pair_histogram(p: CylinderPath) -> dict:
-    """Counts of q in Gamma_n by N_n(p, q), walking p's decision tree."""
-    p.params.require_critical()
-    b = p.params.b
-    if p.generation == 0:
-        return {1: 1}
-    _, subs = p.split()
-    conv = reduce(_convolve, [conditional_pair_histogram(q) for q in subs])
-    gamma_prev = path_count_int(p.params, p.generation - 1)
-    conv[0] = conv.get(0, 0) + (b - 1) * gamma_prev**b
-    return conv
+@lru_cache(maxsize=None)
+def conditional_pair_histogram(b: int, n: int):
+    """Counts of q in Gamma_n by N_n(p, q) for any fixed p, as sorted (N, count) pairs."""
+    params = LatticeParams(b, b)
+    if n < 0:
+        raise UsageError("generation must be >= 0")
+    if n == 0:
+        return ((1, 1),)
+    prev = dict(conditional_pair_histogram(b, n - 1))
+    conv = reduce(_convolve, [prev] * b)
+    conv[0] = conv.get(0, 0) + (b - 1) * path_count_int(params, n - 1) ** b
+    return tuple(sorted(conv.items()))
 
 
 def _logsumexp(terms) -> float:
@@ -155,15 +156,13 @@ def upsilon_total_mass(table: CorrelationTable) -> float:
     return math.exp(_logsumexp(terms) - 2.0 * table.log_gamma)
 
 
-def marginal_check(table: CorrelationTable, p: CylinderPath) -> float:
-    """Sum of correlation weights over all q against the fixed path p.
+def marginal_check(table: CorrelationTable) -> float:
+    """Sum of correlation weights over all q against any one fixed path p.
 
-    Contract: equals (1 + R(r))/|Gamma_n| independently of p.
+    Contract: equals (1 + R(r))/|Gamma_n|.
     """
-    if p.generation != table.n or p.params.b != table.profile.b:
-        raise UsageError("path generation/params do not match the table")
-    cond = conditional_pair_histogram(p)
-    terms = [math.log(c) + k * table.log1p_R_shifted for k, c in cond.items()]
+    cond = conditional_pair_histogram(table.profile.b, table.n)
+    terms = [math.log(c) + k * table.log1p_R_shifted for k, c in cond]
     return math.exp(_logsumexp(terms) - 2.0 * table.log_gamma)
 
 
@@ -219,25 +218,21 @@ def lebesgue_decomposition_weights(table: CorrelationTable) -> LebesgueWeights:
     return LebesgueWeights(table, R_r)
 
 
-def kernel_marginal_identity_check(
-    profile: VarianceProfile, r: float, n: int, p: CylinderPath
-):
+def kernel_marginal_identity_check(profile: VarianceProfile, r: float, n: int):
     """Discrete marginal identity for the kernel-weighted correlation measure.
 
     lhs = sum_q N_n(p,q) (1 + R(r-n))^(N-1) R'(r-n) / |Gamma_n|^2  (the
-    derivative in the parameter shift at zero of the marginal against p);
-    rhs = R'(r)/|Gamma_n|.  Both shrink like 1/|Gamma_n|, so callers should
-    compare them in relative terms.
+    derivative in the parameter shift at zero of the marginal against any
+    fixed p); rhs = R'(r)/|Gamma_n|.  Both shrink like 1/|Gamma_n|, so
+    callers should compare them in relative terms.
     """
-    params = LatticeParams(profile.b, profile.b)
-    if p.generation != n or p.params != params:
-        raise UsageError("path does not match the requested generation/params")
     R_shift, Rp_shift = profile.evaluate_pair(r - n)
-    log_gamma = decision_count(params.s, n) * math.log(params.b)
+    log_gamma = decision_count(profile.b, n) * math.log(profile.b)
     lu = math.log1p(R_shift)
-    cond = conditional_pair_histogram(p)
     terms = [
-        math.log(k) + math.log(c) + (k - 1) * lu for k, c in cond.items() if k > 0
+        math.log(k) + math.log(c) + (k - 1) * lu
+        for k, c in conditional_pair_histogram(profile.b, n)
+        if k > 0
     ]
     lhs = math.exp(math.log(Rp_shift) + _logsumexp(terms) - 2.0 * log_gamma)
     rhs = profile.evaluate_R_prime(r) * math.exp(-log_gamma)
@@ -245,6 +240,8 @@ def kernel_marginal_identity_check(
 
 
 def upsilon_pair_matrix(table: CorrelationTable, support) -> np.ndarray:
-    """Correlation weights for explicit path pairs (small supports only)."""
-    N = np.array([[shared_edge_count(p, q) for q in support] for p in support], dtype=float)
+    """Correlation weights for all pairs of a (count, d_n) path array (small supports only)."""
+    support = np.asarray(support)
+    params = LatticeParams(table.profile.b, table.profile.b)
+    N = shared_edge_count(params, table.n, support[:, None], support[None])
     return np.exp(N * table.log1p_R_shifted - 2.0 * table.log_gamma)

@@ -155,10 +155,14 @@ def shift_field(realization: GmcRealization, phi) -> GmcRealization:
 
 
 def cameron_martin_density(phi, g) -> float:
-    """exp(<g, phi> - ||phi||^2 / 2), the shifted-field likelihood ratio at g."""
+    """<g, phi> - ||phi||^2 / 2, the log of the shifted-field likelihood ratio at g.
+
+    Returned in log form: with one Gaussian per edge the ratio itself
+    underflows to 0 from a few thousand edges on.
+    """
     phi = np.asarray(phi, dtype=float)
     g = np.asarray(g, dtype=float)
-    return math.exp(float(g @ phi) - 0.5 * float(phi @ phi))
+    return float(g @ phi) - 0.5 * float(phi @ phi)
 
 
 def kahane_moment(leaves, b: int, lam: float, m: int = 2) -> float:

@@ -1,6 +1,7 @@
-"""Brute-force oracles, independent of the library's recursions.
+"""Brute-force oracles, independent of the library's index maps and recursions.
 
-Besides the label-level path oracles, this holds the dense reference for the
+Paths are decision arrays, as in the library.  Besides the label-level path
+oracles and the recursive cylinder index, this holds the dense reference for the
 chaos functionals: the path-by-edge incidence matrix, the kernel
 K = lam * N_n = F F^T with F = sqrt(lam) * incidence, and cylinder-level
 chaos weights and moments computed from them (small n only).
@@ -13,12 +14,50 @@ from functools import reduce
 import numpy as np
 
 from diamondgmc.errors import BudgetError, UsageError
-from diamondgmc.lattice import CylinderPath, LatticeParams, enumerate_paths
+from diamondgmc.lattice import LatticeParams
 
 INCIDENCE_CELL_BUDGET = 1 << 24
 
 
-def edge_label_chains(path: CylinderPath):
+def _offset(s: int, level: int) -> int:
+    return (s**level - 1) // (s - 1)
+
+
+def all_paths(params: LatticeParams, n: int) -> np.ndarray:
+    """Every decision array, (|Gamma_n|, d_n), in raw lexicographic order (not index order)."""
+    length = _offset(params.s, n)
+    rows = itertools.product(range(1, params.b + 1), repeat=length)
+    return np.array(list(rows), dtype=np.int64).reshape(-1, length)
+
+
+def recursive_path_index(params: LatticeParams, n: int, decisions) -> int:
+    """Cylinder index by its definition index(p) = (i - 1) C^s + sum_j index(p_j) C^(s - j).
+
+    Sub-path j collects, level by level, the j-th block of s^level decisions.
+    """
+    if n == 0:
+        return 0
+    s = params.s
+    c_sub = params.b ** _offset(s, n - 1)
+    index = 0
+    for j in range(s):
+        sub = [
+            d
+            for level in range(n - 1)
+            for d in decisions[_offset(s, level + 1) + j * s**level :][: s**level]
+        ]
+        index = index * c_sub + recursive_path_index(params, n - 1, sub)
+    return (int(decisions[0]) - 1) * c_sub**s + index
+
+
+def index_ordered_paths(params: LatticeParams, n: int) -> np.ndarray:
+    """``all_paths`` sorted by ``recursive_path_index``."""
+    paths = all_paths(params, n)
+    order = np.argsort([recursive_path_index(params, n, p) for p in paths])
+    return paths[order]
+
+
+def edge_label_chains(params: LatticeParams, n: int, decisions):
     """Edge labels per time slot, straight from the decision-tree layout.
 
     Time slot (j_1..j_n) crosses the edge labelled
@@ -26,34 +65,27 @@ def edge_label_chains(path: CylinderPath):
     node addressed by the segment prefix (j_1..j_{t-1}).  Nodes are read
     from the breadth-first array by level offset plus lexicographic rank.
     """
-    s, n = path.params.s, path.generation
+    s = params.s
     labels = []
     for chain in itertools.product(range(1, s + 1), repeat=n):
         label = []
         for t in range(1, n + 1):
             prefix = chain[: t - 1]
             level = t - 1
-            offset = (s**level - 1) // (s - 1)
             rank = 0
             for k, j in enumerate(prefix):
                 rank += (j - 1) * s ** (level - 1 - k)
-            label.append((path.decisions[offset + rank], chain[t - 1]))
+            label.append((int(decisions[_offset(s, level) + rank]), chain[t - 1]))
         labels.append(tuple(label))
     return labels
 
 
-def brute_shared_edges(p: CylinderPath, q: CylinderPath) -> int:
+def brute_shared_edges(params: LatticeParams, n: int, p, q) -> int:
     """Number of time slots whose edge labels coincide."""
-    return sum(a == b for a, b in zip(edge_label_chains(p), edge_label_chains(q)))
-
-
-def all_paths(params: LatticeParams, n: int):
-    """Every decision array, in raw lexicographic order (not index order)."""
-    length = (params.s**n - 1) // (params.s - 1)
-    return [
-        CylinderPath(params, n, decisions)
-        for decisions in itertools.product(range(1, params.b + 1), repeat=length)
-    ]
+    return sum(
+        a == c
+        for a, c in zip(edge_label_chains(params, n, p), edge_label_chains(params, n, q))
+    )
 
 
 def edge_index_from_label(params: LatticeParams, label) -> int:
@@ -70,30 +102,34 @@ def brute_pair_histogram(params: LatticeParams, n: int) -> dict:
     out = {}
     for p in paths:
         for q in paths:
-            k = brute_shared_edges(p, q)
+            k = brute_shared_edges(params, n, p, q)
             out[k] = out.get(k, 0) + 1
     return out
 
 
-def path_edge_indices(p: CylinderPath) -> np.ndarray:
-    """Indices of the ``s^n`` edges crossed by ``p``, ascending."""
-    params, n = p.params, p.generation
-    if n == 0:
-        return np.array([0], dtype=np.int64)
-    top, subs = p.split()
-    width = (params.b * params.s) ** (n - 1)
-    pieces = []
-    for j, q in enumerate(subs, start=1):
-        base = ((top - 1) * params.s + (j - 1)) * width
-        pieces.append(base + path_edge_indices(q))
-    return np.concatenate(pieces)
+def path_edge_indices(params: LatticeParams, n: int, paths) -> np.ndarray:
+    """Indices of the s^n edges crossed by each decision row, (..., s^n), ascending.
+
+    One gather through a fixed node table: time slot (j_1..j_n) reads, at
+    level t, the node addressed by its segment prefix (j_1..j_t).
+    """
+    b, s = params.b, params.s
+    slots = np.array(list(itertools.product(range(s), repeat=n)), dtype=np.int64)
+    slots = slots.reshape(s**n, n)
+    nodes = np.zeros_like(slots)
+    for t in range(n):
+        nodes[:, t] = _offset(s, t) + slots[:, :t] @ s ** np.arange(t - 1, -1, -1)
+    digits = (np.asarray(paths)[..., nodes] - 1) * s + slots
+    return digits @ (b * s) ** np.arange(n - 1, -1, -1)
 
 
-def incidence_matrix(support) -> np.ndarray:
-    """0/1 matrix with rows = paths of ``support``, columns = generation edges."""
+def incidence_matrix(params: LatticeParams, n: int, support) -> np.ndarray:
+    """0/1 matrix with rows = decision rows of ``support``, columns = generation edges."""
+    support = np.asarray(support)
     if len(support) == 0:
         raise UsageError("empty support")
-    params, n = support[0].params, support[0].generation
+    if support.shape[1:] != (_offset(params.s, n),):
+        raise UsageError(f"support of shape {support.shape} is not generation-{n} paths")
     cols = (params.b * params.s) ** n
     if len(support) * cols > INCIDENCE_CELL_BUDGET:
         raise BudgetError(
@@ -101,22 +137,19 @@ def incidence_matrix(support) -> np.ndarray:
             f"{INCIDENCE_CELL_BUDGET}-cell budget (b={params.b}, s={params.s}, n={n})"
         )
     out = np.zeros((len(support), cols), dtype=np.float64)
-    for row, p in enumerate(support):
-        if p.params != params or p.generation != n:
-            raise UsageError("support paths must share params and generation")
-        out[row, path_edge_indices(p)] = 1.0
+    np.put_along_axis(out, path_edge_indices(params, n, support), 1.0, axis=1)
     return out
 
 
-def shared_edge_matrix(support) -> np.ndarray:
-    """Matrix of N_n(p, q) over a support list, via edge incidence."""
-    inc = incidence_matrix(support)
+def shared_edge_matrix(params: LatticeParams, n: int, support) -> np.ndarray:
+    """Matrix of N_n(p, q) over a support array, via edge incidence."""
+    inc = incidence_matrix(params, n, support)
     return inc @ inc.T
 
 
 def dense_kernel(params: LatticeParams, n: int, lam: float):
-    """(K, F) over all of Gamma_n: K = lam * N_n and F = sqrt(lam) * incidence."""
-    inc = incidence_matrix(enumerate_paths(params, n))
+    """(K, F) over all of Gamma_n in index order: K = lam * N_n and F = sqrt(lam) * incidence."""
+    inc = incidence_matrix(params, n, index_ordered_paths(params, n))
     return lam * (inc @ inc.T), math.sqrt(lam) * inc
 
 

@@ -50,7 +50,6 @@ from diamondgmc.lattice import (
     intersection_fixed_point,
     intersection_hausdorff_dim,
     path_count_int,
-    path_from_index,
 )
 from diamondgmc.rfunction import (
     VarianceProfile,
@@ -126,9 +125,7 @@ def test_criterion_04_upsilon_consistency(profile2, params2):
 
     table2 = correlation_table(profile2, 0.0, 2)
     closed = target / path_count_int(params2, 2)
-    marg_dev = max(
-        abs(marginal_check(table2, p) - closed) for p in enumerate_paths(params2, 2)
-    )
+    marg_dev = abs(marginal_check(table2) - closed)
     assert marg_dev < 1e-12
 
     rho_total = lebesgue_decomposition_weights(
@@ -148,8 +145,7 @@ def test_criterion_04_upsilon_consistency(profile2, params2):
 
     worst_rel = 0.0
     for n in range(1, 9):
-        p = path_from_index(params2, n, 0)
-        lhs, rhs = kernel_marginal_identity_check(profile2, 0.0, n, p)
+        lhs, rhs = kernel_marginal_identity_check(profile2, 0.0, n)
         worst_rel = max(worst_rel, abs(lhs - rhs) / rhs)
     assert worst_rel < 1e-8
     announce(4, f"total-mass spread {spread:.1e}; marginal dev {marg_dev:.1e}; "
@@ -241,7 +237,7 @@ def test_criterion_07_gmc_identities(profile2, params2):
     real = sample_gmc(uniform, 2, lam, rng)
     phi = rng.standard_normal(16)
     shifted = shift_field(real, phi)
-    inc = incidence_matrix(enumerate_paths(params2, 2))
+    inc = incidence_matrix(params2, 2, enumerate_paths(params2, 2))
     direct = assemble(real.weights, 2, 2) * np.exp(math.sqrt(lam) * inc @ phi)
     shift_dev = float(np.max(np.abs(assemble(shifted.weights, 2, 2) - direct) / direct))
     assert shift_dev <= 1e-12

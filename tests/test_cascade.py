@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from diamondgmc.cascade import (
     SeedSpec,
     assemble,
     default_leaf_population,
-    evolve_population,
     fractional_moment,
+    population_step,
     read_population,
     sample_measure_batch,
     sample_measure_cylinders,
@@ -67,16 +68,17 @@ class TestSeedSpec:
 
 
 class TestEvolvePopulation:
-    def test_all_ones_is_bitwise_fixed_point(self):
-        pop = ones_population()
-        out = evolve_population(pop, substream(4, 0))
-        assert np.array_equal(out.masses, np.ones(64))
-        assert out.r == 1.0
+    """One unnormalized step of the population dynamics, as ``simulate_mass_trajectory`` runs it."""
 
-    def test_size_precondition(self):
-        pop = ones_population(size=3)
+    def test_all_ones_is_bitwise_fixed_point(self):
+        out = population_step(np.ones(64), 2, [substream(4, 0)])
+        assert np.array_equal(out, np.ones(64))
+
+    def test_size_precondition(self, profile2):
         with pytest.raises(UsageError):
-            evolve_population(pop, substream(5, 0))
+            population_step(np.ones(3), 2, [substream(5, 0)])
+        with pytest.raises(UsageError):
+            simulate_mass_law(2, -24.0, SeedSpec(), 24, 3, 5, profile=profile2)
 
     def test_one_step_variance_map(self, profile2):
         # at a weak-disorder level the one-step output variance matches
@@ -85,7 +87,7 @@ class TestEvolvePopulation:
             2, -8.0, SeedSpec(), 16, 1_000_000, 71, profile=profile2
         )
         v_in = pop.variance_se()[0]
-        out = evolve_population(pop, substream(6, 0), renormalize=False)
+        out = replace(pop, masses=population_step(pop.masses, 2, substream(6, 0).spawn(1)))
         v_out, v_se = out.variance_se()
         assert abs(v_out - psi(2, v_in)) <= 4 * v_se
         m_out, m_se = out.mean_se()

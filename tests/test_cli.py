@@ -209,6 +209,23 @@ class TestGmcCommand:
             "shift-covariance", "cameron-martin-density",
         }
 
+    def test_shift_check_log_density_at_n6(self, tmp_path, capsys):
+        # 4096 edges: the density itself underflows to 0, its log does not
+        status = main(
+            ["gmc", "--check", "shift", "--b", "2", "--r", "0", "--a", "1",
+             "--n", "6", "--out", str(tmp_path)]
+        )
+        assert status == 0
+        report = read_manifest(tmp_path / "gmc_shift_report.json")
+        assert all(c["verdict"] == "pass" for c in report["checks"])
+        # at n = 7 one ulp of the log density exceeds the 1e-12 bound
+        status = main(
+            ["gmc", "--check", "shift", "--b", "2", "--r", "0", "--a", "1",
+             "--n", "7", "--out", str(tmp_path)]
+        )
+        assert status == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_kahane_check(self, tmp_path):
         status = main(
             ["gmc", "--check", "kahane", "--b", "2", "--n", "2", "--draws", "50000",

@@ -13,31 +13,26 @@ from _oracles import (
     edge_label_chains,
     incidence_matrix,
     path_edge_indices,
+    recursive_path_index,
     shared_edge_matrix,
 )
 from diamondgmc.errors import BudgetError, DomainError, UsageError
+from diamondgmc.gmc import edge_weight
 from diamondgmc.lattice import (
-    BigCount,
-    CylinderPath,
     LatticeParams,
     decision_count,
     enumerate_paths,
     intersection_fixed_point,
     intersection_hausdorff_dim,
-    join_paths,
-    kernel_estimate,
-    path_count,
     path_count_int,
-    path_from_index,
     path_index,
-    sample_uniform_path,
     shared_edge_count,
-    ultrametric_proxy_distance,
 )
 
 
 def random_path(params, n, rng):
-    return sample_uniform_path(params, n, rng)
+    """A path from the uniform cylinder measure: decisions iid on 1..b."""
+    return rng.integers(1, params.b + 1, size=decision_count(params.s, n))
 
 
 class TestParams:
@@ -56,15 +51,15 @@ class TestParams:
 
 class TestPathCount:
     def test_generation_zero(self, params2):
-        assert path_count(params2, 0).exact == 1
+        assert path_count_int(params2, 0) == 1
 
     def test_enumeration_oracle_n2(self, params2):
         # every decision array is a distinct path
-        assert path_count(params2, 2).exact == len(all_paths(params2, 2)) == 8
+        assert path_count_int(params2, 2) == len(all_paths(params2, 2)) == 8
 
     def test_recursion_and_closed_form_n3(self, params2):
-        c2 = path_count(params2, 2).exact
-        assert path_count(params2, 3).exact == 2 * c2**2 == 2**7 == 128
+        c2 = path_count_int(params2, 2)
+        assert path_count_int(params2, 3) == 2 * c2**2 == 2**7 == 128
 
     def test_recursion_exact_up_to_six(self):
         for b, s in ((2, 2), (3, 3), (2, 3)):
@@ -76,49 +71,51 @@ class TestPathCount:
                 prev = current
 
     def test_log_space_beyond_exact_limit(self, params2):
-        bc = path_count(params2, 9)
-        assert bc.exact is None
-        assert bc.log_value == pytest.approx(decision_count(2, 9) * math.log(2))
-
-    def test_bigcount_consistency(self):
-        bc = BigCount.from_int(12345)
-        assert bc.consistent()
+        # the log count d_n log b, which callers use where the exact count
+        # is unwieldy, agrees with the exact integer
+        for b, s, n in ((2, 2, 6), (2, 2, 9), (3, 3, 5)):
+            exact = path_count_int(LatticeParams(b, s), n)
+            assert decision_count(s, n) * math.log(b) == pytest.approx(
+                math.log(exact), rel=1e-12
+            )
 
 
 class TestPathEncoding:
     def test_decision_length_checked(self, params2):
         with pytest.raises(UsageError):
-            CylinderPath(params2, 2, (1, 2))
+            path_index(params2, 2, [1, 2])
         with pytest.raises(UsageError):
-            CylinderPath(params2, 1, (3,))
-
-    def test_split_join_roundtrip(self, params2):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            p = random_path(params2, 3, rng)
-            top, subs = p.split()
-            assert join_paths(top, subs) == p
-
-    @given(st.integers(0, 3), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_coarsen_truncates_and_is_idempotent(self, k, data):
-        params = LatticeParams(2, 2)
-        n = 3
-        decisions = tuple(
-            data.draw(st.integers(1, 2)) for _ in range(decision_count(2, n))
-        )
-        p = CylinderPath(params, n, decisions)
-        coarse = p.coarsen(k)
-        assert coarse.decisions == decisions[: decision_count(2, k)]
-        assert coarse.coarsen(k) == coarse
+            path_index(params2, 2, np.ones((4, 2), dtype=int))
+        with pytest.raises(UsageError):
+            path_index(params2, 1, [3])
+        with pytest.raises(UsageError):
+            path_index(params2, 1, [0])
+        with pytest.raises(UsageError):
+            path_index(params2, 1, [1.0])
+        with pytest.raises(UsageError):
+            path_index(params2, -1, [])
 
     def test_index_bijection(self):
-        for b, n in ((2, 0), (2, 1), (2, 2), (2, 3), (3, 2)):
-            params = LatticeParams(b, b)
+        # enumeration order, the linear index form and the recursive
+        # definition agree, on critical and non-critical lattices
+        cases = ((2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 3, 2), (3, 2, 2))
+        for b, s, n in cases:
+            params = LatticeParams(b, s)
             paths = enumerate_paths(params, n)
-            assert len(paths) == path_count_int(params, n)
-            assert [path_index(p) for p in paths] == list(range(len(paths)))
-            assert all(path_from_index(params, n, i) == p for i, p in enumerate(paths))
+            assert paths.shape == (path_count_int(params, n), decision_count(s, n))
+            assert np.array_equal(path_index(params, n, paths), np.arange(len(paths)))
+            assert [recursive_path_index(params, n, p) for p in paths] == list(
+                range(len(paths))
+            )
+
+    def test_index_beyond_enumeration(self, params2):
+        rng = np.random.default_rng(9)
+        paths = rng.integers(1, 3, size=(20, decision_count(2, 6)))
+        assert path_index(params2, 6, paths).tolist() == [
+            recursive_path_index(params2, 6, p) for p in paths
+        ]
+        with pytest.raises(BudgetError):
+            path_index(params2, 7, np.ones(decision_count(2, 7), dtype=int))
 
     def test_enumeration_budget(self, params2):
         with pytest.raises(BudgetError):
@@ -129,36 +126,45 @@ class TestSharedEdges:
     def test_identical_paths_share_everything(self, params2):
         rng = np.random.default_rng(1)
         p = random_path(params2, 3, rng)
-        assert shared_edge_count(p, p) == 8
+        assert shared_edge_count(params2, 3, p, p) == 8
 
     def test_different_top_branch_shares_nothing(self, params2):
-        p = CylinderPath(params2, 2, (1, 1, 2))
-        q = CylinderPath(params2, 2, (2, 1, 2))
-        assert shared_edge_count(p, q) == 0
+        assert shared_edge_count(params2, 2, [1, 1, 2], [2, 1, 2]) == 0
 
-    def test_against_brute_force_all_pairs_n2(self, params2):
-        paths = all_paths(params2, 2)
-        for p in paths:
-            for q in paths:
-                assert shared_edge_count(p, q) == brute_shared_edges(p, q)
+    def test_against_brute_force_all_pairs_n2(self):
+        # broadcast over all ordered pairs at once, critical or not
+        for b, s in ((2, 2), (2, 3), (3, 2)):
+            params = LatticeParams(b, s)
+            paths = all_paths(params, 2)
+            N = shared_edge_count(params, 2, paths[:, None], paths[None])
+            assert N.shape == (len(paths), len(paths))
+            for i, p in enumerate(paths):
+                for j, q in enumerate(paths):
+                    assert N[i, j] == brute_shared_edges(params, 2, p, q)
 
     def test_against_brute_force_sampled_n4(self, params2):
         rng = np.random.default_rng(2)
         for _ in range(25):
             p, q = random_path(params2, 4, rng), random_path(params2, 4, rng)
-            assert shared_edge_count(p, q) == brute_shared_edges(p, q)
+            assert shared_edge_count(params2, 4, p, q) == brute_shared_edges(params2, 4, p, q)
 
     def test_pair_average_is_one_n2(self, params2):
         paths = enumerate_paths(params2, 2)
-        N = shared_edge_matrix(paths)
+        N = shared_edge_matrix(params2, 2, paths)
         assert N.mean() == 1.0
         assert (N**2).mean() == 1.0 + 2 * (2 - 1)
 
     def test_mismatched_inputs_rejected(self, params2):
-        p = CylinderPath(params2, 1, (1,))
-        q = CylinderPath(params2, 2, (1, 1, 1))
+        # a generation-1 path against a generation-2 one
         with pytest.raises(UsageError):
-            shared_edge_count(p, q)
+            shared_edge_count(params2, 2, [1], [1, 1, 1])
+        with pytest.raises(UsageError):
+            shared_edge_count(params2, 1, [1], [1, 1, 1])
+        # leading axes that do not broadcast
+        with pytest.raises(UsageError):
+            shared_edge_count(params2, 2, np.ones((2, 3), dtype=int), np.ones((3, 3), dtype=int))
+        with pytest.raises(UsageError):
+            shared_edge_count(params2, 1, [1], [3])
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -166,18 +172,16 @@ class TestSharedEdges:
         params = LatticeParams(2, 2)
         n = data.draw(st.integers(1, 4))
         length = decision_count(2, n)
-        p = CylinderPath(
-            params, n, tuple(data.draw(st.integers(1, 2)) for _ in range(length))
-        )
-        q = CylinderPath(
-            params, n, tuple(data.draw(st.integers(1, 2)) for _ in range(length))
-        )
-        N = shared_edge_count(p, q)
+        p = [data.draw(st.integers(1, 2)) for _ in range(length)]
+        q = [data.draw(st.integers(1, 2)) for _ in range(length)]
+        N = shared_edge_count(params, n, p, q)
         assert 0 <= N <= 2**n
-        assert shared_edge_count(q, p) == N
-        assert shared_edge_count(p, p) == 2**n
+        assert shared_edge_count(params, n, q, p) == N
+        assert shared_edge_count(params, n, p, p) == 2**n
         if n >= 2:
-            coarse = shared_edge_count(p.coarsen(n - 1), q.coarsen(n - 1))
+            # coarsening is a prefix truncation of the breadth-first array
+            prefix = decision_count(2, n - 1)
+            coarse = shared_edge_count(params, n - 1, p[:prefix], q[:prefix])
             assert N <= 2 * coarse
 
 
@@ -196,38 +200,32 @@ class TestRefinementMartingale:
                 count = 0
                 for ext_p in product((1, 2), repeat=2):
                     for ext_q in product((1, 2), repeat=2):
-                        p2 = CylinderPath(params2, 2, p1.decisions + ext_p)
-                        q2 = CylinderPath(params2, 2, q1.decisions + ext_q)
-                        total += shared_edge_count(p2, q2)
+                        p2 = np.concatenate([p1, ext_p])
+                        q2 = np.concatenate([q1, ext_q])
+                        total += int(shared_edge_count(params2, 2, p2, q2))
                         count += 1
-                assert total / count == shared_edge_count(p1, q1)
+                assert total / count == shared_edge_count(params2, 1, p1, q1)
 
 
 class TestKernelEstimate:
-    def test_diagonal_value(self, params2):
-        p = CylinderPath(params2, 2, (1, 2, 1))
-        assert kernel_estimate(p, p) == pytest.approx(2.0)
+    """kappa^2 N_n / n^2, the finite-generation intersection kernel, is the
+    asymptotic edge weight times the shared-edge count."""
 
-    def test_disjoint_is_zero(self, params2):
-        p = CylinderPath(params2, 2, (1, 1, 1))
-        q = CylinderPath(params2, 2, (2, 1, 1))
-        assert kernel_estimate(p, q) == 0.0
+    def test_diagonal_value(self, profile2, params2):
+        p = np.array([1, 2, 1])
+        lam = edge_weight(profile2, 0.0, 1.0, 2, "asymptotic")
+        assert lam * shared_edge_count(params2, 2, p, p) == pytest.approx(2.0)
 
-    def test_two_shared_edges_at_n3(self, params2):
+    def test_disjoint_is_zero(self, profile2, params2):
+        lam = edge_weight(profile2, 0.0, 1.0, 2, "asymptotic")
+        assert lam * shared_edge_count(params2, 2, [1, 1, 1], [2, 1, 1]) == 0.0
+
+    def test_two_shared_edges_at_n3(self, profile2, params2):
         paths = enumerate_paths(params2, 3)
-        found = False
-        for q in paths[1:]:
-            if shared_edge_count(paths[0], q) == 2:
-                assert kernel_estimate(paths[0], q) == pytest.approx(4.0 / 9.0)
-                found = True
-                break
-        assert found
-
-    def test_non_critical_rejected(self):
-        params = LatticeParams(2, 3)
-        p = CylinderPath(params, 1, (1,))
-        with pytest.raises(UsageError):
-            kernel_estimate(p, p)
+        N = shared_edge_count(params2, 3, paths[0], paths[1:])
+        assert np.any(N == 2)
+        lam = edge_weight(profile2, 0.0, 1.0, 3, "asymptotic")
+        assert lam * N[np.argmax(N == 2)] == pytest.approx(4.0 / 9.0)
 
 
 class TestFixedPoint:
@@ -262,34 +260,11 @@ class TestHausdorffDim:
             intersection_hausdorff_dim(3, 2)
 
 
-class TestUltrametric:
-    def test_equal_paths(self, params2):
-        p = CylinderPath(params2, 3, (1,) * 7)
-        assert ultrametric_proxy_distance(p, p) == 0.125
-
-    def test_top_disagreement(self, params2):
-        p = CylinderPath(params2, 3, (1,) * 7)
-        q = CylinderPath(params2, 3, (2,) + (1,) * 6)
-        assert ultrametric_proxy_distance(p, q) == 1.0
-
-    @given(st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_ultrametric_inequality(self, data):
-        params = LatticeParams(2, 2)
-        length = decision_count(2, 3)
-        draw = lambda: CylinderPath(
-            params, 3, tuple(data.draw(st.integers(1, 2)) for _ in range(length))
-        )
-        p, q, z = draw(), draw(), draw()
-        assert ultrametric_proxy_distance(p, q) <= max(
-            ultrametric_proxy_distance(p, z), ultrametric_proxy_distance(z, q)
-        ) + 1e-15
-
-
 class TestUniformSampling:
     def test_generation_zero_unique(self, params2):
-        rng = np.random.default_rng(3)
-        assert sample_uniform_path(params2, 0, rng).decisions == ()
+        assert enumerate_paths(params2, 0).shape == (1, 0)
+        draws = np.random.default_rng(3).integers(1, 3, size=(5, decision_count(2, 0)))
+        assert np.array_equal(path_index(params2, 0, draws), np.zeros(5))
 
     def test_chi_square_uniformity_n2(self, params2):
         rng = np.random.default_rng(4)
@@ -299,19 +274,16 @@ class TestUniformSampling:
         idx = (
             (sampled[:, 0] - 1) * 4 + (sampled[:, 1] - 1) * 2 + (sampled[:, 2] - 1)
         )
+        assert np.array_equal(path_index(params2, 2, sampled), idx)
         counts = np.bincount(idx, minlength=8)
-        # the sampler uses the same decision law; exercise it directly too
-        p = sample_uniform_path(params2, 2, rng)
-        assert len(p.decisions) == 3
         result = stats.chisquare(counts)
         assert result.pvalue > 1e-6
 
     def test_chi_square_uniformity_of_sampler_n3(self, params2):
         rng = np.random.default_rng(5)
         draws = 200_000
-        counts = np.zeros(128, dtype=int)
-        for _ in range(draws):
-            counts[path_index(sample_uniform_path(params2, 3, rng))] += 1
+        paths = rng.integers(1, 3, size=(draws, decision_count(2, 3)))
+        counts = np.bincount(path_index(params2, 3, paths), minlength=128)
         assert stats.chisquare(counts).pvalue > 1e-6
 
     def test_first_decision_marginal(self, params2):
@@ -327,7 +299,7 @@ class TestEdges:
     def test_path_crosses_s_pow_n_edges(self, params2):
         rng = np.random.default_rng(7)
         p = random_path(params2, 3, rng)
-        edges = path_edge_indices(p)
+        edges = path_edge_indices(params2, 3, p)
         assert edges.size == 8
         assert np.unique(edges).size == 8
 
@@ -336,17 +308,17 @@ class TestEdges:
         for n in (1, 2, 3):
             p = random_path(params2, n, rng)
             expected = sorted(
-                edge_index_from_label(params2, lab) for lab in edge_label_chains(p)
+                edge_index_from_label(params2, lab)
+                for lab in edge_label_chains(params2, n, p)
             )
-            assert sorted(path_edge_indices(p).tolist()) == expected
+            assert path_edge_indices(params2, n, p).tolist() == expected
 
     def test_incidence_reproduces_shared_counts(self, params2):
         paths = enumerate_paths(params2, 2)
-        N = incidence_matrix(paths) @ incidence_matrix(paths).T
-        for i, p in enumerate(paths):
-            for j, q in enumerate(paths):
-                assert N[i, j] == shared_edge_count(p, q)
+        inc = incidence_matrix(params2, 2, paths)
+        N = shared_edge_count(params2, 2, paths[:, None], paths[None])
+        assert np.array_equal(inc @ inc.T, N)
 
     def test_incidence_budget(self, params2):
         with pytest.raises(BudgetError):
-            incidence_matrix([CylinderPath(params2, 8, (1,) * 255)] * 300)
+            incidence_matrix(params2, 8, np.ones((300, 255), dtype=int))
