@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .cascade import (
     SeedSpec,
@@ -390,6 +389,10 @@ def conditional_gmc_experiment(
     report.add(
         se_check("third-moment-vs-direct", dmoms[3][0], pooled[3][0], comb3, 5.0)
     )
+    # imported here, not at module level: scipy.stats dominates the import time
+    # of the package, and only the two KS diagnostics use it
+    from scipy import stats
+
     ks = stats.ks_2samp(totals.ravel(), big_direct.masses)
     report.arrays["totals"] = totals.ravel()
     report.arrays["direct_totals"] = direct.masses
@@ -543,6 +546,8 @@ def renormalization_consistency(
     report.add(
         exact_check("weight-decomposition-audit", audit, 1e-12, detail="max relative gap")
     )
+    from scipy import stats
+
     ks = stats.ks_2samp(totals_a.ravel(), totals_b.ravel())
     report.arrays["single_level_totals"] = totals_a.ravel()
     report.arrays["composite_totals"] = totals_b.ravel()

@@ -19,7 +19,11 @@ successive answers agree to tolerance.  The forward map amplifies seed error
 by roughly m^2 in absolute terms, so the two-term seed alone cannot reach
 1e-12; :func:`asymptotic_expansion` therefore extends the series to arbitrary
 order with exact rational coefficients derived from the recursion itself
-(the first two reproduce kappa^2 and kappa^2*eta).  The orbit is iterated in
+(the first two reproduce kappa^2 and kappa^2*eta).  It solves one order at a
+time: the order-k coefficients enter the balance at order k + 1 linearly with
+closed-form slopes, so one residual evaluation per order determines them, and
+a final full-balance check proves that every order through the last vanishes
+exactly.  The orbit is iterated in
 40-digit arithmetic and cached per residue class r mod 1, so the recursion
 identity psi_b(R(r)) = R(r+1) holds to rounding on any evaluated grid.
 
@@ -140,12 +144,12 @@ def _shift_series(y, k_cap):
     return {key: c for key, c in out.items() if c != 0}
 
 
-def _residual_coeff(coeffs, b, k_cap, key):
+def _residual(coeffs, b, k_cap):
+    """Series of psi_b(y(t)) - y(t - 1), truncated at 1/t^k_cap."""
     res = _psi_series(coeffs, b, k_cap)
-    shifted = _shift_series(coeffs, k_cap)
-    for kk, cc in shifted.items():
-        res[kk] = res.get(kk, Fraction(0)) - cc
-    return res.get(key, Fraction(0))
+    for key, c in _shift_series(coeffs, k_cap).items():
+        res[key] = res.get(key, Fraction(0)) - c
+    return res
 
 
 @lru_cache(maxsize=None)
@@ -153,36 +157,27 @@ def asymptotic_expansion(b: int, order: int):
     """Exact series coefficients {(k, j): Fraction} of R through 1/t^order."""
     if b < 2 or order < 2:
         raise UsageError("need b >= 2 and order >= 2")
-    k_cap = order + 1
     coeffs = {(1, 0): Fraction(2, b - 1), (2, 0): Fraction(0)}
     for k in range(2, order + 1):
-        # Coefficients of order k are determined by the balance at order
-        # k + 1, so the series can be truncated there while solving.
-        for j in range(k - 1, -1, -1):
-            if (k, j) in coeffs:
-                continue
-            # The residual is affine in the unknown; find an equation at
-            # order k+1 where its linear coefficient is nonzero (the L^j
-            # equation except at k = 2, where it degenerates to L^(j-1)).
-            solved = False
-            for jj in range(j, -1, -1):
-                eq = (k + 1, jj)
-                coeffs[(k, j)] = Fraction(0)
-                r0 = _residual_coeff(coeffs, b, k + 1, eq)
-                coeffs[(k, j)] = Fraction(1)
-                r1 = _residual_coeff(coeffs, b, k + 1, eq)
-                slope = r1 - r0
-                if slope != 0:
-                    coeffs[(k, j)] = -r0 / slope
-                    solved = True
-                    break
-            if not solved:
-                raise RuntimeError(f"no determining equation for coefficient {(k, j)}")
+        # The order-k coefficients are fixed by the balance at order k + 1,
+        # where they enter linearly and nothing else of theirs survives: an
+        # unknown c L^j / t^k adds (2 - k) c to the L^j equation (from the
+        # cross term of psi_b with kappa^2/t and from the shift of 1/t^k)
+        # and j c to the L^(j-1) equation (from the shift of L^j).  So one
+        # residual with the unknowns at zero solves the whole order.
+        unknown = [j for j in range(k - 1, -1, -1) if (k, j) not in coeffs]
+        for j in unknown:
+            coeffs[(k, j)] = Fraction(0)
+        res = _residual(coeffs, b, k + 1)
+        for j in unknown:
+            if k == 2:
+                # (2 - k) vanishes: L^j is determined by the L^(j-1) equation
+                coeffs[(k, j)] = -res.get((k + 1, j - 1), Fraction(0)) / j
+            else:
+                above = (j + 1) * coeffs.get((k, j + 1), Fraction(0))
+                coeffs[(k, j)] = -(res.get((k + 1, j), Fraction(0)) + above) / (2 - k)
     # Self-check: every balanced order must now vanish identically.
-    res = _psi_series(coeffs, b, k_cap)
-    shifted = _shift_series(coeffs, k_cap)
-    for key, cc in shifted.items():
-        res[key] = res.get(key, Fraction(0)) - cc
+    res = _residual(coeffs, b, order + 1)
     bad = {key: c for key, c in res.items() if key[0] <= order + 1 and c != 0}
     if bad:
         raise RuntimeError(f"asymptotic expansion failed to balance: {bad}")

@@ -4,17 +4,24 @@ Paths are decision arrays, as in the library.  Besides the label-level path
 oracles and the recursive cylinder index, this holds the dense reference for the
 chaos functionals: the path-by-edge incidence matrix, the kernel
 K = lam * N_n = F F^T with F = sqrt(lam) * incidence, and cylinder-level
-chaos weights and moments computed from them (small n only).
+chaos weights and moments computed from them (small n only).  It also keeps
+two earlier library routes as references: the asymptotic-expansion solver that
+finds each coefficient from two residual evaluations, and the row-by-row
+``csv.writer`` emission of float tables.
 """
 
+import csv
 import itertools
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
 from diamondgmc.errors import BudgetError, UsageError
 from diamondgmc.lattice import LatticeParams
+from diamondgmc.reporting import format_float
+from diamondgmc.rfunction import _psi_series, _shift_series
 
 INCIDENCE_CELL_BUDGET = 1 << 24
 
@@ -170,3 +177,46 @@ def dense_kahane(kernel: np.ndarray, reference: np.ndarray, m: int) -> float:
     exponent = sum(kernel[axes[k], axes[l]] for k in range(m) for l in range(k + 1, m))
     weight = reduce(np.multiply, [reference[ax] for ax in axes])
     return float((weight * np.exp(exponent)).sum())
+
+
+def _residual_coeff(coeffs, b, k_cap, key):
+    res = _psi_series(coeffs, b, k_cap)
+    for kk, cc in _shift_series(coeffs, k_cap).items():
+        res[kk] = res.get(kk, Fraction(0)) - cc
+    return res.get(key, Fraction(0))
+
+
+def expansion_by_two_evaluations(b: int, order: int) -> dict:
+    """Asymptotic-expansion coefficients, each solved from two full residual evaluations.
+
+    The residual at order k + 1 is affine in an order-k unknown: evaluate it
+    with the unknown at 0 and at 1 on the first equation (L^j, then lower
+    powers of L) where the slope is nonzero.  Keys are inserted in the same
+    order as the library's solver: (1, 0), (2, 0), then j descending per k.
+    """
+    coeffs = {(1, 0): Fraction(2, b - 1), (2, 0): Fraction(0)}
+    for k in range(2, order + 1):
+        for j in range(k - 1, -1, -1):
+            if (k, j) in coeffs:
+                continue
+            for jj in range(j, -1, -1):
+                eq = (k + 1, jj)
+                coeffs[(k, j)] = Fraction(0)
+                r0 = _residual_coeff(coeffs, b, k + 1, eq)
+                coeffs[(k, j)] = Fraction(1)
+                slope = _residual_coeff(coeffs, b, k + 1, eq) - r0
+                if slope != 0:
+                    coeffs[(k, j)] = -r0 / slope
+                    break
+            else:
+                raise RuntimeError(f"no determining equation for coefficient {(k, j)}")
+    return coeffs
+
+
+def write_csv_by_rows(path, header, rows):
+    """CSV through ``csv.writer`` one row at a time, floats by ``format_float``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])

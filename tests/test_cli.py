@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diamondgmc
 from diamondgmc.cli import main, parse_config_file, parse_grid
 from diamondgmc.errors import UsageError
 
@@ -11,6 +16,18 @@ from diamondgmc.errors import UsageError
 def read_manifest(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # each CLI command is a fresh process: scipy.stats, slow to import, is
+    # loaded only by the experiments that report a KS diagnostic
+    env = dict(os.environ, PYTHONPATH=str(Path(diamondgmc.__file__).resolve().parents[1]))
+    code = "import sys, diamondgmc.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestConfig:
@@ -156,6 +173,22 @@ class TestCorrelationCommand:
         names = {c["name"] for c in manifest["checks"]}
         assert "upsilon-total-mass-consistency" in names
         assert all(c["verdict"] == "pass" for c in manifest["checks"])
+
+    def test_exact_checks_hold_at_r3(self, tmp_path):
+        # the targets reach about 3e8 here: the mass and RN checks are relative,
+        # so rounding alone cannot fail them
+        status = main(
+            ["correlation", "--b", "2", "--r", "3", "--n", "10", "--out", str(tmp_path)]
+        )
+        assert status == 0
+        manifest = read_manifest(tmp_path / "correlation_manifest.json")
+        exact = {
+            c["name"]: c["verdict"]
+            for c in manifest["checks"]
+            if c["tolerance"].startswith("|dev| <=")
+        }
+        assert {"upsilon-total-mass-consistency", "rn-exactness(n=8)"} <= set(exact)
+        assert set(exact.values()) == {"pass"}
 
     def test_non_critical_rejected(self, tmp_path, capsys):
         status = main(

@@ -327,6 +327,8 @@ class TestExperiments:
         by_name = {c.name: c for c in report.checks}
         assert by_name["second-moment-vs-1+R"].verdict == "pass"
         assert by_name["conditional-second-moment-layer"].verdict == "pass"
+        assert 0.0 <= report.diagnostics["ks_statistic"] <= 1.0
+        assert 0.0 <= report.diagnostics["ks_pvalue"] <= 1.0
 
     def test_renormalization_tame_config(self, profile2):
         report = renormalization_consistency(
@@ -337,6 +339,8 @@ class TestExperiments:
         by_name = {c.name: c for c in report.checks}
         assert by_name["weight-decomposition-audit"].verdict == "pass"
         assert by_name["single-level-second-moment"].verdict == "pass"
+        assert 0.0 <= report.diagnostics["ks_statistic"] <= 1.0
+        assert 0.0 <= report.diagnostics["ks_pvalue"] <= 1.0
 
     def test_strong_disorder_small(self, profile2):
         report = strong_disorder_bound(

@@ -1,6 +1,10 @@
 import json
 import math
 
+import numpy as np
+import pytest
+
+from _oracles import write_csv_by_rows
 from diamondgmc.reporting import (
     CheckResult,
     ExperimentReport,
@@ -70,3 +74,20 @@ class TestEmission:
         blob = json_path.read_bytes()
         write_json(json_path, {"a": [1.5, None], "b": 1})
         assert json_path.read_bytes() == blob  # key order canonicalized
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([[math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1 / 3]]).T,
+            np.array([[math.nan, -math.inf, -0.0, 5e-324], [-math.nan, math.inf, 1e308, 1 / 3]]),
+            np.empty((0, 1)),
+            np.array([[0.1]]),
+            np.random.default_rng(0).standard_normal((65537, 1)),  # crosses a block boundary
+            np.random.default_rng(1).standard_normal((5, 3)),
+        ],
+    )
+    def test_float_array_bytes_match_row_route(self, tmp_path, array):
+        header = [f"c{i}" for i in range(array.shape[1])]
+        write_csv(tmp_path / "blocks.csv", header, array)
+        write_csv_by_rows(tmp_path / "rows.csv", header, array)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import expansion_by_two_evaluations
 from diamondgmc.errors import ConvergenceError, DomainError, RangeError, UsageError
 from diamondgmc.rfunction import (
     MomentTable,
@@ -56,6 +57,14 @@ class TestAsymptoticExpansion:
         assert coeffs[(3, 2)] == 2
         assert coeffs[(3, 1)] == -2
         assert coeffs[(3, 0)] == 1
+
+    @pytest.mark.parametrize(
+        "b, order", [(2, 2), (2, 5), (2, 10), (3, 3), (3, 10), (4, 4), (4, 10)]
+    )
+    def test_matches_two_evaluation_oracle(self, b, order):
+        # key order matters too: the seed series is summed in dict order
+        expected = expansion_by_two_evaluations(b, order)
+        assert list(asymptotic_expansion(b, order).items()) == list(expected.items())
 
     def test_kappa_eta_helpers(self):
         assert kappa_sq(3) == 1.0
