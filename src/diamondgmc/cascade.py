@@ -7,7 +7,14 @@ Total masses satisfy the in-law recursion
 with independent factors.  Populations approximate one step by drawing the
 b^2 factors uniformly with replacement from the current population
 (population dynamics); the exact tree of depth n is used only on top of
-population-drawn leaves, for cylinder-level quantities.
+population-drawn leaves, for cylinder-level quantities.  ``population_step``
+draws the b^2 factors one at a time, in the order of one (b, b, size) draw,
+so it never holds more than one factor's indices.
+
+The generation-n leaves of a cylinder vector at r are total masses at level
+r - n, which the trajectory to r passes through: the ``simulate`` command
+takes its leaf pool from a snapshot of its own trajectory at r - n, so the
+pool has the trajectory's size and chunk streams.
 
 Leaf arrays follow the lattice edge order: leaf k of a generation-n tree is
 edge k, the base-b^2 integer whose most significant digit is the top-level
@@ -173,28 +180,50 @@ def population_step(masses: np.ndarray, b: int, streams, pool=None) -> np.ndarra
     """One population-dynamics step by resampling with replacement, unnormalized.
 
     Output chunk ``c`` (sizes from ``_chunk_sizes``) draws the b^2 factors
-    of each entry from ``streams[c]``; an executor ``pool`` runs the chunks
-    concurrently without changing the result.
+    of each entry from ``streams[c]``, one factor (i, j) at a time in C
+    order, which consumes the stream exactly as one (b, b, size) draw would;
+    the product over j and the sum over i run in place.  An executor ``pool``
+    runs the chunks concurrently without changing the result.
     """
     if masses.size < b * b:
         raise UsageError(f"population size {masses.size} is below b^2 = {b * b}")
     sizes = _chunk_sizes(masses.size, len(streams))
+    starts = np.cumsum([0] + sizes)
+    out = np.empty(masses.size)
 
     def chunk(c):
-        idx = streams[c].integers(0, masses.size, size=(b, b, sizes[c]))
-        return masses[idx].prod(axis=1).sum(axis=0) / b
+        rng, size = streams[c], sizes[c]
+        total = out[starts[c] : starts[c] + size]
+        term, factor = np.empty(size), np.empty(size)
 
-    chunks = range(len(sizes))
-    return np.concatenate(list(pool.map(chunk, chunks)) if pool else [chunk(c) for c in chunks])
+        def draw(into):
+            # the indices are in range, so "clip" never acts; it spares the
+            # bounds-checked mode its temporary copy of ``into``
+            return masses.take(rng.integers(0, masses.size, size=size), out=into, mode="clip")
+
+        for i in range(b):
+            acc = draw(total if i == 0 else term)
+            for _ in range(1, b):
+                acc *= draw(factor)
+            if i:
+                total += term
+        total /= b
+
+    if pool:
+        list(pool.map(chunk, range(len(sizes))))  # list() re-raises a chunk's error
+    else:
+        for c in range(len(sizes)):
+            chunk(c)
+    return out
 
 
 def _renormalize(out: np.ndarray):
-    """Divide by the empirical mean; returns (normalized, pre-mean, pre-SE)."""
+    """Divide by the empirical mean in place; returns (normalized, pre-mean, pre-SE)."""
     pre_mean = float(out.mean())
     pre_se = float(out.std(ddof=1) / math.sqrt(out.size))
-    if not math.isfinite(pre_mean) or pre_mean <= 0:
-        return out, pre_mean, pre_se
-    return out / pre_mean, pre_mean, pre_se
+    if math.isfinite(pre_mean) and pre_mean > 0:
+        out /= pre_mean
+    return out, pre_mean, pre_se
 
 
 def simulate_mass_trajectory(
@@ -420,6 +449,13 @@ def tree_total(leaves: np.ndarray, b: int) -> np.ndarray:
     return totals[0]
 
 
+def leaf_level(r: float, n: int, depth: int) -> float:
+    """Level r - n of the generation-n leaves; ``depth`` must leave a step below it."""
+    if depth < n + 1:
+        raise UsageError(f"depth {depth} must exceed the generation {n}")
+    return r - n
+
+
 def default_leaf_population(
     b: int,
     r: float,
@@ -433,11 +469,9 @@ def default_leaf_population(
     profile: "VarianceProfile | None" = None,
 ) -> MassPopulation:
     """Population at the leaf level r - n used to draw measure-sample leaves."""
-    if depth < n + 1:
-        raise UsageError(f"depth {depth} must exceed the generation {n}")
     return simulate_mass_law(
         b,
-        r - n,
+        leaf_level(r, n, depth),
         seed_spec,
         depth - n,
         pop_size,

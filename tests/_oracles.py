@@ -5,9 +5,10 @@ oracles and the recursive cylinder index, this holds the dense reference for the
 chaos functionals: the path-by-edge incidence matrix, the kernel
 K = lam * N_n = F F^T with F = sqrt(lam) * incidence, and cylinder-level
 chaos weights and moments computed from them (small n only).  It also keeps
-two earlier library routes as references: the asymptotic-expansion solver that
-finds each coefficient from two residual evaluations, and the row-by-row
-``csv.writer`` emission of float tables.
+earlier library routes as references: the asymptotic-expansion solver that
+finds each coefficient from two residual evaluations, the row-by-row
+``csv.writer`` emission of float tables, and the population step that draws
+all b^2 factors of a chunk in one (b, b, size) call.
 """
 
 import csv
@@ -18,6 +19,7 @@ from functools import reduce
 
 import numpy as np
 
+from diamondgmc.cascade import _chunk_sizes
 from diamondgmc.errors import BudgetError, UsageError
 from diamondgmc.lattice import LatticeParams
 from diamondgmc.reporting import format_float
@@ -220,3 +222,15 @@ def write_csv_by_rows(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+
+
+def population_step_one_shot(masses: np.ndarray, b: int, streams, pool=None) -> np.ndarray:
+    """Population step with each chunk's factors gathered as one (b, b, size) array."""
+    sizes = _chunk_sizes(masses.size, len(streams))
+
+    def chunk(c):
+        idx = streams[c].integers(0, masses.size, size=(b, b, sizes[c]))
+        return masses[idx].prod(axis=1).sum(axis=0) / b
+
+    chunks = range(len(sizes))
+    return np.concatenate(list(pool.map(chunk, chunks)) if pool else [chunk(c) for c in chunks])

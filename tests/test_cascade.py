@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from diamondgmc.cascade import (
     assemble,
     default_leaf_population,
     fractional_moment,
+    leaf_level,
     population_step,
     read_population,
     sample_measure_batch,
@@ -24,6 +26,8 @@ from diamondgmc.cascade import (
 )
 from diamondgmc.lattice import path_count_int
 from diamondgmc.rfunction import psi
+
+from _oracles import population_step_one_shot
 
 
 def ones_population(size=64, b=2):
@@ -79,6 +83,24 @@ class TestEvolvePopulation:
             population_step(np.ones(3), 2, [substream(5, 0)])
         with pytest.raises(UsageError):
             simulate_mass_law(2, -24.0, SeedSpec(), 24, 3, 5, profile=profile2)
+
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    @pytest.mark.parametrize("chunks", [1, 3, 5])
+    def test_keeps_the_one_shot_draws(self, b, chunks):
+        # 1001 and 4099 are not multiples of 3 or 5: the chunks differ in size
+        masses = substream(22, b).lognormal(sigma=0.5, size=4099)
+        for size in (b * b + 1, 1001, 4099):
+            pop = masses[:size]
+            expected = population_step_one_shot(
+                pop, b, [substream(23, size, c) for c in range(chunks)]
+            )
+            got = population_step(pop, b, [substream(23, size, c) for c in range(chunks)])
+            assert got.tobytes() == expected.tobytes()
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = population_step(
+                    pop, b, [substream(23, size, c) for c in range(chunks)], pool
+                )
+            assert threaded.tobytes() == expected.tobytes()
 
     def test_one_step_variance_map(self, profile2):
         # at a weak-disorder level the one-step output variance matches
@@ -137,6 +159,30 @@ class TestSimulateMassLaw:
         assert np.array_equal(one.masses, threaded.masses)
         other_chunks = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=2, **kwargs)
         assert not np.array_equal(one.masses, other_chunks.masses)
+
+
+class TestTrajectoryLeafPool:
+    """``simulate`` draws its cylinder leaves from its own trajectory's level r - n."""
+
+    def test_snapshot_is_the_separate_leaf_run(self, profile2):
+        r, n, depth, size, seed = 0.0, 2, 20, 4096, 24
+        level = leaf_level(r, n, depth)
+        snapshot = simulate_mass_trajectory(
+            2, r, SeedSpec(), depth, size, seed, snapshot_levels=(level,), profile=profile2
+        )[level]
+        separate = default_leaf_population(
+            2, r, n, depth, SeedSpec(), seed, pop_size=size, profile=profile2
+        )
+        assert snapshot.r == separate.r == r - n
+        assert snapshot.masses.tobytes() == separate.masses.tobytes()
+        for key in ("step_pre_means", "step_pre_ses", "norm_log"):
+            assert snapshot.provenance.detail[key] == separate.provenance.detail[key]
+        assert replace(snapshot.provenance, detail={}) == replace(separate.provenance, detail={})
+
+    def test_leaf_level_needs_a_step_below_it(self):
+        assert leaf_level(-4.0, 2, 3) == -6.0
+        with pytest.raises(UsageError, match="depth 2 must exceed the generation 2"):
+            leaf_level(-20.0, 2, 2)
 
 
 class TestFractionalMoment:

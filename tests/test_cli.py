@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import diamondgmc
+from diamondgmc import cascade
 from diamondgmc.cli import main, parse_config_file, parse_grid
 from diamondgmc.errors import UsageError
 
@@ -190,6 +191,20 @@ class TestCorrelationCommand:
         assert {"upsilon-total-mass-consistency", "rn-exactness(n=8)"} <= set(exact)
         assert set(exact.values()) == {"pass"}
 
+    def test_exact_checks_hold_at_r5(self, tmp_path):
+        # the n = 2 marginal is about 5.8e15 here, so one ulp of it is 1: the
+        # marginal check is relative, and rounding alone cannot fail it
+        status = main(
+            ["correlation", "--b", "2", "--r", "5", "--n", "3", "--out", str(tmp_path)]
+        )
+        assert status == 0
+        manifest = read_manifest(tmp_path / "correlation_manifest.json")
+        checks = {c["name"]: c for c in manifest["checks"]}
+        marginal = checks["marginal-uniformity(n=2)"]
+        assert marginal["verdict"] == "pass"
+        assert marginal["detail"] == "relative"
+        assert {c["verdict"] for c in checks.values()} == {"pass"}
+
     def test_non_critical_rejected(self, tmp_path, capsys):
         status = main(
             ["correlation", "--b", "2", "--s", "3", "--out", str(tmp_path)]
@@ -216,6 +231,20 @@ class TestSimulateCommand:
         for key in ("timestamp_utc", "wall_clock_seconds"):
             m1.pop(key), m2.pop(key)
         assert m1 == m2
+
+    def test_generation_checked_before_any_step(self, tmp_path, capsys, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("population step ran before the depth check")
+
+        monkeypatch.setattr(cascade, "population_step", no_step)
+        status = main(
+            ["simulate", "--b", "2", "--r", "-20", "--depth", "2", "--size", "4096",
+             "--n", "2", "--out", str(tmp_path)]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "error: depth 2 must exceed the generation 2" in err
+        assert "Traceback" not in err
 
     def test_pair_correlation_audit_runs(self, tmp_path):
         status = main(
