@@ -11,17 +11,18 @@ population-drawn leaves, for cylinder-level quantities.  ``population_step``
 draws the b^2 factors one at a time, in the order of one (b, b, size) draw,
 so it never holds more than one factor's indices.
 
-The generation-n leaves of a cylinder vector at r are total masses at level
-r - n, which the trajectory to r passes through: the ``simulate`` command
-takes its leaf pool from a snapshot of its own trajectory at r - n, so the
-pool has the trajectory's size and chunk streams.
+The generation-n leaves of a measure realization at r are total masses at
+level r - n, which the trajectory to r passes through: the ``simulate``
+command takes its leaf pool from a snapshot of its own trajectory at r - n,
+so the pool has the trajectory's size and chunk streams.
 
 Leaf arrays follow the lattice edge order: leaf k of a generation-n tree is
 edge k, the base-b^2 integer whose most significant digit is the top-level
 (branch, segment) pair.  A cylinder p then has mass b^(-d_n) prod_{e in p} l_e
-(d_n branch decisions per path), so the total mass is the tree reduction
-``tree_total`` and cylinder vectors (``assemble``) are needed only where a
-check is stated per cylinder.
+(d_n branch decisions per path), so no check needs the |Gamma_n| cylinder
+masses themselves: the total mass is the tree reduction ``tree_total``, and
+the pair sums by shared-edge count, S_k = sum_{N(p, q) = k} M_p M_q, are the
+same reduction on polynomials in z (``pair_class_sums``).
 
 One stabilization is essential: the empirical mean obeys mean' = mean^b, so
 an O(N^-1/2) sampling drift at depth m is amplified by b^m and the raw
@@ -49,12 +50,11 @@ import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetError, UsageError
-from .lattice import LatticeParams, path_count_int
 from .rfunction import SEED_KINDS, VarianceProfile
 
 # Stream realms (second key component after the master seed).
@@ -62,7 +62,10 @@ _REALM_SEED = 0
 _REALM_EVOLVE = 1
 _REALM_LEAF = 2
 
-MEASURE_VECTOR_BUDGET = 1 << 16
+# Leaf cells (realizations x b^(2n)) of the ``simulate`` audit batch: the
+# batch and its class sums peak near 54 bytes a cell, 53 MiB at 2^20 cells
+# (b = 2, n = 5, 1000 realizations), below the 1M-entry trajectory's own peak.
+AUDIT_CELL_BUDGET = 1 << 20
 MINIMUM_BASE_LEVEL = -16.0
 
 POPULATION_MAGIC = b"DGMCPOP1"
@@ -352,91 +355,6 @@ def fractional_moment(pop: MassPopulation, theta: float):
     return est, se
 
 
-# -- cylinder-mass vectors -----------------------------------------------------
-
-
-@dataclass
-class MeasureSample:
-    """One realization of the cylinder-mass vector at (r, n).
-
-    ``masses[k]`` is the mass of the cylinder with ``lattice.path_index`` k,
-    i.e. of row k of ``lattice.enumerate_paths``; ``child_subtotals``
-    holds the top-level (branch, segment) sub-measure totals used by the
-    additivity audit.
-    """
-
-    r: float
-    n: int
-    b: int
-    masses: np.ndarray
-    child_subtotals: np.ndarray  # shape (b, b)
-    provenance: Provenance
-
-    @property
-    def total(self) -> float:
-        return float(self.masses.sum())
-
-    def additivity_gap(self) -> float:
-        """Relative gap between the vector total and its recursive assembly."""
-        recombined = self.child_subtotals.prod(axis=1).sum() / self.b
-        return abs(self.total - recombined) / max(abs(recombined), 1e-300)
-
-
-def _check_measure_budget(b: int, n: int):
-    params = LatticeParams(b, b)
-    count = path_count_int(params, n)
-    if count > MEASURE_VECTOR_BUDGET or b ** (2 * n) > MEASURE_VECTOR_BUDGET:
-        feasible = max(
-            k
-            for k in range(n)
-            if path_count_int(params, k) <= MEASURE_VECTOR_BUDGET
-            and b ** (2 * k) <= MEASURE_VECTOR_BUDGET
-        )
-        raise BudgetError(
-            f"cylinder vector at generation {n} needs |Gamma_n| = {count} entries "
-            f"and b^(2n) = {b ** (2 * n)} leaves; largest feasible n is {feasible}"
-        )
-
-
-def upsilon_combine(sub_vectors: np.ndarray) -> np.ndarray:
-    """One renormalization step on cylinder vectors.
-
-    ``sub_vectors[..., i, j, :]`` holds the b x b sub-measure vectors; branch
-    ``i`` contributes the flattened outer product over its b segments, and the
-    blocks are concatenated in branch order and divided by b.  The layout
-    matches the canonical cylinder index of the lattice module.
-    """
-    b = sub_vectors.shape[-3]
-    branch_vecs = []
-    for i in range(b):
-        v = sub_vectors[..., i, 0, :]
-        for j in range(1, b):
-            w = sub_vectors[..., i, j, :]
-            v = (v[..., :, None] * w[..., None, :]).reshape(*v.shape[:-1], -1)
-        branch_vecs.append(v)
-    return np.concatenate(branch_vecs, axis=-1) / b
-
-
-def assemble(leaves: np.ndarray, b: int, n: int) -> np.ndarray:
-    """Cylinder vectors from leaf masses in edge order (leading axes batch).
-
-    Applies ``upsilon_combine`` level by level from the leaves up; the result
-    has |Gamma_n| entries per realization, hence the budget check.
-    """
-    _check_measure_budget(b, n)
-    leaves = np.asarray(leaves, dtype=float)
-    if leaves.shape[-1] != b ** (2 * n):
-        raise UsageError(
-            f"{leaves.shape[-1]} leaves given, generation {n} has {b ** (2 * n)} edges"
-        )
-    vectors = leaves[..., None]
-    for _ in range(n):
-        vectors = upsilon_combine(
-            vectors.reshape(*vectors.shape[:-2], -1, b, b, vectors.shape[-1])
-        )
-    return vectors[..., 0, :]
-
-
 def tree_total(leaves: np.ndarray, b: int) -> np.ndarray:
     """Total mass over leaves in edge order, reduced along the first axis.
 
@@ -447,6 +365,53 @@ def tree_total(leaves: np.ndarray, b: int) -> np.ndarray:
     while totals.shape[0] > 1:
         totals = totals.reshape(-1, b, b, *totals.shape[1:]).prod(axis=2).sum(axis=1) / b
     return totals[0]
+
+
+def pair_class_sums(leaves: np.ndarray, b: int) -> np.ndarray:
+    """Pair sums S_k = sum over cylinder pairs with N(p, q) = k of M_p M_q.
+
+    Leaves in edge order along the first axis, trailing axes carried along,
+    as in ``tree_total``; returns S_0 .. S_{b^n} along the first axis.  The
+    polynomial S(z) = sum_k S_k z^k has leaf value z l^2.  Pairs through one
+    branch i share edges segment by segment and pairs through different
+    branches share none, so a node combines its b^2 children as
+
+        S(z) = (sum_i prod_j S_ij(z) + (sum_i U_i)^2 - sum_i U_i^2) / b^2,
+
+    with U_i = prod_j T_ij the branch masses.
+    """
+    totals = np.asarray(leaves, dtype=float)
+    sums = np.stack([np.zeros_like(totals), totals**2])
+    while totals.shape[0] > 1:
+        rest = totals.shape[1:]
+        children = sums.reshape(sums.shape[0], -1, b, b, *rest)
+        branches = children[:, :, :, 0]
+        for j in range(1, b):
+            factor = children[:, :, :, j]
+            product = np.zeros((branches.shape[0] + factor.shape[0] - 1, *factor.shape[1:]))
+            for k in range(branches.shape[0]):
+                product[k : k + factor.shape[0]] += branches[k] * factor
+            branches = product
+        upper = totals.reshape(-1, b, b, *rest).prod(axis=2)
+        sums = branches.sum(axis=2)
+        sums[0] += upper.sum(axis=1) ** 2 - (upper**2).sum(axis=1)
+        sums /= b * b
+        totals = upper.sum(axis=1) / b
+    return sums[:, 0]
+
+
+def check_audit_budget(b: int, n: int, count: int):
+    """Raise ``BudgetError`` if ``count`` realizations of b^(2n) leaves exceed the budget."""
+    cells = count * b ** (2 * n)
+    if cells > AUDIT_CELL_BUDGET:
+        feasible = max(
+            (k for k in range(n) if count * b ** (2 * k) <= AUDIT_CELL_BUDGET), default=0
+        )
+        raise BudgetError(
+            f"audit batch at generation {n} needs {count} x {b ** (2 * n)} = {cells} leaf "
+            f"cells, above the budget of {AUDIT_CELL_BUDGET}; largest feasible n at "
+            f"{count} realizations is {feasible}"
+        )
 
 
 def leaf_level(r: float, n: int, depth: int) -> float:
@@ -506,40 +471,6 @@ def sample_measure_batch(
         rng = substream(master_seed, _REALM_LEAF, i)
         leaves[i] = pool[rng.integers(0, pool.size, size=n_leaves)]
     return leaves
-
-
-def sample_measure_cylinders(
-    b: int,
-    r: float,
-    n: int,
-    depth: int,
-    seed_spec: SeedSpec,
-    master_seed: int,
-    leaf_population: "MassPopulation | None" = None,
-    pop_size: int = 1_000_000,
-    chunks: int = 1,
-    profile: "VarianceProfile | None" = None,
-) -> MeasureSample:
-    """One cylinder-mass realization at (r, n) over population-drawn leaves."""
-    if n < 1:
-        raise UsageError("generation must be >= 1")
-    if leaf_population is None:
-        leaf_population = default_leaf_population(
-            b, r, n, depth, seed_spec, master_seed, pop_size, chunks=chunks, profile=profile
-        )
-    n_leaves = b ** (2 * n)
-    rng = substream(master_seed, _REALM_LEAF, 0)
-    leaves = leaf_population.masses[
-        rng.integers(0, leaf_population.size, size=n_leaves)
-    ]
-    masses = assemble(leaves, b, n)
-    subtotals = tree_total(leaves.reshape(b * b, -1).T, b).reshape(b, b)
-    prov = replace(
-        leaf_population.provenance,
-        r=r,
-        detail={"generation": n, "leaves": n_leaves, "leaf_level": r - n},
-    )
-    return MeasureSample(r, n, b, masses, subtotals, prov)
 
 
 # -- population persistence ----------------------------------------------------

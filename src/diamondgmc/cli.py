@@ -23,13 +23,14 @@ import numpy as np
 from . import __version__
 from .cascade import (
     SeedSpec,
-    assemble,
+    check_audit_budget,
     fractional_moment,
     leaf_level,
+    pair_class_sums,
     sample_measure_batch,
-    sample_measure_cylinders,
     simulate_mass_trajectory,
     substream,
+    tree_total,
     write_population,
 )
 from .correlation import (
@@ -39,7 +40,6 @@ from .correlation import (
     marginal_check,
     pair_count_histogram,
     rn_log_kernel,
-    upsilon_pair_matrix,
     upsilon_total_mass,
 )
 from .errors import ConvergenceError, DomainError, RangeError, UsageError
@@ -56,7 +56,6 @@ from .gmc import (
 )
 from .lattice import (
     LatticeParams,
-    enumerate_paths,
     intersection_fixed_point,
     intersection_hausdorff_dim,
     path_count_int,
@@ -382,9 +381,11 @@ def cmd_correlation(cfg: RunConfig) -> int:
 
     worst_rel = 0.0
     for n in range(1, n_rn + 1):
-        lhs, rhs = kernel_marginal_identity_check(profile, cfg.r, n)
-        rel = abs(lhs - rhs) / abs(rhs)
+        # in logs: both sides shrink like 1/|Gamma_n| and leave double range
+        log_lhs, log_rhs = kernel_marginal_identity_check(profile, cfg.r, n)
+        rel = abs(math.expm1(log_lhs - log_rhs))
         worst_rel = max(worst_rel, rel)
+        lhs, rhs = math.exp(log_lhs), math.exp(log_rhs)
         check_rows.append([f"kernel-marginal(n={n})", lhs, rhs, abs(lhs - rhs), rel])
     run.report.add(
         exact_check("kernel-marginal-identity", worst_rel, 1e-8, detail="relative")
@@ -400,14 +401,18 @@ def cmd_correlation(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     run = _Run(cfg)
     run.report.notes.append(SEEDING_BIAS_NOTE)
-    params = LatticeParams(cfg.b, cfg.s)
-    params.require_critical()
+    LatticeParams(cfg.b, cfg.s).require_critical()
     profile = VarianceProfile(cfg.b)
     seed_spec = SeedSpec(cfg.seed_spec)
 
     # the generation-n leaves are total masses at r - n, a level the
     # trajectory to r passes: snapshot it there instead of simulating it again
-    leaf_r = leaf_level(cfg.r, cfg.n, cfg.depth) if cfg.n >= 1 else None
+    leaf_r = None
+    if cfg.n >= 1:
+        leaf_r = leaf_level(cfg.r, cfg.n, cfg.depth)
+        if cfg.realizations < 2:
+            raise UsageError("the measure audits need --realizations >= 2")
+        check_audit_budget(cfg.b, cfg.n, cfg.realizations)
     trajectory = simulate_mass_trajectory(
         cfg.b, cfg.r, seed_spec, cfg.depth, cfg.size, cfg.seed,
         snapshot_levels=() if leaf_r is None else (leaf_r,),
@@ -460,34 +465,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
         )
 
     if cfg.n >= 1:
-        leaf = trajectory[leaf_r]
-        sample = sample_measure_cylinders(
-            cfg.b, cfg.r, cfg.n, cfg.depth, seed_spec, cfg.seed,
-            leaf_population=leaf, profile=profile,
-        )
+        # one batch of leaf vectors serves both audits: the class sums S_k and
+        # the tree totals are independent recursions over the same leaves
+        leaves = sample_measure_batch(
+            cfg.b, cfg.r, cfg.n, cfg.realizations, trajectory[leaf_r], cfg.seed
+        ).T
+        class_sums = pair_class_sums(leaves, cfg.b)
+        squares = tree_total(leaves, cfg.b) ** 2
+        gap = np.abs(class_sums.sum(axis=0) - squares) / np.maximum(squares, 1e-300)
         run.report.add(
-            exact_check("measure-additivity-audit", sample.additivity_gap(), 1e-12)
+            exact_check("measure-additivity-audit", float(gap.max()), 1e-12,
+                        detail=f"relative, sum_k S_k vs T^2 over {cfg.realizations} realizations")
         )
-        if cfg.n <= 2:
-            batch = assemble(
-                sample_measure_batch(cfg.b, cfg.r, cfg.n, cfg.realizations, leaf, cfg.seed),
-                cfg.b, cfg.n,
-            )
-            support = enumerate_paths(params, cfg.n)
-            target = upsilon_pair_matrix(
-                correlation_table(profile, cfg.r, cfg.n), support
-            )
-            prods = batch[:, :, None] * batch[:, None, :]
-            se = prods.std(axis=0, ddof=1) / math.sqrt(batch.shape[0])
-            worst = float(np.max(np.abs(prods.mean(axis=0) - target) / se))
+        table = correlation_table(profile, cfg.r, cfg.n)
+        for k, pairs in table.histogram.counts:
+            target = math.exp(math.log(pairs) + table.log_weight(k))
+            est = float(class_sums[k].mean())
+            se = float(class_sums[k].std(ddof=1) / math.sqrt(cfg.realizations))
             run.report.add(
-                CheckResult(
-                    "pair-correlation-audit",
-                    "pass" if worst <= 4.0 else "fail",
-                    estimate=worst,
-                    tolerance="max |z| <= 4 over all cylinder pairs",
-                    detail=f"{len(support) ** 2} pairs, {cfg.realizations} realizations",
-                )
+                se_check(f"pair-correlation-audit(N={k})", target, est, se, 4.0,
+                         detail=f"{pairs} pairs, {cfg.realizations} realizations")
             )
     return run.finish()
 

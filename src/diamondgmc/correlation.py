@@ -32,10 +32,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-import numpy as np
-
 from .errors import UsageError
-from .lattice import LatticeParams, decision_count, path_count_int, shared_edge_count
+from .lattice import LatticeParams, decision_count, path_count_int
 from .rfunction import VarianceProfile
 
 HISTOGRAM_GENERATION_BUDGET = 16
@@ -223,8 +221,9 @@ def kernel_marginal_identity_check(profile: VarianceProfile, r: float, n: int):
 
     lhs = sum_q N_n(p,q) (1 + R(r-n))^(N-1) R'(r-n) / |Gamma_n|^2  (the
     derivative in the parameter shift at zero of the marginal against any
-    fixed p); rhs = R'(r)/|Gamma_n|.  Both shrink like 1/|Gamma_n|, so
-    callers should compare them in relative terms.
+    fixed p); rhs = R'(r)/|Gamma_n|.  Returns (log lhs, log rhs): both shrink
+    like 1/|Gamma_n| and leave double range (|Gamma_7| = 3^1093 for b = 3),
+    so callers compare them as |expm1(log lhs - log rhs)|.
     """
     R_shift, Rp_shift = profile.evaluate_pair(r - n)
     log_gamma = decision_count(profile.b, n) * math.log(profile.b)
@@ -234,14 +233,7 @@ def kernel_marginal_identity_check(profile: VarianceProfile, r: float, n: int):
         for k, c in conditional_pair_histogram(profile.b, n)
         if k > 0
     ]
-    lhs = math.exp(math.log(Rp_shift) + _logsumexp(terms) - 2.0 * log_gamma)
-    rhs = profile.evaluate_R_prime(r) * math.exp(-log_gamma)
-    return lhs, rhs
+    log_lhs = math.log(Rp_shift) + _logsumexp(terms) - 2.0 * log_gamma
+    log_rhs = math.log(profile.evaluate_R_prime(r)) - log_gamma
+    return log_lhs, log_rhs
 
-
-def upsilon_pair_matrix(table: CorrelationTable, support) -> np.ndarray:
-    """Correlation weights for all pairs of a (count, d_n) path array (small supports only)."""
-    support = np.asarray(support)
-    params = LatticeParams(table.profile.b, table.profile.b)
-    N = shared_edge_count(params, table.n, support[:, None], support[None])
-    return np.exp(N * table.log1p_R_shifted - 2.0 * table.log_gamma)

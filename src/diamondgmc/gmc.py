@@ -28,8 +28,11 @@ lam = a * kappa^2 / n^2, matches the limiting intersection kernel and is
 used for the strong-disorder bound.  The exact-discrete weight depends only
 on (r - n, a), so the level-n construction at r + 1 and the level-(n-1)
 construction at r share one edge weight; that is what makes the composite
-(renormalized) construction agree weight-by-weight with the single-level
-one, mirroring the hierarchical decomposition of the kernel operator.
+(renormalized) construction agree with the single-level one, mirroring the
+hierarchical decomposition of the kernel operator: over b^2 blocks of
+sub-leaves, the single-level chaos total is (1/b) sum_i prod_j of the block
+chaos totals, which the weight-decomposition audit checks on the leaf tree
+at any n.
 """
 
 from __future__ import annotations
@@ -41,16 +44,13 @@ import numpy as np
 
 from .cascade import (
     SeedSpec,
-    assemble,
     default_leaf_population,
     sample_measure_batch,
     simulate_mass_law,
     substream,
     tree_total,
-    upsilon_combine,
 )
 from .errors import DomainError, RangeError, UsageError
-from .lattice import LatticeParams, decision_count, path_count_int
 from .rfunction import VarianceProfile, kappa_sq
 from .reporting import (
     SEEDING_BIAS_NOTE,
@@ -410,22 +410,18 @@ def conditional_gmc_experiment(
     return report
 
 
-def _cylinder_chaos_factor(g: np.ndarray, b: int, n: int, lam: float) -> np.ndarray:
-    """exp(W(p) - K(p, p)/2) per generation-n cylinder (leading axes batch)."""
-    return b ** decision_count(b, n) * assemble(_edge_factors(lam, g.copy()), b, n)
-
-
 def renormalization_weight_audit(
     profile: VarianceProfile, r: float, a: float, n: int, master_seed: int
 ) -> float:
     """Deterministic product-structure audit of the composite construction.
 
-    For one hand-set Gaussian edge vector, builds the single-level chaos at
-    (r + 1, a, n) over a combined reference and the per-copy chaoses at
-    (r, a, n - 1) on the edge blocks, and returns the maximum relative gap
-    between the combined cylinder weights.  The sub-references are arbitrary
-    cylinder vectors, not leaf products.  Exact up to rounding because the
-    exact-discrete edge weight is level-invariant.
+    For one hand-set Gaussian edge vector and lognormal leaves, compares the
+    total of the single-level chaos at (r + 1, a, n) with the composite one:
+    the leaves split into b^2 consecutive blocks of generation-(n - 1)
+    sub-leaves, each block carries its own chaos at (r, a, n - 1), and the
+    block totals combine as (1/b) sum_i prod_j.  Returns the relative gap,
+    exact up to rounding because the exact-discrete edge weight is
+    level-invariant.
     """
     if n < 2:
         raise UsageError("the composite construction needs n >= 2")
@@ -434,13 +430,12 @@ def renormalization_weight_audit(
     lam_sub = edge_weight(profile, r, a, n - 1, "exact-discrete")
     rng = substream(master_seed, _REALM_GMC, 0)
     g = rng.standard_normal((b * b) ** n)
-    subs = rng.lognormal(mean=0.0, sigma=0.5, size=(b, b, path_count_int(LatticeParams(b, b), n - 1)))
+    leaves = rng.lognormal(mean=0.0, sigma=0.5, size=g.size)
 
-    single = upsilon_combine(subs) * _cylinder_chaos_factor(g, b, n, lam_full)
-    block_factors = _cylinder_chaos_factor(g.reshape(b, b, -1), b, n - 1, lam_sub)
-    composite = upsilon_combine(subs * block_factors)
-    scale = np.maximum(np.abs(single), 1e-300)
-    return float(np.max(np.abs(single - composite) / scale))
+    single = float(tree_total(leaves * _edge_factors(lam_full, g.copy()), b))
+    blocks = (leaves * _edge_factors(lam_sub, g.copy())).reshape(b * b, -1)
+    composite = float(tree_total(tree_total(blocks.T, b), b))
+    return abs(single - composite) / max(abs(single), 1e-300)
 
 
 def renormalization_consistency(
@@ -544,7 +539,8 @@ def renormalization_consistency(
     )
     audit = renormalization_weight_audit(profile, r, a, n, master_seed)
     report.add(
-        exact_check("weight-decomposition-audit", audit, 1e-12, detail="max relative gap")
+        exact_check("weight-decomposition-audit", audit, 1e-12,
+                    detail="relative, single-level vs composite total")
     )
     from scipy import stats
 

@@ -20,7 +20,7 @@ Two index systems are used throughout the package:
   the linear form ``(D - 1) @ w`` in the decision array ``D``, where ``w``
   is a fixed permutation of ``b^0 .. b^(d_n - 1)``.  It matches the layout
   produced by flattening branch blocks of outer products, which is how the
-  cascade module assembles cylinder-mass vectors.
+  test oracles assemble cylinder-mass vectors from leaves.
 
 * edge index -- a generation-``n`` edge is a length-``n`` sequence of
   (branch, segment) pairs; its index is the base-``b*s`` integer with the

@@ -5,7 +5,8 @@ oracles and the recursive cylinder index, this holds the dense reference for the
 chaos functionals: the path-by-edge incidence matrix, the kernel
 K = lam * N_n = F F^T with F = sqrt(lam) * incidence, and cylinder-level
 chaos weights and moments computed from them (small n only).  It also keeps
-earlier library routes as references: the asymptotic-expansion solver that
+earlier library routes as references: the cylinder-vector assembly of leaf
+masses with its dense pair-weight matrix, the asymptotic-expansion solver that
 finds each coefficient from two residual evaluations, the row-by-row
 ``csv.writer`` emission of float tables, and the population step that draws
 all b^2 factors of a chunk in one (b, b, size) call.
@@ -21,7 +22,7 @@ import numpy as np
 
 from diamondgmc.cascade import _chunk_sizes
 from diamondgmc.errors import BudgetError, UsageError
-from diamondgmc.lattice import LatticeParams
+from diamondgmc.lattice import LatticeParams, shared_edge_count
 from diamondgmc.reporting import format_float
 from diamondgmc.rfunction import _psi_series, _shift_series
 
@@ -234,3 +235,62 @@ def population_step_one_shot(masses: np.ndarray, b: int, streams, pool=None) -> 
 
     chunks = range(len(sizes))
     return np.concatenate(list(pool.map(chunk, chunks)) if pool else [chunk(c) for c in chunks])
+
+
+def upsilon_combine(sub_vectors: np.ndarray) -> np.ndarray:
+    """One renormalization step on cylinder vectors.
+
+    ``sub_vectors[..., i, j, :]`` holds the b x b sub-measure vectors; branch
+    ``i`` contributes the flattened outer product over its b segments, and the
+    blocks are concatenated in branch order and divided by b.  The layout
+    matches the cylinder index of the lattice module.
+    """
+    b = sub_vectors.shape[-3]
+    branch_vecs = []
+    for i in range(b):
+        v = sub_vectors[..., i, 0, :]
+        for j in range(1, b):
+            w = sub_vectors[..., i, j, :]
+            v = (v[..., :, None] * w[..., None, :]).reshape(*v.shape[:-1], -1)
+        branch_vecs.append(v)
+    return np.concatenate(branch_vecs, axis=-1) / b
+
+
+def assemble(leaves, b: int, n: int) -> np.ndarray:
+    """Cylinder vectors, |Gamma_n| masses in index order, from leaves in edge order.
+
+    Applies ``upsilon_combine`` level by level from the leaves up; leading
+    axes batch.
+    """
+    leaves = np.asarray(leaves, dtype=float)
+    if leaves.shape[-1] != b ** (2 * n):
+        raise UsageError(
+            f"{leaves.shape[-1]} leaves given, generation {n} has {b ** (2 * n)} edges"
+        )
+    vectors = leaves[..., None]
+    for _ in range(n):
+        vectors = upsilon_combine(
+            vectors.reshape(*vectors.shape[:-2], -1, b, b, vectors.shape[-1])
+        )
+    return vectors[..., 0, :]
+
+
+def cylinder_chaos_factor(g: np.ndarray, b: int, n: int, lam: float) -> np.ndarray:
+    """exp(W(p) - K(p, p)/2) per generation-n cylinder from edge gaussians (leading axes batch)."""
+    return b ** _offset(b, n) * assemble(np.exp(math.sqrt(lam) * g - 0.5 * lam), b, n)
+
+
+def upsilon_pair_matrix(table, support) -> np.ndarray:
+    """Correlation weights for all pairs of a (count, d_n) path array (small supports only)."""
+    support = np.asarray(support)
+    params = LatticeParams(table.profile.b, table.profile.b)
+    N = shared_edge_count(params, table.n, support[:, None], support[None])
+    return np.exp(N * table.log1p_R_shifted - 2.0 * table.log_gamma)
+
+
+def dense_pair_class_sums(leaves, b: int, n: int) -> np.ndarray:
+    """sum over pairs with N(p, q) = k of M_p M_q, k = 0..b^n, from assembled cylinder vectors."""
+    params = LatticeParams(b, b)
+    masses = assemble(leaves, b, n)
+    N = shared_edge_matrix(params, n, index_ordered_paths(params, n)).astype(int)
+    return np.bincount(N.ravel(), weights=np.outer(masses, masses).ravel(), minlength=b**n + 1)

@@ -5,29 +5,35 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diamondgmc.errors import BudgetError, UsageError
+from diamondgmc.errors import UsageError
 from diamondgmc.cascade import (
     MassPopulation,
     Provenance,
     SeedSpec,
-    assemble,
     default_leaf_population,
     fractional_moment,
     leaf_level,
+    pair_class_sums,
     population_step,
     read_population,
     sample_measure_batch,
-    sample_measure_cylinders,
     simulate_mass_law,
     simulate_mass_trajectory,
     substream,
-    upsilon_combine,
+    tree_total,
     write_population,
 )
-from diamondgmc.lattice import path_count_int
+from diamondgmc.correlation import pair_count_histogram
+from diamondgmc.gmc import kahane_moment, theta_recursion
+from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.rfunction import psi
 
-from _oracles import population_step_one_shot
+from _oracles import (
+    assemble,
+    dense_pair_class_sums,
+    population_step_one_shot,
+    upsilon_combine,
+)
 
 
 def ones_population(size=64, b=2):
@@ -212,27 +218,56 @@ class TestFractionalMoment:
         assert abs(est - 1.0) <= 4 * max(se, 1e-15)
 
 
-class TestMeasureSamples:
-    def test_unit_seed_gives_uniform_measure(self, profile2):
-        sample = sample_measure_cylinders(
-            2, 0.0, 2, 24, SeedSpec("deterministic-one"), 3,
-            pop_size=1000, profile=profile2,
-        )
-        assert np.allclose(sample.masses, 1.0 / 8.0, rtol=0, atol=1e-15)
-        assert sample.total == pytest.approx(1.0, abs=1e-14)
+class TestPairClassSums:
+    """S_k, the sum of M_p M_q over cylinder pairs sharing k edges, on the leaf tree."""
 
-    def test_additivity_audit(self, profile2, params2):
-        sample = sample_measure_cylinders(
+    @pytest.mark.parametrize("b, n", [(2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_matches_dense_oracle(self, b, n):
+        leaves = substream(25, b, n).lognormal(sigma=0.8, size=(3, (b * b) ** n))
+        batch = pair_class_sums(leaves.T, b)
+        assert batch.shape == (b**n + 1, 3)
+        for i in range(3):
+            want = dense_pair_class_sums(leaves[i], b, n)
+            assert np.array_equal(pair_class_sums(leaves[i], b), batch[:, i])
+            assert np.all(batch[want == 0, i] == 0.0)
+            nonzero = want > 0
+            assert np.max(np.abs(batch[nonzero, i] / want[nonzero] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("b, n_max", [(2, 6), (3, 3)])
+    def test_unit_leaves_give_histogram_weights(self, b, n_max):
+        # the uniform measure puts 1/|Gamma_n| on every cylinder
+        params = LatticeParams(b, b)
+        for n in range(1, n_max + 1):
+            sums = pair_class_sums(np.ones((b * b) ** n), b)
+            hist = pair_count_histogram(params, n).as_dict()
+            pairs = path_count_int(params, n) ** 2
+            want = [hist.get(k, 0) / pairs for k in range(b**n + 1)]
+            assert sums.tolist() == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_agrees_with_kahane_and_theta(self):
+        # sum_k S_k exp(lam k) is the quadratic form, lam sum_k k S_k is theta
+        lam, b, n = 0.37, 2, 5
+        leaves = substream(26, 0).lognormal(sigma=0.8, size=(b * b) ** n)
+        sums = pair_class_sums(leaves, b)
+        k = np.arange(sums.size)
+        quad = kahane_moment(leaves, b, lam, 2)
+        theta = theta_recursion(leaves, b, lam)
+        assert abs(sums @ np.exp(lam * k) / quad - 1.0) <= 1e-12
+        assert abs(lam * (k @ sums) / theta - 1.0) <= 1e-12
+
+
+class TestMeasureSamples:
+    def test_additivity_audit(self, profile2):
+        # sum_k S_k = T^2: the class sums and the tree totals are independent
+        # recursions over the same leaves
+        leaf = default_leaf_population(
             2, -2.0, 3, 24, SeedSpec(), 15, pop_size=100_000, profile=profile2
         )
-        assert sample.additivity_gap() <= 1e-12
-        assert np.all(sample.masses >= 0)
-        assert sample.masses.size == path_count_int(params2, 3) == 128
-
-    def test_budget_error_reports_feasible_generation(self, profile2):
-        with pytest.raises(BudgetError) as err:
-            sample_measure_cylinders(2, 0.0, 9, 24, SeedSpec(), 0, profile=profile2)
-        assert "largest feasible n" in str(err.value)
+        leaves = sample_measure_batch(2, -2.0, 3, 50, leaf, 15).T
+        sums = pair_class_sums(leaves, 2)
+        squares = tree_total(leaves, 2) ** 2
+        assert np.max(np.abs(sums.sum(axis=0) / squares - 1.0)) <= 1e-12
+        assert np.all(sums >= 0)
 
     def test_cylinder_means(self, profile2):
         leaf = default_leaf_population(

@@ -11,7 +11,9 @@ import pytest
 import diamondgmc
 from diamondgmc import cascade
 from diamondgmc.cli import main, parse_config_file, parse_grid
+from diamondgmc.correlation import pair_count_histogram
 from diamondgmc.errors import UsageError
+from diamondgmc.lattice import LatticeParams
 
 
 def read_manifest(path):
@@ -211,6 +213,17 @@ class TestCorrelationCommand:
         )
         assert status == 1
 
+    def test_kernel_marginal_beyond_double_range(self, tmp_path):
+        # b = 3, n = 7: both sides of the kernel-marginal identity are about
+        # 3^(-1093), below the smallest double; they are compared in logs
+        status = main(
+            ["correlation", "--b", "3", "--r", "0", "--n", "7", "--out", str(tmp_path)]
+        )
+        assert status == 0
+        manifest = read_manifest(tmp_path / "correlation_manifest.json")
+        checks = {c["name"]: c for c in manifest["checks"]}
+        assert checks["kernel-marginal-identity"]["verdict"] == "pass"
+
 
 class TestSimulateCommand:
     def test_run_and_reproducibility(self, tmp_path):
@@ -246,17 +259,45 @@ class TestSimulateCommand:
         assert "error: depth 2 must exceed the generation 2" in err
         assert "Traceback" not in err
 
-    def test_pair_correlation_audit_runs(self, tmp_path):
+    def test_audit_budget_checked_before_any_step(self, tmp_path, capsys, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("population step ran before the budget check")
+
+        monkeypatch.setattr(cascade, "population_step", no_step)
         status = main(
-            ["simulate", "--b", "2", "--r", "-6", "--depth", "20", "--size", "100000",
-             "--seed", "11", "--n", "2", "--realizations", "3000",
-             "--out", str(tmp_path)]
+            ["simulate", "--b", "2", "--r", "-20", "--depth", "24", "--size", "4096",
+             "--n", "6", "--realizations", "1000", "--out", str(tmp_path)]
         )
-        assert status == 0
-        manifest = read_manifest(tmp_path / "simulate_manifest.json")
-        names = [c["name"] for c in manifest["checks"]]
-        assert "pair-correlation-audit" in names
-        assert "measure-additivity-audit" in names
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "error: audit batch at generation 6" in err
+        assert "largest feasible n at 1000 realizations is 5" in err
+        assert "Traceback" not in err
+
+    def test_audit_needs_two_realizations(self, tmp_path, capsys):
+        status = main(
+            ["simulate", "--b", "2", "--r", "-20", "--depth", "4", "--size", "4096",
+             "--n", "1", "--realizations", "1", "--out", str(tmp_path)]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "error: the measure audits need --realizations >= 2" in err
+        assert "Traceback" not in err
+
+    def test_pair_correlation_audit_runs(self, tmp_path):
+        for n in (2, 3, 4):
+            out = tmp_path / f"n{n}"
+            status = main(
+                ["simulate", "--b", "2", "--r", "-6", "--depth", "20", "--size", "100000",
+                 "--seed", "11", "--n", str(n), "--realizations", "3000",
+                 "--out", str(out)]
+            )
+            assert status == 0
+            manifest = read_manifest(out / "simulate_manifest.json")
+            checks = {c["name"]: c for c in manifest["checks"]}
+            classes = pair_count_histogram(LatticeParams(2, 2), n).as_dict()
+            assert {f"pair-correlation-audit(N={k})" for k in classes} <= set(checks)
+            assert checks["measure-additivity-audit"]["verdict"] == "pass"
 
 
 class TestGmcCommand:
@@ -294,6 +335,16 @@ class TestGmcCommand:
              "--seed", "5", "--out", str(tmp_path)]
         )
         assert status == 0
+
+    def test_renormalization_check_at_n5(self, tmp_path):
+        status = main(
+            ["gmc", "--check", "renormalization", "--n", "5", "--realizations", "20",
+             "--draws", "200", "--out", str(tmp_path)]
+        )
+        assert status in (0, 1, 2)
+        report = read_manifest(tmp_path / "gmc_renormalization_report.json")
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["weight-decomposition-audit"]["verdict"] == "pass"
 
     def test_strong_disorder_check(self, tmp_path):
         status = main(

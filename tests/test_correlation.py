@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from _oracles import brute_pair_histogram, shared_edge_matrix
+from _oracles import brute_pair_histogram, shared_edge_matrix, upsilon_pair_matrix
 from diamondgmc.errors import UsageError
 from diamondgmc.correlation import (
     conditional_pair_histogram,
@@ -13,7 +14,6 @@ from diamondgmc.correlation import (
     marginal_check,
     pair_count_histogram,
     rn_log_kernel,
-    upsilon_pair_matrix,
     upsilon_total_mass,
 )
 from diamondgmc.lattice import (
@@ -182,19 +182,25 @@ class TestLebesgue:
 
 class TestKernelMarginalIdentity:
     def test_one_step_exact(self, profile2):
-        lhs, rhs = kernel_marginal_identity_check(profile2, 0.0, 1)
+        log_lhs, log_rhs = kernel_marginal_identity_check(profile2, 0.0, 1)
         R, Rp = profile2.evaluate_pair(-1.0)
-        assert lhs == pytest.approx(2.0 * (1.0 + R) * Rp / 4.0, rel=1e-12)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert math.exp(log_lhs) == pytest.approx(2.0 * (1.0 + R) * Rp / 4.0, rel=1e-12)
+        assert abs(math.expm1(log_lhs - log_rhs)) <= 1e-10
 
     def test_relative_agreement_up_to_n8(self, profile2):
         for n in range(1, 9):
-            lhs, rhs = kernel_marginal_identity_check(profile2, 0.0, n)
-            assert abs(lhs - rhs) / rhs <= 1e-8
+            log_lhs, log_rhs = kernel_marginal_identity_check(profile2, 0.0, n)
+            assert abs(math.expm1(log_lhs - log_rhs)) <= 1e-8
 
     def test_deep_asymptotic_ratio(self, profile2):
-        lhs, rhs = kernel_marginal_identity_check(profile2, -1e4, 2)
-        assert lhs / rhs == pytest.approx(1.0, abs=1e-6)
+        log_lhs, log_rhs = kernel_marginal_identity_check(profile2, -1e4, 2)
+        assert math.exp(log_lhs - log_rhs) == pytest.approx(1.0, abs=1e-6)
+
+    def test_beyond_double_range(self, profile3):
+        # b = 3, n = 7: rhs = R'(0) 3^(-1093) is far below the smallest double
+        log_lhs, log_rhs = kernel_marginal_identity_check(profile3, 0.0, 7)
+        assert log_rhs < math.log(sys.float_info.min)
+        assert abs(math.expm1(log_lhs - log_rhs)) <= 1e-8
 
 
 class TestTernaryLattice:
@@ -211,8 +217,8 @@ class TestTernaryLattice:
         assert abs(marginal_check(table) - target / 81.0) <= 1e-12
 
     def test_kernel_marginal_and_rho(self, profile3):
-        lhs, rhs = kernel_marginal_identity_check(profile3, 0.0, 4)
-        assert abs(lhs - rhs) / rhs <= 1e-8
+        log_lhs, log_rhs = kernel_marginal_identity_check(profile3, 0.0, 4)
+        assert abs(math.expm1(log_lhs - log_rhs)) <= 1e-8
         leb = lebesgue_decomposition_weights(correlation_table(profile3, 0.0, 3))
         assert leb.rho_total() == pytest.approx(1.0, abs=1e-9)
 

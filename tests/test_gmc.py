@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dense_chaos, dense_kahane, dense_kernel, incidence_matrix
+from _oracles import (
+    assemble,
+    cylinder_chaos_factor,
+    dense_chaos,
+    dense_kahane,
+    dense_kernel,
+    incidence_matrix,
+    upsilon_combine,
+)
 from diamondgmc.errors import DomainError, UsageError
 from diamondgmc.cascade import (
     SeedSpec,
-    assemble,
     default_leaf_population,
     sample_measure_batch,
     substream,
     tree_total,
-    upsilon_combine,
 )
 from diamondgmc.gmc import (
     cameron_martin_density,
@@ -29,7 +35,7 @@ from diamondgmc.gmc import (
     strong_disorder_bound,
     theta_recursion,
 )
-from diamondgmc.lattice import LatticeParams, enumerate_paths, shared_edge_count
+from diamondgmc.lattice import LatticeParams, enumerate_paths, path_count_int, shared_edge_count
 from diamondgmc.rfunction import kappa_sq
 
 
@@ -280,6 +286,26 @@ class TestCompositionStructure:
     def test_weight_decomposition_audit_exact(self, profile2):
         assert renormalization_weight_audit(profile2, 0.0, 1.0, 3, 99) <= 1e-12
         assert renormalization_weight_audit(profile2, -3.0, 0.5, 2, 7) <= 1e-12
+
+    def test_weight_decomposition_audit_at_n5(self, profile2):
+        # 1024 leaves; the cylinder route would need |Gamma_5| = 2^31 weights
+        assert renormalization_weight_audit(profile2, 0.0, 1.0, 5, 98) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cylinder_weight_decomposition_oracle(self, profile2, n):
+        # per cylinder, over arbitrary sub-reference vectors (not leaf
+        # products): the single-level weights at (r + 1, a, n) equal the
+        # composite of the block chaoses at (r, a, n - 1)
+        b, r, a = 2, 0.0, 1.0
+        lam_full = edge_weight(profile2, r + 1, a, n, "exact-discrete")
+        lam_sub = edge_weight(profile2, r, a, n - 1, "exact-discrete")
+        rng = substream(97, n)
+        g = rng.standard_normal((b * b) ** n)
+        subs = rng.lognormal(sigma=0.5, size=(b, b, path_count_int(LatticeParams(b, b), n - 1)))
+        single = upsilon_combine(subs) * cylinder_chaos_factor(g, b, n, lam_full)
+        block_factors = cylinder_chaos_factor(g.reshape(b, b, -1), b, n - 1, lam_sub)
+        composite = upsilon_combine(subs * block_factors)
+        assert np.max(np.abs(single - composite) / single) <= 1e-12
 
     def test_audit_needs_composite_generation(self, profile2):
         with pytest.raises(UsageError):
