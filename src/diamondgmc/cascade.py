@@ -21,8 +21,10 @@ edge k, the base-b^2 integer whose most significant digit is the top-level
 (branch, segment) pair.  A cylinder p then has mass b^(-d_n) prod_{e in p} l_e
 (d_n branch decisions per path), so no check needs the |Gamma_n| cylinder
 masses themselves: the total mass is the tree reduction ``tree_total``, and
-the pair sums by shared-edge count, S_k = sum_{N(p, q) = k} M_p M_q, are the
-same reduction on polynomials in z (``pair_class_sums``).
+every functional of k-tuples of cylinders that sees them only through their
+shared-edge counts is read off the same reduction on polynomials in z
+(``overlap_moments``): the pair sums by shared-edge count,
+S_d = sum_{N(p, q) = d} M_p M_q, are the coefficients of Q_2.
 
 One stabilization is essential: the empirical mean obeys mean' = mean^b, so
 an O(N^-1/2) sampling drift at depth m is amplified by b^m and the raw
@@ -51,6 +53,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -63,8 +66,9 @@ _REALM_EVOLVE = 1
 _REALM_LEAF = 2
 
 # Leaf cells (realizations x b^(2n)) of the ``simulate`` audit batch: the
-# batch and its class sums peak near 54 bytes a cell, 53 MiB at 2^20 cells
-# (b = 2, n = 5, 1000 realizations), below the 1M-entry trajectory's own peak.
+# batch, its class sums and tree totals peak near 35 bytes a cell, 35 MiB at
+# 2^20 cells (b = 2, n = 5, 1000 realizations), below the 1M-entry
+# trajectory's own peak.
 AUDIT_CELL_BUDGET = 1 << 20
 MINIMUM_BASE_LEVEL = -16.0
 
@@ -367,37 +371,68 @@ def tree_total(leaves: np.ndarray, b: int) -> np.ndarray:
     return totals[0]
 
 
-def pair_class_sums(leaves: np.ndarray, b: int) -> np.ndarray:
-    """Pair sums S_k = sum over cylinder pairs with N(p, q) = k of M_p M_q.
+def _poly_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of polynomials with coefficients along the first axis, other axes elementwise."""
+    out = np.zeros((len(p) + len(q) - 1, *p.shape[1:]))
+    for d, row in enumerate(q):
+        out[d : d + len(p)] += p * row
+    return out
 
-    Leaves in edge order along the first axis, trailing axes carried along,
-    as in ``tree_total``; returns S_0 .. S_{b^n} along the first axis.  The
-    polynomial S(z) = sum_k S_k z^k has leaf value z l^2.  Pairs through one
-    branch i share edges segment by segment and pairs through different
-    branches share none, so a node combines its b^2 children as
 
-        S(z) = (sum_i prod_j S_ij(z) + (sum_i U_i)^2 - sum_i U_i^2) / b^2,
+def overlap_moments(leaves: np.ndarray, b: int, m: int) -> list:
+    """Overlap polynomials Q_0 .. Q_m of the cylinder measure over ``leaves``.
 
-    with U_i = prod_j T_ij the branch masses.
+    Q_k(z) = sum over ordered k-tuples of cylinders of prod_i M(p_i)
+    z^(sum_{i<j} N(p_i, p_j)), as coefficients along the first axis; leaves
+    of a generation n >= 1 tree and trailing axes as in ``tree_total``.  A
+    leaf is l^k z^C(k, 2), segments in series multiply, and branches, which
+    share no edge, combine binomially:
+    Q_k = b^(-k) sum_r C(k, r) Q_r^(acc) Q_(k-r)^(i), Q_0 = 1.
+    Tuples that meet in a bottom branch share all b of its edges, so the
+    recursion runs in w = z^b from level one, where a bottom branch of leaf
+    product u carries u^r w^C(r, 2).
     """
-    totals = np.asarray(leaves, dtype=float)
-    sums = np.stack([np.zeros_like(totals), totals**2])
-    while totals.shape[0] > 1:
-        rest = totals.shape[1:]
-        children = sums.reshape(sums.shape[0], -1, b, b, *rest)
-        branches = children[:, :, :, 0]
-        for j in range(1, b):
-            factor = children[:, :, :, j]
-            product = np.zeros((branches.shape[0] + factor.shape[0] - 1, *factor.shape[1:]))
-            for k in range(branches.shape[0]):
-                product[k : k + factor.shape[0]] += branches[k] * factor
-            branches = product
-        upper = totals.reshape(-1, b, b, *rest).prod(axis=2)
-        sums = branches.sum(axis=2)
-        sums[0] += upper.sum(axis=1) ** 2 - (upper**2).sum(axis=1)
-        sums /= b * b
-        totals = upper.sum(axis=1) / b
-    return sums[:, 0]
+    leaves = np.asarray(leaves, dtype=float)
+    rest = leaves.shape[1:]
+    u = leaves.reshape(-1, b, b, *rest).prod(axis=2)
+    branches = [None]
+    for r in range(1, m + 1):
+        branches.append(np.zeros((math.comb(r, 2) + 1, *u.shape)))
+        np.power(u, r, out=branches[r][-1])
+    del u  # one leaf-level array fewer at the fold, where the audit peaks
+    while True:
+        moments = [None] + [p[:, :, 0] for p in branches[1:]]
+        for i in range(1, b):
+            # descending k, so that moments[r < k] still hold the branches before i;
+            # the r = 0 and r = k terms reach the full degree, the others do not
+            for k in range(m, 0, -1):
+                acc = moments[k] + branches[k][:, :, i]
+                for r in range(1, k):
+                    cross = _poly_product(moments[r], branches[k - r][:, :, i])
+                    acc[: len(cross)] += math.comb(k, r) * cross
+                moments[k] = acc
+        moments = [None] + [q / float(b) ** k for k, q in enumerate(moments) if k]
+        if moments[1].shape[1] == 1:
+            break
+        branches = [None] + [
+            reduce(_poly_product, np.moveaxis(q.reshape(len(q), -1, b, b, *rest), 3, 0))
+            for q in moments[1:]
+        ]
+    out = [np.ones((1, *rest))]
+    for q in moments[1:]:
+        out.append(np.zeros((b * (len(q) - 1) + 1, *rest)))
+        out[-1][::b] = q[:, 0]
+    return out
+
+
+def horner(coeffs: np.ndarray, z: float) -> np.ndarray:
+    """Polynomial with coefficients along the first axis at z; for z >= 1 and
+    nonnegative coefficients no partial sum exceeds the result.  (Importing
+    numpy.polynomial for this would add to every command's start.)"""
+    value = np.zeros(coeffs.shape[1:])
+    for row in coeffs[::-1]:
+        value = value * z + row
+    return value
 
 
 def check_audit_budget(b: int, n: int, count: int):

@@ -25,8 +25,9 @@ from .cascade import (
     SeedSpec,
     check_audit_budget,
     fractional_moment,
+    horner,
     leaf_level,
-    pair_class_sums,
+    overlap_moments,
     sample_measure_batch,
     simulate_mass_trajectory,
     substream,
@@ -48,7 +49,6 @@ from .gmc import (
     chaos_totals,
     conditional_gmc_experiment,
     edge_weight,
-    kahane_moment,
     renormalization_consistency,
     sample_gmc,
     shift_field,
@@ -470,7 +470,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         leaves = sample_measure_batch(
             cfg.b, cfg.r, cfg.n, cfg.realizations, trajectory[leaf_r], cfg.seed
         ).T
-        class_sums = pair_class_sums(leaves, cfg.b)
+        class_sums = overlap_moments(leaves, cfg.b, 2)[2]
         squares = tree_total(leaves, cfg.b) ** 2
         gap = np.abs(class_sums.sum(axis=0) - squares) / np.maximum(squares, 1e-300)
         run.report.add(
@@ -525,8 +525,9 @@ def cmd_gmc(cfg: RunConfig) -> int:
         totals = chaos_totals(uniform, cfg.b, lam, substream(cfg.seed, 3, 1), cfg.draws)
         report = ExperimentReport("kahane", provenance={"n": cfg.n})
         report.arrays["totals"] = totals
+        overlap = overlap_moments(uniform, cfg.b, 3)
         for m in (2, 3):
-            formula = kahane_moment(uniform, cfg.b, lam, m)
+            formula = float(horner(overlap[m], math.exp(lam)))
             vals = totals**m
             est = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(vals.size))

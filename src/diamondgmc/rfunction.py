@@ -31,12 +31,14 @@ R'(r) rides along the same orbit via the differentiated recursion
 R'(r + 1) = (1 + R(r))^(b-1) R'(r), seeded with the series derivative.
 
 Raw total-mass moments follow the map obtained from the in-law recursion
-M_{r+1} = (1/b) * sum_i prod_j M_r^{(i,j)} with independent factors:
+M_{r+1} = (1/b) * sum_i prod_j M_r^{(i,j)} with independent factors: a
+branch prod_j M_r^{(i,j)} has moments x_k = m_k(r)^b, and independent
+branches add, so their moments fold by binomial convolution,
 
-    m_k(r + 1) = b^(-k) * sum_{k_1+...+k_b = k} multinomial(k; k_1..k_b)
-                 * prod_i m_{k_i}(r)^b ,
+    m_k(r + 1) = b^(-k) * (x * ... * x)_k,   (x * y)_k = sum_j C(k, j) x_j y_(k-j),
 
-iterated from a seed law of prescribed mean 1 and variance R(r0).
+with b factors x, iterated from a seed law of prescribed mean 1 and
+variance R(r0).
 """
 
 from __future__ import annotations
@@ -253,35 +255,21 @@ class VarianceProfile:
         R, Rp = pair
         return self._psi_mp(R), (1 + R) ** (self.b - 1) * Rp
 
-    def _run_orbit(self, xi, base_floor, steps):
-        """Seed at r = xi + base_floor and iterate; returns float cache + top state."""
-        coeffs = asymptotic_expansion(self.b, self.seed_order)
-        with mp.workdps(self.precision_dps):
-            t0 = -(mp.mpf(xi) + base_floor)
-            state = _seed_pair_mp(coeffs, t0)
-            values = [(float(state[0]), float(state[1]))]
-            for _ in range(steps):
-                state = self._step_mp(state)
-                R_f = float(state[0])
-                if not math.isfinite(R_f) or R_f > _FLOAT_CAP:
-                    raise RangeError(
-                        f"R overflows double precision above r = "
-                        f"{xi + base_floor + len(values) - 1} (b={self.b})"
-                    )
-                values.append((R_f, float(state[1])))
-        return values, state
-
     def _build_orbit(self, xi, probe_floor):
+        coeffs = asymptotic_expansion(self.b, self.seed_order)
         depth = self.seed_depth
         prev = None
         while depth <= self.max_seed_depth:
             base_floor = probe_floor - depth
-            values, state = self._run_orbit(xi, base_floor, depth)
-            probe_val = values[-1][0]
+            with mp.workdps(self.precision_dps):
+                state = _seed_pair_mp(coeffs, -(mp.mpf(xi) + base_floor))
+            orbit = _Orbit(xi, base_floor, depth, [(float(state[0]), float(state[1]))], state)
+            self._extend_orbit(orbit, probe_floor)
+            probe_val = orbit.values[-1][0]
             if prev is not None:
                 scale = max(1.0, abs(probe_val))
                 if abs(probe_val - prev) <= self.tolerance * scale:
-                    return _Orbit(xi, base_floor, depth, values, state)
+                    return orbit
             prev = probe_val
             depth *= 2
         raise ConvergenceError(
@@ -341,48 +329,27 @@ class VarianceProfile:
 # -- moment ladder ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _composition_terms(b: int, k: int):
-    """(multinomial coefficient, composition) pairs for k into b ordered parts."""
-
-    def gen(remaining, parts_left):
-        if parts_left == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in gen(remaining - first, parts_left - 1):
-                yield (first,) + rest
-
-    out = []
-    for comp in gen(k, b):
-        coef = math.factorial(k)
-        for part in comp:
-            coef //= math.factorial(part)
-        out.append((coef, comp))
-    return tuple(out)
-
-
 def moment_recursion_step(b: int, moments) -> list:
-    """Push raw moments m_0..m_K through one renormalization step."""
+    """Push raw moments m_0..m_K through one renormalization step.
+
+    A branch is b independent factors in series, with moments x_k = m_k^b;
+    the b independent branches fold by binomial convolution, and the branch
+    average divides the k-th moment by b^k.
+    """
     moments = list(moments)
     if not moments or moments[0] != 1.0:
         raise UsageError("moment vector must start with m_0 = 1")
     k_max = len(moments) - 1
     if k_max > MOMENT_ORDER_BUDGET:
-        raise UsageError(
-            f"moment order {k_max} exceeds the composition budget {MOMENT_ORDER_BUDGET}"
-        )
-    out = [1.0]
-    for k in range(1, k_max + 1):
-        total = 0.0
-        for coef, comp in _composition_terms(b, k):
-            prod = 1.0
-            for part in comp:
-                if part:
-                    prod *= moments[part]
-            total += coef * prod**b
-        out.append(total / b**k)
-    return out
+        raise UsageError(f"moment order {k_max} exceeds the budget {MOMENT_ORDER_BUDGET}")
+    branch = [m**b for m in moments]
+    acc = branch
+    for _ in range(1, b):
+        acc = [
+            sum([math.comb(k, r) * acc[r] * branch[k - r] for r in range(k + 1)])
+            for k in range(k_max + 1)
+        ]
+    return [x / b**k for k, x in enumerate(acc)]
 
 
 def seed_raw_moments(kind: str, variance: float, k_max: int) -> list:

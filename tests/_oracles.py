@@ -8,8 +8,10 @@ chaos weights and moments computed from them (small n only).  It also keeps
 earlier library routes as references: the cylinder-vector assembly of leaf
 masses with its dense pair-weight matrix, the asymptotic-expansion solver that
 finds each coefficient from two residual evaluations, the row-by-row
-``csv.writer`` emission of float tables, and the population step that draws
-all b^2 factors of a chunk in one (b, b, size) call.
+``csv.writer`` emission of float tables, the population step that draws
+all b^2 factors of a chunk in one (b, b, size) call, the Kahane moment
+recursion at a numeric edge weight, and the moment-ladder step that
+enumerates multinomial compositions.
 """
 
 import csv
@@ -171,6 +173,21 @@ def dense_chaos(factor: np.ndarray, reference: np.ndarray, g: np.ndarray) -> np.
     return np.exp(field - 0.5 * diag) * reference.reshape(-1, *extra)
 
 
+def dense_overlap_polynomial(shared: np.ndarray, reference: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients of sum over m-tuples of prod reference(p_k) z^(sum_{k<l} N(p_k, p_l)), enumerated."""
+    size = len(reference)
+    axes = [
+        np.arange(size).reshape([size if d == k else 1 for d in range(m)]) for k in range(m)
+    ]
+    exponent = sum(
+        (shared[axes[k], axes[l]] for k in range(m) for l in range(k + 1, m)),
+        np.zeros([1] * m, dtype=int),
+    )
+    weight = reduce(np.multiply, [reference[ax] for ax in axes])
+    exponent, weight = np.broadcast_arrays(exponent, weight)
+    return np.bincount(exponent.ravel(), weights=weight.ravel())
+
+
 def dense_kahane(kernel: np.ndarray, reference: np.ndarray, m: int) -> float:
     """sum over m-tuples of prod reference(p_k) exp(sum_{k<l} K(p_k, p_l)), enumerated."""
     size = len(reference)
@@ -294,3 +311,57 @@ def dense_pair_class_sums(leaves, b: int, n: int) -> np.ndarray:
     masses = assemble(leaves, b, n)
     N = shared_edge_matrix(params, n, index_ordered_paths(params, n)).astype(int)
     return np.bincount(N.ravel(), weights=np.outer(masses, masses).ravel(), minlength=b**n + 1)
+
+
+def kahane_recursion(leaves, b: int, lam: float, m: int) -> float:
+    """E[T^m] of the chaos total by carrying the numeric moments 0..m of every node up the tree.
+
+    Leaf value l^k exp(lam k (k - 1)/2); segments in series multiply and
+    branches combine binomially.
+    """
+    k = np.arange(m + 1)
+    moments = np.asarray(leaves, dtype=float)[:, None] ** k * np.exp(0.5 * lam * k * (k - 1))
+    binom = [[math.comb(kk, r) for r in range(kk + 1)] for kk in range(m + 1)]
+    while moments.shape[0] > 1:
+        branches = moments.reshape(-1, b, b, m + 1).prod(axis=2)
+        acc = branches[:, 0]
+        for i in range(1, b):
+            x = branches[:, i]
+            acc = np.stack(
+                [
+                    sum(binom[kk][r] * acc[:, r] * x[:, kk - r] for r in range(kk + 1))
+                    for kk in range(m + 1)
+                ],
+                axis=-1,
+            )
+        moments = acc / float(b) ** k
+    return float(moments[0, m])
+
+
+def moment_step_by_compositions(b: int, moments) -> list:
+    """Raw moments after one renormalization step, summed over the compositions of k.
+
+    m_k' = b^(-k) sum_{k_1 + ... + k_b = k} multinomial(k; k_1..k_b) prod_i m_{k_i}^b.
+    """
+
+    def compositions(remaining, parts):
+        if parts == 1:
+            yield (remaining,)
+            return
+        for first in range(remaining + 1):
+            for rest in compositions(remaining - first, parts - 1):
+                yield (first,) + rest
+
+    out = []
+    for k in range(len(moments)):
+        total = 0.0
+        for comp in compositions(k, b):
+            coef = math.factorial(k)
+            prod = 1.0
+            for part in comp:
+                coef //= math.factorial(part)
+                if part:
+                    prod *= moments[part]
+            total += coef * prod**b
+        out.append(total / b**k)
+    return out

@@ -287,7 +287,7 @@ def test_criterion_08_composition_law(profile2):
     tame_names = {c.name: c for c in tame.checks}
     assert tame_names["second-moment-vs-1+R"].verdict == "pass"
     assert tame_names["second-moment-vs-direct"].verdict == "pass"
-    announce(8, "conditional layer exact (median |z| ~ 0.8); pooled target flagged "
+    announce(8, "conditional layer in exact SEs (median |z| ~ 0.45); pooled target flagged "
                 "(tail-dominated) at the strong-disorder config and sharp at r=-6: "
                 f"z {abs(tame_names['second-moment-vs-1+R'].estimate - tame_names['second-moment-vs-1+R'].target) / tame_names['second-moment-vs-1+R'].se:.2f}",
              time.time() - start, 600.0)

@@ -12,8 +12,9 @@ from diamondgmc.cascade import (
     SeedSpec,
     default_leaf_population,
     fractional_moment,
+    horner,
     leaf_level,
-    pair_class_sums,
+    overlap_moments,
     population_step,
     read_population,
     sample_measure_batch,
@@ -24,14 +25,19 @@ from diamondgmc.cascade import (
     write_population,
 )
 from diamondgmc.correlation import pair_count_histogram
-from diamondgmc.gmc import kahane_moment, theta_recursion
+from diamondgmc.gmc import edge_marginals
 from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.rfunction import psi
 
 from _oracles import (
     assemble,
+    dense_kahane,
+    dense_overlap_polynomial,
     dense_pair_class_sums,
+    index_ordered_paths,
+    kahane_recursion,
     population_step_one_shot,
+    shared_edge_matrix,
     upsilon_combine,
 )
 
@@ -219,41 +225,74 @@ class TestFractionalMoment:
 
 
 class TestPairClassSums:
-    """S_k, the sum of M_p M_q over cylinder pairs sharing k edges, on the leaf tree."""
+    """Overlap polynomials on the leaf tree: Q_1 is the total mass, and the
+    coefficients of Q_2 are the pair sums S_d over cylinder pairs sharing d edges."""
 
     @pytest.mark.parametrize("b, n", [(2, 1), (2, 2), (2, 3), (3, 2)])
     def test_matches_dense_oracle(self, b, n):
         leaves = substream(25, b, n).lognormal(sigma=0.8, size=(3, (b * b) ** n))
-        batch = pair_class_sums(leaves.T, b)
-        assert batch.shape == (b**n + 1, 3)
+        batch = overlap_moments(leaves.T, b, 5)
+        assert batch[2].shape == (b**n + 1, 3)
+        assert np.array_equal(batch[1][0], tree_total(leaves.T, b))
         for i in range(3):
+            single = overlap_moments(leaves[i], b, 5)
+            assert all(np.array_equal(q, q_batch[:, i]) for q, q_batch in zip(single, batch))
             want = dense_pair_class_sums(leaves[i], b, n)
-            assert np.array_equal(pair_class_sums(leaves[i], b), batch[:, i])
-            assert np.all(batch[want == 0, i] == 0.0)
+            assert np.all(batch[2][want == 0, i] == 0.0)
             nonzero = want > 0
-            assert np.max(np.abs(batch[nonzero, i] / want[nonzero] - 1.0)) <= 1e-12
+            assert np.max(np.abs(batch[2][nonzero, i] / want[nonzero] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("b, n", [(2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_higher_orders_match_enumeration(self, b, n):
+        # coefficient by coefficient against the enumerated m-tuples wherever
+        # |Gamma_n|^m <= 2^21, and Q_m(exp(lam)) against the dense and the
+        # recursive Kahane moments
+        lam = 0.37
+        params = LatticeParams(b, b)
+        leaves = substream(27, b, n).lognormal(sigma=0.8, size=(b * b) ** n)
+        reference = assemble(leaves, b, n)
+        shared = shared_edge_matrix(params, n, index_ordered_paths(params, n)).astype(int)
+        moments = overlap_moments(leaves, b, 5)
+        for m in range(1, 6):
+            value = horner(moments[m], math.exp(lam))
+            assert abs(value / kahane_recursion(leaves, b, lam, m) - 1.0) <= 1e-12
+            if reference.size**m > 1 << 21:
+                continue
+            want = dense_overlap_polynomial(shared, reference, m)
+            got = moments[m]
+            assert got.shape == (math.comb(m, 2) * b**n + 1,)
+            assert np.all(got[want.size :] == 0.0)
+            assert np.all(got[: want.size][want == 0] == 0.0)
+            nonzero = want > 0
+            assert np.max(np.abs(got[: want.size][nonzero] / want[nonzero] - 1.0)) <= 1e-12
+            assert abs(value / dense_kahane(lam * shared, reference, m) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("b, n_max", [(2, 6), (3, 3)])
     def test_unit_leaves_give_histogram_weights(self, b, n_max):
         # the uniform measure puts 1/|Gamma_n| on every cylinder
         params = LatticeParams(b, b)
         for n in range(1, n_max + 1):
-            sums = pair_class_sums(np.ones((b * b) ** n), b)
+            sums = overlap_moments(np.ones((b * b) ** n), b, 2)[2]
             hist = pair_count_histogram(params, n).as_dict()
             pairs = path_count_int(params, n) ** 2
             want = [hist.get(k, 0) / pairs for k in range(b**n + 1)]
             assert sums.tolist() == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_agrees_with_kahane_and_theta(self):
-        # sum_k S_k exp(lam k) is the quadratic form, lam sum_k k S_k is theta
-        lam, b, n = 0.37, 2, 5
+        # at n = 5, where the 2^31 cylinders are out of the dense oracles'
+        # reach: Q_m(exp(lam)) against the numeric Kahane recursion, and
+        # theta = lam sum_d d S_d against the edge-marginal route
+        b, n = 2, 5
         leaves = substream(26, 0).lognormal(sigma=0.8, size=(b * b) ** n)
-        sums = pair_class_sums(leaves, b)
-        k = np.arange(sums.size)
-        quad = kahane_moment(leaves, b, lam, 2)
-        theta = theta_recursion(leaves, b, lam)
-        assert abs(sums @ np.exp(lam * k) / quad - 1.0) <= 1e-12
-        assert abs(lam * (k @ sums) / theta - 1.0) <= 1e-12
+        moments = overlap_moments(leaves, b, 5)
+        for lam in (0.0, 0.37, 1.0):
+            for m in range(1, 6):
+                want = kahane_recursion(leaves, b, lam, m)
+                assert abs(horner(moments[m], math.exp(lam)) / want - 1.0) <= 1e-12
+        lam = 0.37
+        marginals = edge_marginals(leaves, b)
+        theta = lam * (np.arange(len(moments[2])) @ moments[2])
+        assert abs(theta / (lam * marginals @ marginals) - 1.0) <= 1e-12
 
 
 class TestMeasureSamples:
@@ -264,7 +303,7 @@ class TestMeasureSamples:
             2, -2.0, 3, 24, SeedSpec(), 15, pop_size=100_000, profile=profile2
         )
         leaves = sample_measure_batch(2, -2.0, 3, 50, leaf, 15).T
-        sums = pair_class_sums(leaves, 2)
+        sums = overlap_moments(leaves, 2, 2)[2]
         squares = tree_total(leaves, 2) ** 2
         assert np.max(np.abs(sums.sum(axis=0) / squares - 1.0)) <= 1e-12
         assert np.all(sums >= 0)

@@ -336,6 +336,31 @@ class TestGmcCommand:
         )
         assert status == 0
 
+    def test_conditional_layer_flagged_at_strong_coupling(self, tmp_path):
+        # at r = 3 the exact SEs of the per-reference second moments dwarf
+        # the quadratic forms (pooled relative SE ~ 4e5): the layer reads
+        # flagged, not fail
+        status = main(
+            ["gmc", "--check", "conditional", "--r", "3", "--a", "1", "--n", "2",
+             "--realizations", "100", "--draws", "1000", "--out", str(tmp_path)]
+        )
+        assert status == 2
+        report = read_manifest(tmp_path / "gmc_conditional_report.json")
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["conditional-second-moment-layer"]["verdict"] == "flagged"
+
+    def test_conditional_layer_passes_at_zero_coupling(self, tmp_path):
+        # at a = 0 the chaos is the identity and the exact SE vanishes; the
+        # SE floor keeps rounding noise from reading as a violation
+        status = main(
+            ["gmc", "--check", "conditional", "--r", "-4", "--a", "0", "--n", "2",
+             "--realizations", "50", "--draws", "100", "--out", str(tmp_path)]
+        )
+        assert status == 0
+        report = read_manifest(tmp_path / "gmc_conditional_report.json")
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["conditional-second-moment-layer"]["verdict"] == "pass"
+
     def test_renormalization_check_at_n5(self, tmp_path):
         status = main(
             ["gmc", "--check", "renormalization", "--n", "5", "--realizations", "20",

@@ -16,6 +16,7 @@ from diamondgmc.errors import DomainError, UsageError
 from diamondgmc.cascade import (
     SeedSpec,
     default_leaf_population,
+    overlap_moments,
     sample_measure_batch,
     substream,
     tree_total,
@@ -33,7 +34,6 @@ from diamondgmc.gmc import (
     sample_gmc,
     shift_field,
     strong_disorder_bound,
-    theta_recursion,
 )
 from diamondgmc.lattice import LatticeParams, enumerate_paths, path_count_int, shared_edge_count
 from diamondgmc.rfunction import kappa_sq
@@ -47,6 +47,12 @@ def lam2(profile2):
 @pytest.fixture(scope="module")
 def kernel2(params2, lam2):
     return dense_kernel(params2, 2, lam2)
+
+
+def theta_from_pair_sums(leaves, b, lam):
+    """theta = lam sum_d d S_d from the pair class sums S_d = Q_2[d]; trailing axes batch."""
+    pair_sums = overlap_moments(leaves, b, 2)[2]
+    return lam * (np.arange(len(pair_sums)) @ pair_sums)
 
 
 def cylinder_weights(leaves, lam, g, b, n):
@@ -240,7 +246,7 @@ class TestDenseEquivalence:
         assert self.close(lam * inc @ marginals, kernel @ reference)  # t(p)
         theta = reference @ kernel @ reference
         assert self.close(lam * marginals @ marginals, theta)
-        assert self.close(theta_recursion(leaves, b, lam), theta)
+        assert self.close(theta_from_pair_sums(leaves, b, lam), theta)
 
     def test_bound_sum(self, b, n, setup):
         lam, leaves, reference, kernel, _ = setup
@@ -399,12 +405,12 @@ class TestTernaryLattice:
 
 class TestThetaSummary:
     def test_contraction_audit(self, profile2):
-        # theta from the edge marginals and from the upward recursion agree
+        # theta from the edge marginals and from the pair class sums agree
         lam = edge_weight(profile2, 0.0, 1.0, 2, "asymptotic")
         leaves = substream(11, 9).lognormal(size=16)
         marginals = edge_marginals(leaves, 2)
         theta = lam * marginals @ marginals
-        assert theta_recursion(leaves, 2, lam) == pytest.approx(theta, rel=1e-12)
+        assert theta_from_pair_sums(leaves, 2, lam) == pytest.approx(theta, rel=1e-12)
         assert theta > 0
         assert np.all(marginals > 0)
 
@@ -422,7 +428,7 @@ class TestThetaSummary:
             2, r, n, 24, SeedSpec(), 41, pop_size=400_000, profile=profile2
         )
         refs = sample_measure_batch(2, r, n, 4000, leaf, 41)
-        thetas = np.array([theta_recursion(leaves, 2, lam) for leaves in refs])
+        thetas = theta_from_pair_sums(refs.T, 2, lam)
         se = thetas.std(ddof=1) / math.sqrt(thetas.size)
         assert abs(thetas.mean() - expected) <= 4 * se
 

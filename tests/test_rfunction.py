@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import expansion_by_two_evaluations
+from _oracles import expansion_by_two_evaluations, moment_step_by_compositions
 from diamondgmc.errors import ConvergenceError, DomainError, RangeError, UsageError
 from diamondgmc.rfunction import (
     MomentTable,
@@ -186,6 +186,17 @@ class TestMomentRecursion:
         for m2 in (1.1, 1.9618, 6.41):
             out = moment_recursion_step(2, [1.0, 1.0, m2])
             assert out[2] - 1.0 == pytest.approx(psi(2, m2 - 1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 5])
+    def test_matches_composition_sum(self, b):
+        # the binomial fold over branches against the sum over all
+        # compositions of k into b parts, up to the order budget
+        for kind, variance in (("two-point", 0.3), ("lognormal", 0.05)):
+            moments = seed_raw_moments(kind, variance, 16)
+            got = moment_recursion_step(b, moments)
+            want = moment_step_by_compositions(b, moments)
+            assert got[0] == 1.0
+            assert np.max(np.abs(np.array(got) / np.array(want) - 1.0)) <= 1e-12
 
     def test_budget(self):
         with pytest.raises(UsageError):
