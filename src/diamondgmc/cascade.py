@@ -65,10 +65,12 @@ _REALM_SEED = 0
 _REALM_EVOLVE = 1
 _REALM_LEAF = 2
 
-# Leaf cells (realizations x b^(2n)) of the ``simulate`` audit batch: the
-# batch, its class sums and tree totals peak near 35 bytes a cell, 35 MiB at
-# 2^20 cells (b = 2, n = 5, 1000 realizations), below the 1M-entry
-# trajectory's own peak.
+# Leaf cells (realizations x b^(2n)) of a batch of cylinder leaves, checked
+# before any population runs.  At 2^20 cells (b = 2, n = 5, 1000
+# realizations) the ``simulate`` audit (batch, class sums and tree totals)
+# peaks near 35 MiB, below the 1M-entry trajectory's own peak; the m = 4
+# overlap polynomials of the ``gmc`` conditional layer peak near 116 MiB
+# (about 116 bytes a cell), growing 4x per generation at b = 2.
 AUDIT_CELL_BUDGET = 1 << 20
 MINIMUM_BASE_LEVEL = -16.0
 
@@ -254,6 +256,8 @@ def simulate_mass_trajectory(
     """
     if depth < 1:
         raise UsageError("depth must be >= 1")
+    if chunks < 1 or threads < 1:
+        raise UsageError(f"chunks ({chunks}) and threads ({threads}) must be >= 1")
     base_level = r - depth
     if base_level > MINIMUM_BASE_LEVEL:
         raise UsageError(

@@ -118,16 +118,30 @@ def _coerce(key: str, raw: str):
             return False
         raise UsageError(f"config key {key} expects a boolean, got {raw!r}")
     if key in _INT_KEYS:
-        return int(raw)
+        return _number(int, raw, f"config key {key}")
     if key in _FLOAT_KEYS:
-        return float(raw)
+        return _number(float, raw, f"config key {key}")
     return raw
+
+
+def _number(kind, raw: str, what: str):
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise UsageError(f"{what} expects {kind.__name__}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise UsageError(f"{what} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_file(path) -> dict:
     out = {}
     known = set(_FIELD_TYPES) - {"command"}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -136,7 +150,10 @@ def parse_config_file(path) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in known:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, raw)
+        try:
+            out[key] = _coerce(key, raw)
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -146,12 +163,15 @@ def parse_grid(text: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"grid {text!r} must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = (_number(float, p, "grid") for p in parts)
         if step <= 0 or stop < start:
             raise UsageError(f"grid {text!r} must have step > 0 and stop >= start")
         count = int(round((stop - start) / step)) + 1
         return [start + i * step for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    values = [_number(float, p, "grid") for p in text.split(",") if p.strip()]
+    if not values:
+        raise UsageError(f"grid {text!r} holds no values")
+    return values
 
 
 def _merge_config(args) -> RunConfig:
@@ -494,6 +514,17 @@ def cmd_gmc(cfg: RunConfig) -> int:
     profile = VarianceProfile(cfg.b)
     seed_spec = SeedSpec(cfg.seed_spec)
 
+    # the statistical checks' SEs need two draws, and two realizations where
+    # they read them
+    pooled = ("conditional", "renormalization", "strong-disorder")
+    if cfg.check in ("kahane",) + pooled and cfg.draws < 2:
+        raise UsageError(f"gmc --check {cfg.check} needs --draws >= 2")
+    if cfg.check in pooled and cfg.realizations < 2:
+        raise UsageError(f"gmc --check {cfg.check} needs --realizations >= 2")
+    # their exact targets hold for the exact-discrete edge weight only
+    if cfg.check in ("conditional", "renormalization") and cfg.mode != "exact-discrete":
+        raise UsageError(f"gmc --check {cfg.check} needs --mode exact-discrete")
+
     if cfg.check == "shift":
         lam = edge_weight(profile, cfg.r, cfg.a, cfg.n, cfg.mode)
         uniform = np.ones((cfg.b * cfg.b) ** cfg.n)  # leaves of the uniform measure
@@ -600,8 +631,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ``UsageError``: exit 1 with ``error:``, as every other usage error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diamondgmc",
         description="Critical diamond-lattice polymer: exact tables, cascade "
         "simulation, and finite-dimensional chaos experiments.",
@@ -655,8 +693,8 @@ def _join_grid_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_grid_values(list(argv)))
     try:
+        args = build_parser().parse_args(_join_grid_values(list(argv)))
         cfg = _merge_config(args)
         return _COMMANDS[args.command](cfg)
     except (UsageError, DomainError, ConvergenceError, RangeError) as exc:

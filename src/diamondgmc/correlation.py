@@ -4,26 +4,28 @@ The correlation measure assigns an ordered pair of generation-``n`` cylinders
 the weight ``(1 + R(r - n))^N / |Gamma_n|^2`` where ``N`` is their shared-edge
 count.  Every functional of it used here is a sum over the distribution of
 ``N``, so instead of enumerating ``|Gamma_n|^2`` pairs (astronomical beyond
-n = 3) we recurse on the exact pair-count histogram
-
-    h_0 = {1: 1},
-    h_{n+1} = b * (h_n convolved with itself b times)
-              + b (b - 1) |Gamma_n|^(2b) at N = 0,
-
-whose two branches are "same top branch" (shared edges add across the b
-sub-pairs) and "different top branches" (no shared edges, all sub-paths
-free).  Counts are exact big integers; weights are handled in log space.
-
-The conditional histogram (distribution of N against one fixed path) follows
-the same split with only the "same top branch" term recursing:
+n = 3) we recurse on one exact histogram, the conditional one: the number
+c_n(k) of paths q in Gamma_n with N(p, q) = k for a fixed p,
 
     c_0 = {1: 1},
-    c_{n+1} = (c_n convolved with itself b times) + (b - 1) |Gamma_n|^b at N = 0.
+    c_{n+1} = (c_n convolved with itself b times) + (b - 1) |Gamma_n|^b at N = 0,
 
-It reads nothing of the fixed path but its generation: homogeneity of the
-path space makes it path-independent, which the tests verify by enumerating
-``shared_edge_count`` against every path of small generations rather than
-assume.  Paths enter only as decision arrays (see ``lattice``).
+whose two branches are "q takes p's top branch" (shared edges add across the
+b segments) and "q takes one of the b - 1 others" (no shared edge, all b
+sub-paths free).  It reads nothing of p but its generation: homogeneity of
+the path space makes it path-independent, which the tests verify by
+enumerating ``shared_edge_count`` against every path of small generations
+rather than assume.
+
+Summing over p, the pair-count histogram over Gamma_n x Gamma_n is
+H_n = |Gamma_n| c_n exactly.  The same follows by induction from the pair
+recursion H_{n+1} = b H_n^{*b} + b (b - 1) |Gamma_n|^(2b) at N = 0: with
+G_n = |Gamma_n| and G_{n+1} = b G_n^b, H_n = G_n c_n gives
+H_n^{*b} = G_n^b c_n^{*b}, so G_{n+1} c_{n+1} = b G_n^b c_n^{*b} +
+b (b - 1) G_n^(2b) at N = 0, which is H_{n+1}.  The pair recursion, on
+counts with twice the digits, is kept only as a test oracle.  Counts are
+exact big integers; weights are handled in log space.  Paths enter only as
+decision arrays (see ``lattice``).
 """
 
 from __future__ import annotations
@@ -46,18 +48,6 @@ def _convolve(h1: dict, h2: dict) -> dict:
             key = k1 + k2
             out[key] = out.get(key, 0) + c1 * c2
     return out
-
-
-@lru_cache(maxsize=None)
-def _histogram_counts(b: int, n: int):
-    if n == 0:
-        return ((1, 1),)
-    prev = dict(_histogram_counts(b, n - 1))
-    conv = reduce(_convolve, [prev] * b)
-    out = {k: b * c for k, c in conv.items()}
-    gamma_prev = path_count_int(LatticeParams(b, b), n - 1)
-    out[0] = out.get(0, 0) + b * (b - 1) * gamma_prev ** (2 * b)
-    return tuple(sorted(out.items()))
 
 
 @dataclass(frozen=True)
@@ -87,7 +77,9 @@ def pair_count_histogram(params: LatticeParams, n: int) -> PairCountHistogram:
         raise UsageError(
             f"generation {n} exceeds the histogram budget {HISTOGRAM_GENERATION_BUDGET}"
         )
-    return PairCountHistogram(params, n, _histogram_counts(params.b, n))
+    gamma = path_count_int(params, n)
+    counts = tuple((k, gamma * c) for k, c in conditional_pair_histogram(params.b, n))
+    return PairCountHistogram(params, n, counts)
 
 
 @lru_cache(maxsize=None)

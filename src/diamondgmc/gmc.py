@@ -22,7 +22,8 @@ the same tree, at O(b^(2n)) cost per draw:
   theta = lam sum_e m_e^2, a second route to theta.
 
 Two edge-weight modes are exposed.  exact-discrete,
-lam = log[(1 + R(r + a - n)) / (1 + R(r - n))], makes every finite-n
+lam = log[(1 + R(r + a - n)) / (1 + R(r - n))] (the change-of-parameter
+kernel ``correlation.rn_log_kernel`` at one shared edge), makes every finite-n
 correlation identity exact: reweighting the generation-n correlation measure
 at parameter r by exp(K) gives the one at r + a.  asymptotic,
 lam = a * kappa^2 / n^2, matches the limiting intersection kernel and is
@@ -45,6 +46,7 @@ import numpy as np
 
 from .cascade import (
     SeedSpec,
+    check_audit_budget,
     default_leaf_population,
     horner,
     overlap_moments,
@@ -53,6 +55,7 @@ from .cascade import (
     substream,
     tree_total,
 )
+from .correlation import rn_log_kernel
 from .errors import DomainError, RangeError, UsageError
 from .rfunction import VarianceProfile, kappa_sq
 from .reporting import (
@@ -79,9 +82,7 @@ def edge_weight(profile: VarianceProfile, r: float, a: float, n: int, mode: str)
     if n < 1:
         raise UsageError("kernel needs generation >= 1")
     if mode == "exact-discrete":
-        return math.log1p(profile.evaluate_R(r + a - n)) - math.log1p(
-            profile.evaluate_R(r - n)
-        )
+        return rn_log_kernel(profile, r, a, n, 1)
     return a * kappa_sq(profile.b) / n**2
 
 
@@ -255,13 +256,13 @@ def conditional_gmc_experiment(
     leaf_pop_size: int = 1_000_000,
     direct_size: "int | None" = None,
     big_direct_size: int = 1_000_000,
-    mode: str = "exact-discrete",
 ) -> ExperimentReport:
     """Chaos-over-random-reference composition experiment.
 
     For each of ``realizations`` references at (r, n), draw ``draws``
-    conditional chaos realizations with the (r, a, n) kernel and pool the
-    total masses.  Checks:
+    conditional chaos realizations with the exact-discrete (r, a, n) kernel,
+    the weight that makes the 1 + R(r + a) target exact, and pool the total
+    masses.  The references' leaves must fit ``AUDIT_CELL_BUDGET``.  Checks:
 
     * conditional layer -- per reference, the Monte Carlo second moment of
       the chaos totals against the exact quadratic form
@@ -278,7 +279,9 @@ def conditional_gmc_experiment(
     """
     seed_spec = seed_spec or SeedSpec()
     b = profile.b
-    lam = edge_weight(profile, r, a, n, mode)
+    lam = edge_weight(profile, r, a, n, "exact-discrete")
+    # the exact moments below hold every reference's overlap polynomials at once
+    check_audit_budget(b, n, realizations)
     leaf = default_leaf_population(
         b, r, n, depth, seed_spec, master_seed, pop_size=leaf_pop_size, profile=profile
     )
@@ -329,7 +332,7 @@ def conditional_gmc_experiment(
             "draws": draws,
             "master_seed": master_seed,
             "seed_kind": seed_spec.kind,
-            "mode": mode,
+            "mode": "exact-discrete",
             "leaf_pop_size": leaf_pop_size,
             "direct_size": direct_size,
             "big_direct_size": big_direct_size,
@@ -569,6 +572,7 @@ def strong_disorder_bound(
         raise UsageError("strong-disorder grid must be positive")
     b = profile.b
     lam1 = edge_weight(profile, 0.0, 1.0, n, "asymptotic")
+    check_audit_budget(b, n, realizations)
     leaf = default_leaf_population(
         b, 0.0, n, depth, seed_spec, master_seed, pop_size=leaf_pop_size, profile=profile
     )

@@ -10,8 +10,9 @@ masses with its dense pair-weight matrix, the asymptotic-expansion solver that
 finds each coefficient from two residual evaluations, the row-by-row
 ``csv.writer`` emission of float tables, the population step that draws
 all b^2 factors of a chunk in one (b, b, size) call, the Kahane moment
-recursion at a numeric edge weight, and the moment-ladder step that
-enumerates multinomial compositions.
+recursion at a numeric edge weight, the moment-ladder step that
+enumerates multinomial compositions, and the pair-count histogram by its own
+recursion over ordered pairs.
 """
 
 import csv
@@ -365,3 +366,27 @@ def moment_step_by_compositions(b: int, moments) -> list:
             total += coef * prod**b
         out.append(total / b**k)
     return out
+
+
+def pair_histogram_by_recursion(b: int, n: int) -> tuple:
+    """Pair-count histogram of Gamma_n x Gamma_n as sorted (N, count) pairs.
+
+    h_0 = {1: 1},
+    h_{n+1} = b * (h_n convolved with itself b times) + b (b - 1) |Gamma_n|^(2b) at N = 0:
+    the two paths share their top branch (b choices; shared edges add across
+    the b sub-pairs) or take different ones (b (b - 1) choices; no shared
+    edge, all sub-paths free).
+    """
+    hist = {1: 1}
+    for level in range(n):
+        conv = {0: 1}
+        for _ in range(b):
+            step = {}
+            for k1, c1 in conv.items():
+                for k2, c2 in hist.items():
+                    step[k1 + k2] = step.get(k1 + k2, 0) + c1 * c2
+            conv = step
+        hist = {k: b * c for k, c in conv.items()}
+        gamma = b ** _offset(b, level)
+        hist[0] = hist.get(0, 0) + b * (b - 1) * gamma ** (2 * b)
+    return tuple(sorted(hist.items()))

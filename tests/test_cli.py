@@ -76,6 +76,50 @@ class TestConfig:
             parse_grid("1:2")
 
 
+_SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fixed-point", "--config", "{missing}"],
+        ["fixed-point", "--config", "{bad_int}"],
+        ["rfunc", "--grid", "abc"],
+        ["rfunc", "--grid", "nan:1:8"],
+        ["gmc", "--check", "strong-disorder", "--grid", ","],
+        ["simulate", "--chunks", "0"] + _SMALL_SIM,
+        ["simulate", "--chunks", "-1"] + _SMALL_SIM,
+        ["simulate", "--threads", "-3"] + _SMALL_SIM,
+        ["gmc", "--check", "conditional", "--draws", "0"],
+        ["gmc", "--check", "renormalization", "--draws", "0"],
+        ["gmc", "--check", "kahane", "--draws", "0"],
+        ["gmc", "--check", "conditional", "--realizations", "0"],
+        ["gmc", "--check", "foo"],
+        ["gmc", "--n", "abc"],
+        [],
+    ],
+    ids=lambda args: " ".join(args) or "no-command",
+)
+def test_usage_errors_exit_one(args, tmp_path, capsys):
+    bad_int = tmp_path / "bad.cfg"
+    bad_int.write_text("n = abc\n")
+    paths = {"{missing}": str(tmp_path / "missing.cfg"), "{bad_int}": str(bad_int)}
+    argv = [paths.get(a, a) for a in args]
+    if argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gmc", "--help"])
+    assert exc.value.code == 0
+    assert "--check" in capsys.readouterr().out
+
+
 class TestFixedPointCommand:
     def test_values_and_exit(self, tmp_path, capsys):
         status = main(["fixed-point", "--b", "2", "--s", "3", "--out", str(tmp_path)])
@@ -360,6 +404,35 @@ class TestGmcCommand:
         report = read_manifest(tmp_path / "gmc_conditional_report.json")
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["conditional-second-moment-layer"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("check", ["conditional", "renormalization"])
+    def test_asymptotic_mode_rejected(self, check, tmp_path, capsys):
+        # both checks' exact targets need the exact-discrete edge weight
+        status = main(
+            ["gmc", "--check", check, "--mode", "asymptotic", "--r", "-4", "--a", "1",
+             "--n", "2", "--realizations", "20", "--draws", "50", "--out", str(tmp_path)]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"error: gmc --check {check} needs --mode exact-discrete" in err
+        assert not (tmp_path / f"gmc_{check}_report.json").exists()
+
+    @pytest.mark.parametrize("check", ["conditional", "strong-disorder"])
+    def test_reference_budget_checked_before_any_population(
+        self, check, tmp_path, capsys, monkeypatch
+    ):
+        def no_population(*args, **kwargs):
+            raise AssertionError("a population ran before the budget check")
+
+        monkeypatch.setattr(cascade, "simulate_mass_trajectory", no_population)
+        status = main(
+            ["gmc", "--check", check, "--n", "6", "--realizations", "1000",
+             "--out", str(tmp_path)]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "largest feasible n at 1000 realizations is 5" in err
+        assert "Traceback" not in err
 
     def test_renormalization_check_at_n5(self, tmp_path):
         status = main(

@@ -4,7 +4,12 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import brute_pair_histogram, shared_edge_matrix, upsilon_pair_matrix
+from _oracles import (
+    brute_pair_histogram,
+    pair_histogram_by_recursion,
+    shared_edge_matrix,
+    upsilon_pair_matrix,
+)
 from diamondgmc.errors import UsageError
 from diamondgmc.correlation import (
     conditional_pair_histogram,
@@ -52,6 +57,13 @@ class TestPairCountHistogram:
             assert hist.total_pairs() == total
             assert hist.moment(1) == total
             assert hist.moment(2) == (1 + n) * total
+
+    def test_matches_recursion_oracle(self):
+        # H_n = |Gamma_n| c_n against the pair recursion, exactly
+        for b, n_max in ((2, 11), (3, 6), (4, 4)):
+            for n in range(n_max + 1):
+                hist = pair_count_histogram(LatticeParams(b, b), n)
+                assert hist.counts == pair_histogram_by_recursion(b, n)
 
     def test_non_critical_rejected(self):
         with pytest.raises(UsageError):
