@@ -447,7 +447,7 @@ def check_audit_budget(b: int, n: int, count: int):
             (k for k in range(n) if count * b ** (2 * k) <= AUDIT_CELL_BUDGET), default=0
         )
         raise BudgetError(
-            f"audit batch at generation {n} needs {count} x {b ** (2 * n)} = {cells} leaf "
+            f"leaf batch at generation {n} needs {count} x {b ** (2 * n)} = {cells} leaf "
             f"cells, above the budget of {AUDIT_CELL_BUDGET}; largest feasible n at "
             f"{count} realizations is {feasible}"
         )

@@ -36,6 +36,7 @@ from .cascade import (
 )
 from .correlation import (
     correlation_table,
+    histogram_mass,
     kernel_marginal_identity_check,
     lebesgue_decomposition_weights,
     marginal_check,
@@ -385,12 +386,9 @@ def cmd_correlation(cfg: RunConfig) -> int:
     check_rows = []
     n_rn = min(n_max, 8)
     tbl = correlation_table(profile, cfg.r, n_rn)
-    terms = [
-        math.log(c) + tbl.log_weight(k) + rn_log_kernel(profile, cfg.r, cfg.a, n_rn, k)
-        for k, c in tbl.histogram.counts
-    ]
-    peak = max(terms)
-    rn_mass = math.exp(peak) * math.fsum(math.exp(t - peak) for t in terms)
+    rn_mass = histogram_mass(
+        tbl, tbl.histogram.counts, rn_log_kernel(profile, cfg.r, cfg.a, n_rn, 1)
+    )
     rn_target = 1.0 + profile.evaluate_R(cfg.r + cfg.a)
     run.report.add(
         exact_check(f"rn-exactness(n={n_rn})", (rn_mass - rn_target) / rn_target, 1e-12,

@@ -64,6 +64,7 @@ from .reporting import (
     CheckResult,
     ExperimentReport,
     exact_check,
+    ks_two_sample,
     se_check,
 )
 
@@ -371,11 +372,7 @@ def conditional_gmc_experiment(
     report.add(
         se_check("third-moment-vs-direct", dmoms[3][0], pooled[3][0], comb3, 5.0)
     )
-    # imported here, not at module level: scipy.stats dominates the import time
-    # of the package, and only the two KS diagnostics use it
-    from scipy import stats
-
-    ks = stats.ks_2samp(totals.ravel(), big_direct.masses)
+    ks_d, ks_p = ks_two_sample(totals, big_direct.masses)
     report.arrays["totals"] = totals.ravel()
     report.arrays["direct_totals"] = direct.masses
     report.diagnostics.update(
@@ -384,8 +381,8 @@ def conditional_gmc_experiment(
             "direct_moments_matched": {str(k): v for k, v in dmoms.items()},
             "direct_moments_large": {str(k): v for k, v in big_moms.items()},
             "target_second_moment": target2,
-            "ks_statistic": float(ks.statistic),
-            "ks_pvalue": float(ks.pvalue),
+            "ks_statistic": ks_d,
+            "ks_pvalue": ks_p,
             "kernel_edge_weight": lam,
         }
     )
@@ -524,9 +521,7 @@ def renormalization_consistency(
         exact_check("weight-decomposition-audit", audit, 1e-12,
                     detail="relative, single-level vs composite total")
     )
-    from scipy import stats
-
-    ks = stats.ks_2samp(totals_a.ravel(), totals_b.ravel())
+    ks_d, ks_p = ks_two_sample(totals_a, totals_b)
     report.arrays["single_level_totals"] = totals_a.ravel()
     report.arrays["composite_totals"] = totals_b.ravel()
     report.diagnostics.update(
@@ -534,8 +529,8 @@ def renormalization_consistency(
             "single_level_moments": {str(k): v for k, v in pooled_a.items()},
             "composite_moments": {str(k): v for k, v in pooled_b.items()},
             "target_second_moment": target2,
-            "ks_statistic": float(ks.statistic),
-            "ks_pvalue": float(ks.pvalue),
+            "ks_statistic": ks_d,
+            "ks_pvalue": ks_p,
         }
     )
     return report

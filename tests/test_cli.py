@@ -22,15 +22,40 @@ def read_manifest(path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # each CLI command is a fresh process: scipy.stats, slow to import, is
-    # loaded only by the experiments that report a KS diagnostic
+    # scipy is a test-only dependency: importing the CLI loads no scipy module
     env = dict(os.environ, PYTHONPATH=str(Path(diamondgmc.__file__).resolve().parents[1]))
-    code = "import sys, diamondgmc.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, diamondgmc.cli; print(any(m.startswith('scipy') for m in sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_ks_diagnostics_run_without_scipy(tmp_path):
+    # both KS diagnostics, with scipy made unimportable in the child process
+    env = dict(os.environ, PYTHONPATH=str(Path(diamondgmc.__file__).resolve().parents[1]))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from diamondgmc.cli import main\n"
+        "for check in ('conditional', 'renormalization'):\n"
+        "    status = main(['gmc', '--check', check, '--r', '-4', '--a', '0', '--n', '2',\n"
+        "                   '--realizations', '50', '--draws', '100',\n"
+        f"                   '--out', {str(tmp_path)!r} + '/' + check])\n"
+        "    print('status', check, status)\n"
+        "print('status', sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    statuses = [line for line in proc.stdout.splitlines() if line.startswith("status ")]
+    assert statuses == ["status conditional 0", "status renormalization 0", "status []"]
+    for check in ("conditional", "renormalization"):
+        diag = read_manifest(tmp_path / check / f"gmc_{check}_report.json")["diagnostics"]
+        assert 0.0 <= diag["ks_statistic"] <= 1.0
+        assert 0.0 <= diag["ks_pvalue"] <= 1.0
 
 
 class TestConfig:
@@ -268,6 +293,20 @@ class TestCorrelationCommand:
         checks = {c["name"]: c for c in manifest["checks"]}
         assert checks["kernel-marginal-identity"]["verdict"] == "pass"
 
+    def test_exact_checks_hold_at_b3_n8(self, tmp_path):
+        # 2 log|Gamma_8| is about 7207 at b = 3: summed as float logs, the
+        # mass and RN terms lose about 1.6e-12 to rounding alone, above the
+        # 1e-12 tolerance; the sums run in mpmath
+        status = main(
+            ["correlation", "--b", "3", "--r", "5", "--n", "8", "--out", str(tmp_path)]
+        )
+        assert status == 0
+        manifest = read_manifest(tmp_path / "correlation_manifest.json")
+        checks = {c["name"]: c for c in manifest["checks"]}
+        for name in ("upsilon-total-mass-consistency", "rn-exactness(n=8)"):
+            assert checks[name]["tolerance"] == "|dev| <= 1e-12"
+            assert abs(checks[name]["estimate"]) <= 1e-12
+
 
 class TestSimulateCommand:
     def test_run_and_reproducibility(self, tmp_path):
@@ -314,7 +353,7 @@ class TestSimulateCommand:
         )
         assert status == 1
         err = capsys.readouterr().err
-        assert "error: audit batch at generation 6" in err
+        assert "error: leaf batch at generation 6" in err
         assert "largest feasible n at 1000 realizations is 5" in err
         assert "Traceback" not in err
 
