@@ -41,6 +41,20 @@ from .lattice import LatticeParams, decision_count, path_count_int
 from .rfunction import VarianceProfile
 
 HISTOGRAM_GENERATION_BUDGET = 16
+_MASS_LOG_WINDOW = 80.0
+
+
+def _square(h: dict) -> dict:
+    """h convolved with itself, with each unordered pair of entries multiplied once."""
+    items = list(h.items())
+    out = {}
+    for i, (k1, c1) in enumerate(items):
+        out[2 * k1] = out.get(2 * k1, 0) + c1 * c1
+        twice = 2 * c1
+        for k2, c2 in items[i + 1:]:
+            key = k1 + k2
+            out[key] = out.get(key, 0) + twice * c2
+    return out
 
 
 def _convolve(h1: dict, h2: dict) -> dict:
@@ -93,7 +107,7 @@ def conditional_pair_histogram(b: int, n: int):
     if n == 0:
         return ((1, 1),)
     prev = dict(conditional_pair_histogram(b, n - 1))
-    conv = reduce(_convolve, [prev] * b)
+    conv = reduce(_convolve, [prev] * (b - 2), _square(prev))
     conv[0] = conv.get(0, 0) + (b - 1) * path_count_int(params, n - 1) ** b
     return tuple(sorted(conv.items()))
 
@@ -150,12 +164,19 @@ def histogram_mass(table: CorrelationTable, counts, tilt: float = 0.0) -> float:
     Summed in 30-digit mpmath from the table's float R(r - n).  In doubles
     each log-space term log c_k + k log(1 + R) - 2 log|Gamma_n| cancels logs
     of size 2 log|Gamma_n| (about 7207 at b = 3, n = 8), whose rounding alone
-    reaches 1.6e-12 relative.
+    reaches 1.6e-12 relative.  Those float logs do suffice to pick the terms:
+    only the ones within ``_MASS_LOG_WINDOW`` of the largest enter the sum,
+    and the rest, each below e^-80 of it, cannot move 30 digits.
     """
     gamma = path_count_int(table.histogram.params, table.n)
+    step_f = math.log1p(table.R_shifted) + tilt
+    logs = [math.log(c) + k * step_f for k, c in counts]
+    floor = max(logs) - _MASS_LOG_WINDOW
     with mp.workdps(30):
         step = mp.log1p(table.R_shifted) + tilt
-        total = mp.fsum(c * mp.exp(k * step) for k, c in counts)
+        total = mp.fsum(
+            c * mp.exp(k * step) for (k, c), log in zip(counts, logs) if log >= floor
+        )
         return float(total / mp.mpf(gamma) ** 2)
 
 

@@ -23,9 +23,10 @@ order with exact rational coefficients derived from the recursion itself
 time: the order-k coefficients enter the balance at order k + 1 linearly with
 closed-form slopes, so one residual evaluation per order determines them, and
 a final full-balance check proves that every order through the last vanishes
-exactly.  The orbit is iterated in
-40-digit arithmetic and cached per residue class r mod 1, so the recursion
-identity psi_b(R(r)) = R(r+1) holds to rounding on any evaluated grid.
+exactly.  Only the seed is evaluated in mpmath.  The orbit is iterated in
+integer fixed point with at least ``precision_dps`` significant digits,
+built once per residue class r mod 1 and cached, so the recursion identity
+psi_b(R(r)) = R(r+1) holds to rounding on any evaluated grid.
 
 R'(r) rides along the same orbit via the differentiated recursion
 R'(r + 1) = (1 + R(r))^(b-1) R'(r), seeded with the series derivative.
@@ -55,6 +56,11 @@ from .errors import ConvergenceError, DomainError, RangeError, UsageError
 
 MOMENT_ORDER_BUDGET = 16
 _FLOAT_CAP = 1e300
+# the terms (C(k, j), j, k - j) of the moment ladder's binomial fold, per order k
+_FOLD_TERMS = [
+    [(math.comb(k, j), j, k - j) for j in range(k + 1)]
+    for k in range(MOMENT_ORDER_BUDGET + 1)
+]
 
 SEED_KINDS = ("deterministic-one", "lognormal", "two-point")
 
@@ -203,16 +209,24 @@ def _seed_pair_mp(coeffs, t):
 
 
 class _Orbit:
-    """One residue class of the recursion, iterated upward from a deep seed."""
+    """One residue class of the recursion, iterated upward from a deep seed.
 
-    __slots__ = ("xi", "base_floor", "depth", "values", "mp_state")
+    The state (R, R') at the top cached offset is held as integers scaled
+    by 2^bits.
+    """
 
-    def __init__(self, xi, base_floor, depth, values, mp_state):
+    __slots__ = ("xi", "base_floor", "depth", "values", "bits", "R", "Rp")
+
+    def __init__(self, xi, base_floor, depth, bits, R, Rp):
         self.xi = xi
         self.base_floor = base_floor
         self.depth = depth
-        self.values = values  # list of (R, R') float pairs, offset i <-> r = xi + base_floor + i
-        self.mp_state = mp_state  # mpf pair at the top cached offset
+        self.bits = bits
+        self.R = R
+        self.Rp = Rp
+        one = 1 << bits
+        # (R, R') float pairs, offset i <-> r = xi + base_floor + i
+        self.values = [(R / one, Rp / one)]
 
 
 @dataclass
@@ -221,7 +235,8 @@ class VarianceProfile:
 
     ``seed_depth`` is the initial iteration count from the asymptotic seed;
     it is doubled until two successive evaluations agree within ``tolerance``
-    (relative for values above 1).
+    (relative for values above 1).  ``precision_dps`` is the number of
+    significant decimal digits the orbit keeps at least.
     """
 
     b: int
@@ -248,13 +263,6 @@ class VarianceProfile:
 
     # -- orbit machinery ----------------------------------------------------
 
-    def _psi_mp(self, x):
-        return ((1 + x) ** self.b - 1) / self.b
-
-    def _step_mp(self, pair):
-        R, Rp = pair
-        return self._psi_mp(R), (1 + R) ** (self.b - 1) * Rp
-
     def _build_orbit(self, xi, probe_floor):
         coeffs = asymptotic_expansion(self.b, self.seed_order)
         depth = self.seed_depth
@@ -262,8 +270,12 @@ class VarianceProfile:
         while depth <= self.max_seed_depth:
             base_floor = probe_floor - depth
             with mp.workdps(self.precision_dps):
-                state = _seed_pair_mp(coeffs, -(mp.mpf(xi) + base_floor))
-            orbit = _Orbit(xi, base_floor, depth, [(float(state[0]), float(state[1]))], state)
+                R, Rp = _seed_pair_mp(coeffs, -(mp.mpf(xi) + base_floor))
+                # R' is the smaller of the two and only grows upward, so
+                # scaling for its digits keeps both at precision_dps digits
+                bits = math.ceil(self.precision_dps * math.log2(10)) - min(0, mp.mag(Rp))
+                orbit = _Orbit(xi, base_floor, depth, bits,
+                               int(mp.ldexp(R, bits)), int(mp.ldexp(Rp, bits)))
             self._extend_orbit(orbit, probe_floor)
             probe_val = orbit.values[-1][0]
             if prev is not None:
@@ -279,22 +291,39 @@ class VarianceProfile:
         )
 
     def _extend_orbit(self, orbit, top_floor):
+        """Step the orbit up to ``top_floor`` in integer fixed point.
+
+        With s = 1 + R, one step is R <- (s^b - 1)/b and R' <- s^(b-1) R',
+        each product truncated back to ``bits`` fractional bits.  Floats are
+        the correctly rounded quotients R / 2^bits.
+        """
         need = top_floor - orbit.base_floor + 1 - len(orbit.values)
         if need <= 0:
             return
-        with mp.workdps(self.precision_dps):
-            for _ in range(need):
-                state = self._step_mp(orbit.mp_state)
-                R_f = float(state[0])
-                if not math.isfinite(R_f) or R_f > _FLOAT_CAP:
-                    # leave the cache at the last representable level; the
-                    # mpf state must stay aligned with the cached values
-                    raise RangeError(
-                        f"R overflows double precision above r = "
-                        f"{orbit.xi + orbit.base_floor + len(orbit.values) - 1} (b={self.b})"
-                    )
-                orbit.values.append((R_f, float(state[1])))
-                orbit.mp_state = state
+        b, bits, values = self.b, orbit.bits, orbit.values
+        one = 1 << bits
+        shift = bits * (b - 2)
+        R, Rp = orbit.R, orbit.Rp
+        for _ in range(need):
+            s = one + R
+            power = s ** (b - 1) >> shift
+            R_next = ((power * s >> bits) - one) // b
+            Rp_next = power * Rp >> bits
+            try:
+                pair = (R_next / one, Rp_next / one)
+            except OverflowError:  # either quotient beyond double range
+                pair = (math.inf, math.inf)
+            if pair[0] > _FLOAT_CAP:
+                # leave the cache at the last representable level; the
+                # integer state must stay aligned with the cached values
+                orbit.R, orbit.Rp = R, Rp
+                raise RangeError(
+                    f"R overflows double precision above r = "
+                    f"{orbit.xi + orbit.base_floor + len(values) - 1} (b={self.b})"
+                )
+            values.append(pair)
+            R, Rp = R_next, Rp_next
+        orbit.R, orbit.Rp = R, Rp
 
     def _orbit_for(self, r: float) -> tuple:
         if not math.isfinite(r):
@@ -302,7 +331,7 @@ class VarianceProfile:
         floor_r = math.floor(r)
         xi = r - floor_r
         orbit = self._orbits.get(xi)
-        if orbit is None or floor_r < orbit.base_floor + 1:
+        if orbit is None or floor_r < orbit.base_floor:
             orbit = self._build_orbit(xi, floor_r)
             self._orbits[xi] = orbit
         self._extend_orbit(orbit, floor_r)
@@ -346,7 +375,7 @@ def moment_recursion_step(b: int, moments) -> list:
     acc = branch
     for _ in range(1, b):
         acc = [
-            sum([math.comb(k, r) * acc[r] * branch[k - r] for r in range(k + 1)])
+            sum([c * acc[i] * branch[j] for c, i, j in _FOLD_TERMS[k]])
             for k in range(k_max + 1)
         ]
     return [x / b**k for k, x in enumerate(acc)]

@@ -11,8 +11,9 @@ finds each coefficient from two residual evaluations, the row-by-row
 ``csv.writer`` emission of float tables, the population step that draws
 all b^2 factors of a chunk in one (b, b, size) call, the Kahane moment
 recursion at a numeric edge weight, the moment-ladder step that
-enumerates multinomial compositions, and the pair-count histogram by its own
-recursion over ordered pairs.
+enumerates multinomial compositions, the pair-count histogram by its own
+recursion over ordered pairs, the R orbit stepped in mpmath, and the
+correlation-measure sum over every histogram entry.
 """
 
 import csv
@@ -21,13 +22,14 @@ import math
 from fractions import Fraction
 from functools import reduce
 
+import mpmath as mp
 import numpy as np
 
 from diamondgmc.cascade import _chunk_sizes
 from diamondgmc.errors import BudgetError, UsageError
-from diamondgmc.lattice import LatticeParams, shared_edge_count
+from diamondgmc.lattice import LatticeParams, path_count_int, shared_edge_count
 from diamondgmc.reporting import format_float
-from diamondgmc.rfunction import _psi_series, _shift_series
+from diamondgmc.rfunction import _psi_series, _seed_pair_mp, _shift_series, asymptotic_expansion
 
 INCIDENCE_CELL_BUDGET = 1 << 24
 
@@ -390,3 +392,32 @@ def pair_histogram_by_recursion(b: int, n: int) -> tuple:
         gamma = b ** _offset(b, level)
         hist[0] = hist.get(0, 0) + b * (b - 1) * gamma ** (2 * b)
     return tuple(sorted(hist.items()))
+
+
+def _psi_mp(b: int, x):
+    return ((1 + x) ** b - 1) / b
+
+
+def _step_mp(b: int, pair):
+    R, Rp = pair
+    return _psi_mp(b, R), (1 + R) ** (b - 1) * Rp
+
+
+def orbit_by_mpmath(b: int, r0: float, count: int, seed_order: int = 10, dps: int = 40) -> list:
+    """(R, R') float pairs at r0, r0 + 1, ..., seeded by the series at r0 and stepped in mpmath."""
+    coeffs = asymptotic_expansion(b, seed_order)
+    out = []
+    with mp.workdps(dps):
+        state = _seed_pair_mp(coeffs, -mp.mpf(r0))
+        for _ in range(count):
+            out.append((float(state[0]), float(state[1])))
+            state = _step_mp(b, state)
+    return out
+
+
+def histogram_mass_all_terms(table, counts, tilt: float = 0.0) -> float:
+    """sum_k c_k ((1 + R(r - n)) e^tilt)^k / |Gamma_n|^2 over every (k, c_k), in 30-digit mpmath."""
+    with mp.workdps(30):
+        step = mp.log1p(table.R_shifted) + tilt
+        total = mp.fsum(c * mp.exp(k * step) for k, c in counts)
+        return float(total / mp.mpf(path_count_int(table.histogram.params, table.n)) ** 2)

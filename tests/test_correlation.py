@@ -6,6 +6,7 @@ import pytest
 
 from _oracles import (
     brute_pair_histogram,
+    histogram_mass_all_terms,
     pair_histogram_by_recursion,
     shared_edge_matrix,
     upsilon_pair_matrix,
@@ -14,6 +15,7 @@ from diamondgmc.errors import UsageError
 from diamondgmc.correlation import (
     conditional_pair_histogram,
     correlation_table,
+    histogram_mass,
     kernel_marginal_identity_check,
     lebesgue_decomposition_weights,
     marginal_check,
@@ -27,7 +29,7 @@ from diamondgmc.lattice import (
     path_count_int,
     shared_edge_count,
 )
-from diamondgmc.rfunction import kappa_sq, psi
+from diamondgmc.rfunction import VarianceProfile, kappa_sq, psi
 
 
 class TestPairCountHistogram:
@@ -68,6 +70,19 @@ class TestPairCountHistogram:
     def test_non_critical_rejected(self):
         with pytest.raises(UsageError):
             pair_count_histogram(LatticeParams(2, 3), 1)
+
+
+class TestHistogramMass:
+    @pytest.mark.parametrize(
+        "b, r, n, tilt", [(2, 0.0, 11, 0.0), (2, 3.0, 8, 0.4), (3, 5.0, 7, 0.0), (3, 5.0, 7, -0.3)]
+    )
+    def test_window_matches_every_term_sum(self, b, r, n, tilt):
+        # the terms more than e^-80 below the largest cannot move the sum
+        table = correlation_table(VarianceProfile(b), r, n)
+        for counts in (table.histogram.counts, conditional_pair_histogram(b, n)):
+            assert histogram_mass(table, counts, tilt) == histogram_mass_all_terms(
+                table, counts, tilt
+            )
 
 
 class TestUpsilonTotalMass:

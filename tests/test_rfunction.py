@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import expansion_by_two_evaluations, moment_step_by_compositions
+from _oracles import expansion_by_two_evaluations, moment_step_by_compositions, orbit_by_mpmath
+from diamondgmc import cli
 from diamondgmc.errors import ConvergenceError, DomainError, RangeError, UsageError
 from diamondgmc.rfunction import (
     MomentTable,
@@ -126,6 +127,61 @@ class TestEvaluateR:
             prof.evaluate_R(7.0)
         assert psi(3, v5) == pytest.approx(v6, rel=1e-12)
         assert VarianceProfile(3).evaluate_R(6.0) == v6
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 5])
+    def test_last_representable_level(self, b):
+        # the level below the cap keeps finite floats; the next one raises
+        # and leaves the integer state on the last cached pair
+        prof = VarianceProfile(b)
+        r = 0.0
+        with pytest.raises(RangeError):
+            while True:
+                prof.evaluate_pair(r + 1.0)
+                r += 1.0
+        R, Rp = prof.evaluate_pair(r)
+        assert math.isfinite(R) and math.isfinite(Rp)
+        orbit = prof._orbits[0.0]
+        one = 1 << orbit.bits
+        for _ in range(2):
+            with pytest.raises(RangeError):
+                prof.evaluate_pair(r + 1.0)
+            assert orbit.values[-1] == (R, Rp)
+            assert (orbit.R / one, orbit.Rp / one) == (R, Rp)
+        assert VarianceProfile(b).evaluate_pair(r) == (R, Rp)
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 5])
+    def test_matches_mpmath_orbit(self, b):
+        # every cached pair of the integer orbit, from its seed up to the
+        # overflow level, against the same seed stepped in 40-digit mpmath
+        prof = VarianceProfile(b)
+        for xi in (0.0, 0.25, 0.625):
+            r = -40.0 + xi
+            with pytest.raises(RangeError):
+                while True:
+                    prof.evaluate_pair(r)
+                    r += 1.0
+            orbit = prof._orbits[xi]
+            want = orbit_by_mpmath(b, xi + orbit.base_floor, len(orbit.values))
+            assert len(orbit.values) > orbit.depth + 40
+            for got, ref in zip(orbit.values, want):
+                for g, w in zip(got, ref):
+                    assert abs(g - w) <= math.ulp(w)
+
+    def test_one_orbit_build_per_residue_class(self, monkeypatch, tmp_path):
+        # the moment ladder's seed level is the orbit's own seed level, so
+        # an rfunc pass builds each residue class once
+        builds = []
+        build = VarianceProfile._build_orbit
+
+        def counting(self, xi, probe_floor):
+            builds.append(xi)
+            return build(self, xi, probe_floor)
+
+        monkeypatch.setattr(VarianceProfile, "_build_orbit", counting)
+        argv = ["rfunc", "--b", "2", "--grid", "-2:0.125:1", "--allow-flagged",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert sorted(builds) == [k / 8 for k in range(8)]
 
     def test_convergence_error_reports_iterates(self):
         prof = VarianceProfile(2, seed_depth=4, max_seed_depth=8, tolerance=0.0)
