@@ -58,6 +58,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetError, UsageError
+from .reporting import mean_se
 from .rfunction import SEED_KINDS, VarianceProfile
 
 # Stream realms (second key component after the master seed).
@@ -160,21 +161,13 @@ class MassPopulation:
     def size(self) -> int:
         return self.masses.size
 
-    def mean_se(self):
-        m = float(self.masses.mean())
-        se = float(self.masses.std(ddof=1) / math.sqrt(self.size))
-        return m, se
-
     def variance_se(self):
         """Sample variance and the standard error of that estimate."""
         dev_sq = (self.masses - self.masses.mean()) ** 2
-        var = float(dev_sq.sum() / (self.size - 1))
-        se = float(dev_sq.std(ddof=1) / math.sqrt(self.size))
-        return var, se
+        return float(dev_sq.sum() / (self.size - 1)), mean_se(dev_sq)[1]
 
     def central_moment_se(self, k: int):
-        dev = (self.masses - self.masses.mean()) ** k
-        return float(dev.mean()), float(dev.std(ddof=1) / math.sqrt(self.size))
+        return mean_se((self.masses - self.masses.mean()) ** k)
 
 
 def _chunk_sizes(total: int, chunks: int):
@@ -228,8 +221,7 @@ def population_step(masses: np.ndarray, b: int, streams, pool=None) -> np.ndarra
 
 def _renormalize(out: np.ndarray):
     """Divide by the empirical mean in place; returns (normalized, pre-mean, pre-SE)."""
-    pre_mean = float(out.mean())
-    pre_se = float(out.std(ddof=1) / math.sqrt(out.size))
+    pre_mean, pre_se = mean_se(out)
     if math.isfinite(pre_mean) and pre_mean > 0:
         out /= pre_mean
     return out, pre_mean, pre_se
@@ -357,10 +349,7 @@ def fractional_moment(pop: MassPopulation, theta: float):
     """Sample mean and standard error of mass^theta."""
     if not (0.0 < theta <= 1.0):
         raise UsageError(f"theta must lie in (0, 1], got {theta}")
-    vals = pop.masses**theta
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return est, se
+    return mean_se(pop.masses**theta)
 
 
 def tree_total(leaves: np.ndarray, b: int) -> np.ndarray:

@@ -66,6 +66,7 @@ from .reporting import (
     CheckResult,
     ExperimentReport,
     exact_check,
+    mean_se,
     se_check,
     write_csv,
     write_json,
@@ -439,7 +440,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     pop = trajectory[cfg.r]
     write_population(run.out_dir / "population.bin", pop)
 
-    mean, mean_se = pop.mean_se()
+    mean, mean_err = mean_se(pop.masses)
     var, var_se = pop.variance_se()
     mu3, mu3_se = pop.central_moment_se(3)
     mu4, mu4_se = pop.central_moment_se(4)
@@ -449,7 +450,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         run.out_dir / "summary.csv",
         ["statistic", "estimate", "se", "target"],
         [
-            ["mean", mean, mean_se, 1.0],
+            ["mean", mean, mean_err, 1.0],
             ["variance", var, var_se, target_var],
             ["central3", mu3, mu3_se, math.nan],
             ["central4", mu4, mu4_se, math.nan],
@@ -471,7 +472,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
             detail=f"{len(drift)} of {len(pre_means)} steps drifted",
         )
     )
-    run.report.add(se_check("variance-vs-R", target_var, var, var_se, 4.0))
+    # the sample variance's exact SE is sqrt((mu4 - R^2) / size); at r near 0
+    # mu4 comes from tail events no feasible population holds
+    mu4_law = moment_table(profile, [cfg.r], k_max=4).centered[0, 4]
+    law_se = math.sqrt(max(mu4_law - target_var**2, 0.0) / pop.size)
+    run.report.add(se_check("variance-vs-R", target_var, var, var_se, 4.0, floor=law_se))
     if pop.provenance.overflow_count:
         run.report.add(
             CheckResult(
@@ -498,8 +503,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         table = correlation_table(profile, cfg.r, cfg.n)
         for k, pairs in table.histogram.counts:
             target = math.exp(math.log(pairs) + table.log_weight(k))
-            est = float(class_sums[k].mean())
-            se = float(class_sums[k].std(ddof=1) / math.sqrt(cfg.realizations))
+            est, se = mean_se(class_sums[k])
             run.report.add(
                 se_check(f"pair-correlation-audit(N={k})", target, est, se, 4.0,
                          detail=f"{pairs} pairs, {cfg.realizations} realizations")
@@ -557,9 +561,7 @@ def cmd_gmc(cfg: RunConfig) -> int:
         overlap = overlap_moments(uniform, cfg.b, 3)
         for m in (2, 3):
             formula = float(horner(overlap[m], math.exp(lam)))
-            vals = totals**m
-            est = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(vals.size))
+            est, se = mean_se(totals**m)
             report.add(se_check(f"kahane-m{m}", formula, est, se, 4.0))
         run.extend(report)
     elif cfg.check == "conditional":

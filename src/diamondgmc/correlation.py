@@ -13,9 +13,9 @@ c_n(k) of paths q in Gamma_n with N(p, q) = k for a fixed p,
 whose two branches are "q takes p's top branch" (shared edges add across the
 b segments) and "q takes one of the b - 1 others" (no shared edge, all b
 sub-paths free).  It reads nothing of p but its generation: homogeneity of
-the path space makes it path-independent, which the tests verify by
-enumerating ``shared_edge_count`` against every path of small generations
-rather than assume.
+the path space makes it path-independent, which the tests verify rather
+than assume, by counting shared edges between every pair of paths of small
+generations.
 
 Summing over p, the pair-count histogram over Gamma_n x Gamma_n is
 H_n = |Gamma_n| c_n exactly.  The same follows by induction from the pair
@@ -24,8 +24,8 @@ G_n = |Gamma_n| and G_{n+1} = b G_n^b, H_n = G_n c_n gives
 H_n^{*b} = G_n^b c_n^{*b}, so G_{n+1} c_{n+1} = b G_n^b c_n^{*b} +
 b (b - 1) G_n^(2b) at N = 0, which is H_{n+1}.  The pair recursion, on
 counts with twice the digits, is kept only as a test oracle.  Counts are
-exact big integers; weights are handled in log space.  Paths enter only as
-decision arrays (see ``lattice``).
+exact big integers; weights are handled in log space.  No path is
+enumerated.
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class PairCountHistogram:
     params: LatticeParams
     n: int
     counts: tuple  # sorted (N, count) pairs, counts exact ints
-
-    def as_dict(self) -> dict:
-        return dict(self.counts)
-
-    def total_pairs(self) -> int:
-        return sum(c for _, c in self.counts)
 
     def moment(self, power: int) -> int:
         """Exact integer sum of N^power over all ordered pairs."""
@@ -218,10 +212,6 @@ class LebesgueWeights:
 
     table: CorrelationTable
     R_r: float
-
-    @property
-    def product_log_weight(self) -> float:
-        return -2.0 * self.table.log_gamma
 
     def rho_log_weight(self, N: int) -> float:
         if N == 0:

@@ -65,6 +65,7 @@ from .reporting import (
     ExperimentReport,
     exact_check,
     ks_two_sample,
+    mean_se,
     se_check,
 )
 
@@ -117,10 +118,6 @@ class GmcRealization:
     gaussian: np.ndarray
     weights: np.ndarray  # chaos leaf weights
 
-    @property
-    def total(self) -> float:
-        return float(tree_total(self.weights, self.b))
-
 
 def sample_gmc(leaves, b: int, lam: float, rng: np.random.Generator) -> GmcRealization:
     """Draw one standard normal per edge and form the reweighted leaves."""
@@ -170,18 +167,6 @@ def cameron_martin_density(phi, g) -> float:
     return float(g @ phi) - 0.5 * float(phi @ phi)
 
 
-def kahane_moment(leaves, b: int, lam: float, m: int = 2) -> float:
-    """Exact E[T^m] of the chaos total over reference leaves.
-
-    Equals sum over m-tuples of cylinders of prod M(p_k) exp(sum_{k<l} K(p_k, p_l)),
-    the overlap polynomial Q_m at z = exp(lam); m = 2 is the conditional
-    quadratic form.
-    """
-    if m < 1:
-        raise UsageError("moment order must be >= 1")
-    return float(horner(overlap_moments(leaves, b, m)[m], math.exp(lam)))
-
-
 def _sibling_products(x: np.ndarray) -> np.ndarray:
     """prod_{j' != j} x[..., j'] for every j, without dividing by x[..., j]."""
     ones = np.ones_like(x[..., :1])
@@ -222,26 +207,13 @@ def half_moment_log_bounds(leaves, b: int, lam: float, r_grid) -> np.ndarray:
     return np.array([0.5 * (math.log(s) if s > 0 else -math.inf) + 0.5 * theta for s in sums])
 
 
-def _cluster_moment(per_cluster_means: np.ndarray):
-    est = float(per_cluster_means.mean())
-    se = float(per_cluster_means.std(ddof=1) / math.sqrt(per_cluster_means.size))
-    return est, se
-
-
 def _pooled_moments(totals: np.ndarray, powers=(1, 2, 3)):
     """Cluster-robust moment estimates from a (realizations, draws) array."""
-    out = {}
-    for k in powers:
-        out[k] = _cluster_moment((totals**k).mean(axis=1))
-    return out
+    return {k: mean_se((totals**k).mean(axis=1)) for k in powers}
 
 
 def _direct_moments(masses: np.ndarray, powers=(1, 2, 3)):
-    out = {}
-    for k in powers:
-        vals = masses**k
-        out[k] = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size)))
-    return out
+    return {k: mean_se(masses**k) for k in powers}
 
 
 def conditional_gmc_experiment(
@@ -591,8 +563,7 @@ def strong_disorder_bound(
         for k, rr in enumerate(r_grid):
             rng = substream(master_seed, _REALM_GMC, i * len(r_grid) + k)
             roots = np.sqrt(chaos_totals(leaves, b, rr * lam1, rng, draws))
-            half[k, i] = roots.mean()
-            half_se[k, i] = roots.std(ddof=1) / math.sqrt(draws)
+            half[k, i], half_se[k, i] = mean_se(roots)
 
     # theta = lam sum_d d S_d from the pair class sums S_d = Q_2[d], a route
     # independent of the edge marginals

@@ -58,6 +58,11 @@ def exact_check(name: str, deviation: float, tol: float, detail: str = "") -> Ch
     )
 
 
+def mean_se(values) -> tuple:
+    """Sample mean of ``values`` and its standard error std(ddof=1)/sqrt(size)."""
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
 def se_check(
     name: str,
     target: float,
@@ -65,15 +70,25 @@ def se_check(
     se: float,
     multiplier: float,
     detail: str = "",
+    floor: float = 0.0,
 ) -> CheckResult:
-    """Statistical check: pass within multiplier*SE, flagged when MC-unreliable."""
+    """Statistical check: pass within multiplier*SE, flagged when MC-unreliable.
+
+    ``floor`` is the estimator's exact SE where the caller knows the law.  A
+    heavy-tailed estimator's sample SE understates it, so when ``floor`` is
+    above the reliability ratio of the estimate (or not finite) the check is
+    flagged whatever the sample says.
+    """
     within = abs(estimate - target) <= multiplier * se
     unreliable = (
         not math.isfinite(se)
         or estimate == 0
         or se / abs(estimate) > SE_RELIABILITY_RATIO
     )
-    if within:
+    law_unreliable = not math.isfinite(floor) or floor > SE_RELIABILITY_RATIO * abs(estimate)
+    if law_unreliable:
+        verdict = "flagged"
+    elif within:
         verdict = "pass"
     elif unreliable:
         verdict = "flagged"
@@ -82,6 +97,8 @@ def se_check(
     extra = f"z = {abs(estimate - target) / se:.2f}" if se > 0 else "se = 0"
     if unreliable:
         extra += "; SE/estimate above reliability ratio"
+    if law_unreliable:
+        extra += f"; law SE {floor:.3g} above reliability ratio"
     return CheckResult(
         name,
         verdict,
@@ -146,10 +163,6 @@ class ExperimentReport:
     @property
     def flagged(self) -> list:
         return [c for c in self.checks if c.verdict == "flagged"]
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failed
 
     def to_dict(self) -> dict:
         return {

@@ -505,14 +505,3 @@ def moment_table(
         seed_kind=seed_kind,
         depth=depth,
     )
-
-
-def centered_moment_table(
-    profile: VarianceProfile,
-    r: float,
-    k_max: int = 6,
-    seed_kind: str = "two-point",
-    depth: "int | None" = None,
-) -> MomentTable:
-    """Single-point moment table (see :func:`moment_table`)."""
-    return moment_table(profile, [r], k_max=k_max, seed_kind=seed_kind, depth=depth)

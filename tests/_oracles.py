@@ -1,10 +1,18 @@
-"""Brute-force oracles, independent of the library's index maps and recursions.
+"""Brute-force oracles, independent of the library's recursions.
 
-Paths are decision arrays, as in the library.  Besides the label-level path
-oracles and the recursive cylinder index, this holds the dense reference for the
-chaos functionals: the path-by-edge incidence matrix, the kernel
-K = lam * N_n = F F^T with F = sqrt(lam) * incidence, and cylinder-level
-chaos weights and moments computed from them (small n only).  It also keeps
+The library never enumerates paths: every functional runs on the cascade's
+leaf tree in edge order.  The path space itself lives here.  A path is a
+decision array: the ``d_n`` branch decisions of its s-ary decision tree,
+breadth-first, so coarsening is a prefix truncation.  ``all_paths`` and
+``index_ordered_paths`` enumerate Gamma_n, ``recursive_path_index`` is the
+cylinder index by its definition, and the shared-edge count N_n(p, q) has
+two independent routes: ``brute_shared_edges`` compares edge labels slot by
+slot, and ``shared_edge_matrix`` multiplies edge-incidence rows.
+
+Besides these, this holds the dense reference for the chaos functionals: the
+path-by-edge incidence matrix, the kernel K = lam * N_n = F F^T with
+F = sqrt(lam) * incidence, and cylinder-level chaos weights and moments
+computed from them (small n only).  It also keeps
 earlier library routes as references: the cylinder-vector assembly of leaf
 masses with its dense pair-weight matrix, the asymptotic-expansion solver that
 finds each coefficient from two residual evaluations, the row-by-row
@@ -27,7 +35,7 @@ import numpy as np
 
 from diamondgmc.cascade import _chunk_sizes
 from diamondgmc.errors import BudgetError, UsageError
-from diamondgmc.lattice import LatticeParams, path_count_int, shared_edge_count
+from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.reporting import format_float
 from diamondgmc.rfunction import _psi_series, _seed_pair_mp, _shift_series, asymptotic_expansion
 
@@ -42,7 +50,7 @@ def all_paths(params: LatticeParams, n: int) -> np.ndarray:
     """Every decision array, (|Gamma_n|, d_n), in raw lexicographic order (not index order)."""
     length = _offset(params.s, n)
     rows = itertools.product(range(1, params.b + 1), repeat=length)
-    return np.array(list(rows), dtype=np.int64).reshape(-1, length)
+    return np.array(list(rows), dtype=np.int64).reshape(params.b**length, length)
 
 
 def recursive_path_index(params: LatticeParams, n: int, decisions) -> int:
@@ -263,7 +271,7 @@ def upsilon_combine(sub_vectors: np.ndarray) -> np.ndarray:
     ``sub_vectors[..., i, j, :]`` holds the b x b sub-measure vectors; branch
     ``i`` contributes the flattened outer product over its b segments, and the
     blocks are concatenated in branch order and divided by b.  The layout
-    matches the cylinder index of the lattice module.
+    matches the cylinder index, ``recursive_path_index``.
     """
     b = sub_vectors.shape[-3]
     branch_vecs = []
@@ -302,9 +310,8 @@ def cylinder_chaos_factor(g: np.ndarray, b: int, n: int, lam: float) -> np.ndarr
 
 def upsilon_pair_matrix(table, support) -> np.ndarray:
     """Correlation weights for all pairs of a (count, d_n) path array (small supports only)."""
-    support = np.asarray(support)
     params = LatticeParams(table.profile.b, table.profile.b)
-    N = shared_edge_count(params, table.n, support[:, None], support[None])
+    N = shared_edge_matrix(params, table.n, support)
     return np.exp(N * table.log1p_R_shifted - 2.0 * table.log_gamma)
 
 

@@ -328,6 +328,20 @@ class TestSimulateCommand:
             m1.pop(key), m2.pop(key)
         assert m1 == m2
 
+    def test_variance_flagged_by_law_se_at_r0(self, tmp_path):
+        # at r = 0 the sample variance's exact SE, sqrt((mu4 - R^2) / size),
+        # dwarfs the estimate: the check reads flagged, never pass or fail
+        status = main(
+            ["simulate", "--b", "2", "--r", "0", "--depth", "16", "--size", "20000",
+             "--seed", "3", "--n", "0", "--out", str(tmp_path)]
+        )
+        assert status == 2
+        manifest = read_manifest(tmp_path / "simulate_manifest.json")
+        assert manifest["exit_status"] == 2
+        check = {c["name"]: c for c in manifest["checks"]}["variance-vs-R"]
+        assert check["verdict"] == "flagged"
+        assert "law SE" in check["detail"]
+
     def test_generation_checked_before_any_step(self, tmp_path, capsys, monkeypatch):
         def no_step(*args, **kwargs):
             raise AssertionError("population step ran before the depth check")
@@ -378,7 +392,7 @@ class TestSimulateCommand:
             assert status == 0
             manifest = read_manifest(out / "simulate_manifest.json")
             checks = {c["name"]: c for c in manifest["checks"]}
-            classes = pair_count_histogram(LatticeParams(2, 2), n).as_dict()
+            classes = dict(pair_count_histogram(LatticeParams(2, 2), n).counts)
             assert {f"pair-correlation-audit(N={k})" for k in classes} <= set(checks)
             assert checks["measure-additivity-audit"]["verdict"] == "pass"
 

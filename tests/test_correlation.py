@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    all_paths,
     brute_pair_histogram,
     histogram_mass_all_terms,
+    index_ordered_paths,
     pair_histogram_by_recursion,
     shared_edge_matrix,
     upsilon_pair_matrix,
@@ -23,40 +25,35 @@ from diamondgmc.correlation import (
     rn_log_kernel,
     upsilon_total_mass,
 )
-from diamondgmc.lattice import (
-    LatticeParams,
-    enumerate_paths,
-    path_count_int,
-    shared_edge_count,
-)
+from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.rfunction import VarianceProfile, kappa_sq, psi
 
 
 class TestPairCountHistogram:
     def test_matches_brute_force_n1(self, params2):
-        assert pair_count_histogram(params2, 1).as_dict() == brute_pair_histogram(
+        assert dict(pair_count_histogram(params2, 1).counts) == brute_pair_histogram(
             params2, 1
         ) == {0: 2, 2: 2}
 
     def test_matches_brute_force_n2(self, params2):
-        assert pair_count_histogram(params2, 2).as_dict() == brute_pair_histogram(
+        assert dict(pair_count_histogram(params2, 2).counts) == brute_pair_histogram(
             params2, 2
         ) == {0: 40, 2: 16, 4: 8}
 
     def test_matches_brute_force_b3_n1(self):
         params = LatticeParams(3, 3)
-        assert pair_count_histogram(params, 1).as_dict() == brute_pair_histogram(
+        assert dict(pair_count_histogram(params, 1).counts) == brute_pair_histogram(
             params, 1
         )
 
     def test_mass_partition_n2(self, params2):
-        assert pair_count_histogram(params2, 2).total_pairs() == 64
+        assert sum(c for _, c in pair_count_histogram(params2, 2).counts) == 64
 
     def test_exact_moment_identities_up_to_n12(self, params2):
         for n in range(13):
             hist = pair_count_histogram(params2, n)
             total = path_count_int(params2, n) ** 2
-            assert hist.total_pairs() == total
+            assert sum(c for _, c in hist.counts) == total
             assert hist.moment(1) == total
             assert hist.moment(2) == (1 + n) * total
 
@@ -125,10 +122,10 @@ class TestMarginal:
         # so the marginal and kernel-marginal checks hold for every p
         for b, n in ((2, 2), (2, 3), (3, 2)):
             params = LatticeParams(b, b)
-            paths = enumerate_paths(params, n)
+            shared = shared_edge_matrix(params, n, all_paths(params, n)).astype(int)
             expected = dict(conditional_pair_histogram(b, n))
-            for p in paths:
-                counts = np.bincount(shared_edge_count(params, n, p, paths))
+            for row in shared:
+                counts = np.bincount(row)
                 assert {k: int(c) for k, c in enumerate(counts) if c} == expected
 
     def test_weak_disorder_limit(self, profile2):
@@ -203,8 +200,10 @@ class TestLebesgue:
 
     def test_product_part_is_uniform(self, profile2):
         table = correlation_table(profile2, 0.0, 3)
-        leb = lebesgue_decomposition_weights(table)
-        assert leb.product_log_weight == pytest.approx(-2 * table.log_gamma)
+        # 1/|Gamma_n|^2 on every pair, one in total
+        pairs = sum(c for _, c in table.histogram.counts)
+        assert pairs == path_count_int(LatticeParams(2, 2), 3) ** 2
+        assert pairs * math.exp(-2 * table.log_gamma) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestKernelMarginalIdentity:
@@ -252,7 +251,7 @@ class TestTernaryLattice:
 
 class TestPairMatrix:
     def test_matches_weights_from_counts(self, profile2, params2):
-        support = enumerate_paths(params2, 2)
+        support = index_ordered_paths(params2, 2)
         table = correlation_table(profile2, 0.0, 2)
         U = upsilon_pair_matrix(table, support)
         N = shared_edge_matrix(params2, 2, support)
@@ -265,4 +264,4 @@ class TestPairMatrix:
     def test_support_generation_checked(self, profile2, params2):
         table = correlation_table(profile2, 0.0, 2)
         with pytest.raises(UsageError):
-            upsilon_pair_matrix(table, enumerate_paths(params2, 1))
+            upsilon_pair_matrix(table, index_ordered_paths(params2, 1))

@@ -5,17 +5,20 @@ import pytest
 
 from _oracles import (
     assemble,
+    brute_shared_edges,
     cylinder_chaos_factor,
     dense_chaos,
     dense_kahane,
     dense_kernel,
     incidence_matrix,
+    index_ordered_paths,
     upsilon_combine,
 )
 from diamondgmc.errors import DomainError, UsageError
 from diamondgmc.cascade import (
     SeedSpec,
     default_leaf_population,
+    horner,
     overlap_moments,
     sample_measure_batch,
     substream,
@@ -28,14 +31,13 @@ from diamondgmc.gmc import (
     edge_weight,
     edge_marginals,
     half_moment_log_bounds,
-    kahane_moment,
     renormalization_consistency,
     renormalization_weight_audit,
     sample_gmc,
     shift_field,
     strong_disorder_bound,
 )
-from diamondgmc.lattice import LatticeParams, enumerate_paths, path_count_int, shared_edge_count
+from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.rfunction import kappa_sq
 
 
@@ -53,6 +55,11 @@ def theta_from_pair_sums(leaves, b, lam):
     """theta = lam sum_d d S_d from the pair class sums S_d = Q_2[d]; trailing axes batch."""
     pair_sums = overlap_moments(leaves, b, 2)[2]
     return lam * (np.arange(len(pair_sums)) @ pair_sums)
+
+
+def kahane(leaves, b, lam, m):
+    """Exact E[T^m] of the chaos total: the overlap polynomial Q_m at z = exp(lam)."""
+    return float(horner(overlap_moments(leaves, b, m)[m], math.exp(lam)))
 
 
 def cylinder_weights(leaves, lam, g, b, n):
@@ -78,11 +85,11 @@ class TestBuildKernel:
         lam = edge_weight(profile2, 0.0, 1.0, 3, "exact-discrete")
         kernel, factor = dense_kernel(params2, 3, lam)
         assert np.max(np.abs(factor @ factor.T - kernel)) <= 1e-12
-        paths = enumerate_paths(params2, 3)
+        paths = index_ordered_paths(params2, 3)
         rng = np.random.default_rng(0)
         for i, j in rng.integers(0, len(paths), size=(40, 2)):
             assert kernel[i, j] == pytest.approx(
-                lam * shared_edge_count(params2, 3, paths[i], paths[j]), rel=1e-15
+                lam * brute_shared_edges(params2, 3, paths[i], paths[j]), rel=1e-15
             )
 
     def test_positive_semidefinite(self, profile2, params2):
@@ -161,7 +168,7 @@ class TestShiftField:
         real = sample_gmc(np.ones(16), 2, lam2, rng)
         phi = rng.standard_normal(16)
         shifted = shift_field(real, phi)
-        inc = incidence_matrix(params2, 2, enumerate_paths(params2, 2))
+        inc = incidence_matrix(params2, 2, index_ordered_paths(params2, 2))
         direct = assemble(real.weights, 2, 2) * np.exp(math.sqrt(lam2) * inc @ phi)
         assert np.max(np.abs(assemble(shifted.weights, 2, 2) - direct) / direct) <= 1e-12
 
@@ -175,11 +182,11 @@ class TestShiftField:
 
 class TestKahane:
     def test_first_moment_is_reference_mass(self, lam2):
-        assert kahane_moment(np.ones(16), 2, lam2, m=1) == pytest.approx(1.0)
+        assert kahane(np.ones(16), 2, lam2, m=1) == pytest.approx(1.0)
 
     def test_hand_enumerated_value(self):
         # n = 1, unit leaves: two paths of mass 1/2 sharing 2 edges with themselves
-        value = kahane_moment(np.ones(4), 2, math.log(2.0), m=2)
+        value = kahane(np.ones(4), 2, math.log(2.0), m=2)
         assert value == pytest.approx(2.5, abs=1e-12)
 
     def test_subset_restriction(self, lam2):
@@ -188,14 +195,14 @@ class TestKahane:
         leaves = np.ones(16)
         leaves[8:] = 0.0
         leaves[2:4] = 0.0
-        assert kahane_moment(leaves, 2, lam2, m=1) == pytest.approx(0.25)
+        assert kahane(leaves, 2, lam2, m=1) == pytest.approx(0.25)
         assert np.array_equal(np.nonzero(assemble(leaves, 2, 2))[0], [0, 1])
 
     def test_monte_carlo_agreement(self, lam2):
         ones = np.ones(16)
         totals = chaos_totals(ones, 2, lam2, substream(8, 9), 200_000)
         for m in (2, 3):
-            formula = kahane_moment(ones, 2, lam2, m=m)
+            formula = kahane(ones, 2, lam2, m=m)
             vals = totals**m
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - formula) <= 4 * se
@@ -206,7 +213,7 @@ class TestKahane:
         reference = assemble(leaves, 2, 2)
         for m in (4, 5):
             exact = dense_kahane(kernel, reference, m)
-            assert kahane_moment(leaves, 2, lam2, m=m) == pytest.approx(exact, rel=1e-12)
+            assert kahane(leaves, 2, lam2, m=m) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("b, n", [(2, 2), (2, 3), (3, 2)])
@@ -235,8 +242,8 @@ class TestDenseEquivalence:
 
     def test_quadratic_form_and_kahane(self, b, n, setup):
         lam, leaves, reference, kernel, _ = setup
-        assert self.close(kahane_moment(leaves, b, lam, 2), reference @ np.exp(kernel) @ reference)
-        assert self.close(kahane_moment(leaves, b, lam, 3), dense_kahane(kernel, reference, 3))
+        assert self.close(kahane(leaves, b, lam, 2), reference @ np.exp(kernel) @ reference)
+        assert self.close(kahane(leaves, b, lam, 3), dense_kahane(kernel, reference, 3))
 
     def test_marginals_t_and_theta(self, b, n, setup):
         lam, leaves, reference, kernel, factor = setup
@@ -285,7 +292,7 @@ class TestCompositionStructure:
         )
         w2 = w1 * np.exp(math.sqrt(lam2) * rng.standard_normal((16, draws)) - 0.5 * lam2)
         totals_sq = tree_total(w2, 2) ** 2
-        target = kahane_moment(ones, 2, lam12, m=2)
+        target = kahane(ones, 2, lam12, m=2)
         se = totals_sq.std(ddof=1) / math.sqrt(draws)
         assert abs(totals_sq.mean() - target) <= 4 * se
 
@@ -394,7 +401,7 @@ class TestTernaryLattice:
         ones = np.ones(81)
         totals = chaos_totals(ones, 3, lam, substream(7, 3, 0), 50_000)
         for m in (2, 3):
-            formula = kahane_moment(ones, 3, lam, m=m)
+            formula = kahane(ones, 3, lam, m=m)
             vals = totals**m
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - formula) <= 4 * se

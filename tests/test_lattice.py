@@ -12,6 +12,7 @@ from _oracles import (
     edge_index_from_label,
     edge_label_chains,
     incidence_matrix,
+    index_ordered_paths,
     path_edge_indices,
     recursive_path_index,
     shared_edge_matrix,
@@ -21,12 +22,9 @@ from diamondgmc.gmc import edge_weight
 from diamondgmc.lattice import (
     LatticeParams,
     decision_count,
-    enumerate_paths,
     intersection_fixed_point,
     intersection_hausdorff_dim,
     path_count_int,
-    path_index,
-    shared_edge_count,
 )
 
 
@@ -81,62 +79,35 @@ class TestPathCount:
 
 
 class TestPathEncoding:
-    def test_decision_length_checked(self, params2):
-        with pytest.raises(UsageError):
-            path_index(params2, 2, [1, 2])
-        with pytest.raises(UsageError):
-            path_index(params2, 2, np.ones((4, 2), dtype=int))
-        with pytest.raises(UsageError):
-            path_index(params2, 1, [3])
-        with pytest.raises(UsageError):
-            path_index(params2, 1, [0])
-        with pytest.raises(UsageError):
-            path_index(params2, 1, [1.0])
-        with pytest.raises(UsageError):
-            path_index(params2, -1, [])
-
     def test_index_bijection(self):
-        # enumeration order, the linear index form and the recursive
-        # definition agree, on critical and non-critical lattices
+        # the recursive cylinder index maps Gamma_n one to one onto
+        # 0..|Gamma_n| - 1, on critical and non-critical lattices
         cases = ((2, 2, 0), (2, 2, 1), (2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 3, 2), (3, 2, 2))
         for b, s, n in cases:
             params = LatticeParams(b, s)
-            paths = enumerate_paths(params, n)
+            paths = index_ordered_paths(params, n)
             assert paths.shape == (path_count_int(params, n), decision_count(s, n))
-            assert np.array_equal(path_index(params, n, paths), np.arange(len(paths)))
             assert [recursive_path_index(params, n, p) for p in paths] == list(
                 range(len(paths))
             )
-
-    def test_index_beyond_enumeration(self, params2):
-        rng = np.random.default_rng(9)
-        paths = rng.integers(1, 3, size=(20, decision_count(2, 6)))
-        assert path_index(params2, 6, paths).tolist() == [
-            recursive_path_index(params2, 6, p) for p in paths
-        ]
-        with pytest.raises(BudgetError):
-            path_index(params2, 7, np.ones(decision_count(2, 7), dtype=int))
-
-    def test_enumeration_budget(self, params2):
-        with pytest.raises(BudgetError):
-            enumerate_paths(params2, 6)
 
 
 class TestSharedEdges:
     def test_identical_paths_share_everything(self, params2):
         rng = np.random.default_rng(1)
         p = random_path(params2, 3, rng)
-        assert shared_edge_count(params2, 3, p, p) == 8
+        assert brute_shared_edges(params2, 3, p, p) == 8
 
     def test_different_top_branch_shares_nothing(self, params2):
-        assert shared_edge_count(params2, 2, [1, 1, 2], [2, 1, 2]) == 0
+        assert brute_shared_edges(params2, 2, [1, 1, 2], [2, 1, 2]) == 0
 
     def test_against_brute_force_all_pairs_n2(self):
-        # broadcast over all ordered pairs at once, critical or not
+        # the incidence route against the label route over all ordered
+        # pairs, critical or not
         for b, s in ((2, 2), (2, 3), (3, 2)):
             params = LatticeParams(b, s)
             paths = all_paths(params, 2)
-            N = shared_edge_count(params, 2, paths[:, None], paths[None])
+            N = shared_edge_matrix(params, 2, paths)
             assert N.shape == (len(paths), len(paths))
             for i, p in enumerate(paths):
                 for j, q in enumerate(paths):
@@ -146,25 +117,14 @@ class TestSharedEdges:
         rng = np.random.default_rng(2)
         for _ in range(25):
             p, q = random_path(params2, 4, rng), random_path(params2, 4, rng)
-            assert shared_edge_count(params2, 4, p, q) == brute_shared_edges(params2, 4, p, q)
+            N = shared_edge_matrix(params2, 4, np.stack([p, q]))
+            assert N[0, 1] == brute_shared_edges(params2, 4, p, q)
 
     def test_pair_average_is_one_n2(self, params2):
-        paths = enumerate_paths(params2, 2)
+        paths = index_ordered_paths(params2, 2)
         N = shared_edge_matrix(params2, 2, paths)
         assert N.mean() == 1.0
         assert (N**2).mean() == 1.0 + 2 * (2 - 1)
-
-    def test_mismatched_inputs_rejected(self, params2):
-        # a generation-1 path against a generation-2 one
-        with pytest.raises(UsageError):
-            shared_edge_count(params2, 2, [1], [1, 1, 1])
-        with pytest.raises(UsageError):
-            shared_edge_count(params2, 1, [1], [1, 1, 1])
-        # leading axes that do not broadcast
-        with pytest.raises(UsageError):
-            shared_edge_count(params2, 2, np.ones((2, 3), dtype=int), np.ones((3, 3), dtype=int))
-        with pytest.raises(UsageError):
-            shared_edge_count(params2, 1, [1], [3])
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -174,14 +134,14 @@ class TestSharedEdges:
         length = decision_count(2, n)
         p = [data.draw(st.integers(1, 2)) for _ in range(length)]
         q = [data.draw(st.integers(1, 2)) for _ in range(length)]
-        N = shared_edge_count(params, n, p, q)
+        N = brute_shared_edges(params, n, p, q)
         assert 0 <= N <= 2**n
-        assert shared_edge_count(params, n, q, p) == N
-        assert shared_edge_count(params, n, p, p) == 2**n
+        assert brute_shared_edges(params, n, q, p) == N
+        assert brute_shared_edges(params, n, p, p) == 2**n
         if n >= 2:
             # coarsening is a prefix truncation of the breadth-first array
             prefix = decision_count(2, n - 1)
-            coarse = shared_edge_count(params, n - 1, p[:prefix], q[:prefix])
+            coarse = brute_shared_edges(params, n - 1, p[:prefix], q[:prefix])
             assert N <= 2 * coarse
 
 
@@ -202,9 +162,9 @@ class TestRefinementMartingale:
                     for ext_q in product((1, 2), repeat=2):
                         p2 = np.concatenate([p1, ext_p])
                         q2 = np.concatenate([q1, ext_q])
-                        total += int(shared_edge_count(params2, 2, p2, q2))
+                        total += brute_shared_edges(params2, 2, p2, q2)
                         count += 1
-                assert total / count == shared_edge_count(params2, 1, p1, q1)
+                assert total / count == brute_shared_edges(params2, 1, p1, q1)
 
 
 class TestKernelEstimate:
@@ -214,15 +174,14 @@ class TestKernelEstimate:
     def test_diagonal_value(self, profile2, params2):
         p = np.array([1, 2, 1])
         lam = edge_weight(profile2, 0.0, 1.0, 2, "asymptotic")
-        assert lam * shared_edge_count(params2, 2, p, p) == pytest.approx(2.0)
+        assert lam * brute_shared_edges(params2, 2, p, p) == pytest.approx(2.0)
 
     def test_disjoint_is_zero(self, profile2, params2):
         lam = edge_weight(profile2, 0.0, 1.0, 2, "asymptotic")
-        assert lam * shared_edge_count(params2, 2, [1, 1, 1], [2, 1, 1]) == 0.0
+        assert lam * brute_shared_edges(params2, 2, [1, 1, 1], [2, 1, 1]) == 0.0
 
     def test_two_shared_edges_at_n3(self, profile2, params2):
-        paths = enumerate_paths(params2, 3)
-        N = shared_edge_count(params2, 3, paths[0], paths[1:])
+        N = shared_edge_matrix(params2, 3, index_ordered_paths(params2, 3))[0, 1:]
         assert np.any(N == 2)
         lam = edge_weight(profile2, 0.0, 1.0, 3, "asymptotic")
         assert lam * N[np.argmax(N == 2)] == pytest.approx(4.0 / 9.0)
@@ -262,9 +221,9 @@ class TestHausdorffDim:
 
 class TestUniformSampling:
     def test_generation_zero_unique(self, params2):
-        assert enumerate_paths(params2, 0).shape == (1, 0)
+        assert index_ordered_paths(params2, 0).shape == (1, 0)
         draws = np.random.default_rng(3).integers(1, 3, size=(5, decision_count(2, 0)))
-        assert np.array_equal(path_index(params2, 0, draws), np.zeros(5))
+        assert [recursive_path_index(params2, 0, d) for d in draws] == [0] * 5
 
     def test_chi_square_uniformity_n2(self, params2):
         rng = np.random.default_rng(4)
@@ -274,7 +233,10 @@ class TestUniformSampling:
         idx = (
             (sampled[:, 0] - 1) * 4 + (sampled[:, 1] - 1) * 2 + (sampled[:, 2] - 1)
         )
-        assert np.array_equal(path_index(params2, 2, sampled), idx)
+        paths = all_paths(params2, 2)
+        assert [recursive_path_index(params2, 2, p) for p in paths] == (
+            (paths - 1) @ [4, 2, 1]
+        ).tolist()
         counts = np.bincount(idx, minlength=8)
         result = stats.chisquare(counts)
         assert result.pvalue > 1e-6
@@ -283,7 +245,8 @@ class TestUniformSampling:
         rng = np.random.default_rng(5)
         draws = 200_000
         paths = rng.integers(1, 3, size=(draws, decision_count(2, 3)))
-        counts = np.bincount(path_index(params2, 3, paths), minlength=128)
+        # the cells as base-2 integers, a bijection onto 0..127 like the index
+        counts = np.bincount((paths - 1) @ 2 ** np.arange(6, -1, -1), minlength=128)
         assert stats.chisquare(counts).pvalue > 1e-6
 
     def test_first_decision_marginal(self, params2):
@@ -314,9 +277,10 @@ class TestEdges:
             assert path_edge_indices(params2, n, p).tolist() == expected
 
     def test_incidence_reproduces_shared_counts(self, params2):
-        paths = enumerate_paths(params2, 2)
+        paths = index_ordered_paths(params2, 2)
         inc = incidence_matrix(params2, 2, paths)
-        N = shared_edge_count(params2, 2, paths[:, None], paths[None])
+        assert np.array_equal(inc.sum(axis=1), np.full(len(paths), 4.0))
+        N = [[brute_shared_edges(params2, 2, p, q) for q in paths] for p in paths]
         assert np.array_equal(inc @ inc.T, N)
 
     def test_incidence_budget(self, params2):

@@ -39,6 +39,26 @@ class TestChecks:
         assert c.verdict == "flagged"
         assert "reliability" in c.detail
 
+    def test_se_check_floor_flags_any_verdict(self):
+        # an exact SE above 10% of the estimate flags a pass and a fail alike
+        kwargs = dict(estimate=1.02, se=0.01, multiplier=4.0, floor=0.2)
+        for target in (1.0, 1.5):
+            c = se_check("m", target=target, **kwargs)
+            assert c.verdict == "flagged"
+            assert "law SE 0.2 above reliability ratio" in c.detail
+
+    def test_se_check_floor_not_finite_flags(self):
+        for floor in (math.inf, math.nan):
+            c = se_check("m", target=1.0, estimate=1.02, se=0.01, multiplier=4.0, floor=floor)
+            assert c.verdict == "flagged"
+
+    def test_se_check_floor_below_ratio_keeps_verdict(self):
+        # the floor only ever flags: no fail turns into a pass
+        for target, verdict in ((1.0, "pass"), (1.5, "fail")):
+            c = se_check("m", target=target, estimate=1.02, se=0.01, multiplier=4.0, floor=0.1)
+            assert c.verdict == verdict
+            assert "law SE" not in c.detail
+
 
 def tied_samples(rng, n1, n2, levels):
     """Two integer-valued samples on ``levels`` points, the second shifted."""
@@ -87,7 +107,7 @@ class TestReport:
         report = ExperimentReport("demo")
         report.add(exact_check("a", 0.0, 1e-12))
         report.add(se_check("b", 21.0, 4.0, 0.6, 4.0))
-        assert report.all_passed
+        assert not report.failed
         assert [c.name for c in report.flagged] == ["b"]
         payload = report.to_dict()
         assert {c["name"] for c in payload["checks"]} == {"a", "b"}
@@ -96,7 +116,7 @@ class TestReport:
     def test_failed_blocks_all_passed(self):
         report = ExperimentReport("demo")
         report.add(CheckResult("bad", "fail"))
-        assert not report.all_passed
+        assert report.failed
 
 
 class TestEmission:

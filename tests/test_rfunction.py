@@ -12,7 +12,6 @@ from diamondgmc.rfunction import (
     VarianceProfile,
     asymptotic_R_two_term,
     asymptotic_expansion,
-    centered_moment_table,
     eta,
     kappa_sq,
     moment_recursion_step,
@@ -286,13 +285,13 @@ class TestSeedMoments:
 class TestMomentTable:
     def test_second_channel_reproduces_R(self, profile2):
         for depth in (None, 24):
-            table = centered_moment_table(profile2, -2.0, 4, "two-point", depth=depth)
+            table = moment_table(profile2, [-2.0], 4, "two-point", depth=depth)
             assert table.centered[0, 2] == pytest.approx(
                 profile2.evaluate_R(-2.0), abs=1e-9
             )
 
     def test_raw_centered_consistency(self, profile2):
-        table = centered_moment_table(profile2, -4.0, 6, "two-point")
+        table = moment_table(profile2, [-4.0], 6, "two-point")
         recomputed = raw_to_centered(list(table.raw[0]))
         assert np.allclose(table.centered[0], recomputed, rtol=0, atol=1e-13)
         assert table.raw[0, 0] == 1.0
