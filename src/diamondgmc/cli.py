@@ -472,9 +472,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
             detail=f"{len(drift)} of {len(pre_means)} steps drifted",
         )
     )
-    # the sample variance's exact SE is sqrt((mu4 - R^2) / size); at r near 0
-    # mu4 comes from tail events no feasible population holds
-    mu4_law = moment_table(profile, [cfg.r], k_max=4).centered[0, 4]
+    # the sample variance's exact SE is sqrt((mu4 - R^2) / size), mu4 taken
+    # from the law the run drew (its seed, depth steps); at r near 0 mu4 comes
+    # from tail events no feasible population holds
+    mu4_law = moment_table(
+        profile, [cfg.r], k_max=4, seed_kind=cfg.seed_spec, depth=cfg.depth
+    ).centered[0, 4]
     law_se = math.sqrt(max(mu4_law - target_var**2, 0.0) / pop.size)
     run.report.add(se_check("variance-vs-R", target_var, var, var_se, 4.0, floor=law_se))
     if pop.provenance.overflow_count:

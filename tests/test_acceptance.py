@@ -22,11 +22,10 @@ from _oracles import (
     index_ordered_paths,
     upsilon_pair_matrix,
 )
+from test_gmc import kahane
 from diamondgmc.cascade import (
     SeedSpec,
     default_leaf_population,
-    horner,
-    overlap_moments,
     sample_measure_batch,
     simulate_mass_trajectory,
     substream,
@@ -256,15 +255,13 @@ def test_criterion_07_gmc_identities(profile2, params2):
     totals = weights.sum(axis=1)
     kahane_z = []
     for m in (2, 3):
-        formula = float(horner(overlap_moments(uniform, 2, m)[m], math.exp(lam)))
+        formula = kahane(uniform, 2, lam, m)
         vals = totals**m
         se = vals.std(ddof=1) / math.sqrt(draws)
         kahane_z.append(abs(vals.mean() - formula) / se)
         assert kahane_z[-1] <= 4.0
 
-    assert horner(overlap_moments(np.ones(4), 2, 2)[2], 2.0) == pytest.approx(
-        2.5, abs=1e-12
-    )
+    assert kahane(np.ones(4), 2, math.log(2.0), 2) == pytest.approx(2.5, abs=1e-12)
     announce(7, f"shift covariance {shift_dev:.1e}; conditional means max z "
                 f"{mean_z:.2f}; Kahane z {['%.2f' % z for z in kahane_z]}; "
                 "hand value 2.5 exact", time.time() - start, 60.0)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from diamondgmc.cli import main, parse_config_file, parse_grid
 from diamondgmc.correlation import pair_count_histogram
 from diamondgmc.errors import UsageError
 from diamondgmc.lattice import LatticeParams
+from diamondgmc.rfunction import VarianceProfile, moment_table
 
 
 def read_manifest(path):
@@ -328,19 +330,24 @@ class TestSimulateCommand:
             m1.pop(key), m2.pop(key)
         assert m1 == m2
 
-    def test_variance_flagged_by_law_se_at_r0(self, tmp_path):
+    @pytest.mark.parametrize("seed_spec", ["two-point", "lognormal"])
+    def test_variance_flagged_by_law_se_at_r0(self, tmp_path, seed_spec):
         # at r = 0 the sample variance's exact SE, sqrt((mu4 - R^2) / size),
-        # dwarfs the estimate: the check reads flagged, never pass or fail
+        # dwarfs the estimate: the check reads flagged, never pass or fail.
+        # mu4 is that of the law the run drew: its seed, 16 steps up
         status = main(
             ["simulate", "--b", "2", "--r", "0", "--depth", "16", "--size", "20000",
-             "--seed", "3", "--n", "0", "--out", str(tmp_path)]
+             "--seed", "3", "--n", "0", "--seed-spec", seed_spec, "--out", str(tmp_path)]
         )
         assert status == 2
         manifest = read_manifest(tmp_path / "simulate_manifest.json")
         assert manifest["exit_status"] == 2
         check = {c["name"]: c for c in manifest["checks"]}["variance-vs-R"]
         assert check["verdict"] == "flagged"
-        assert "law SE" in check["detail"]
+        profile = VarianceProfile(2)
+        mu4 = moment_table(profile, [0.0], k_max=4, seed_kind=seed_spec, depth=16).centered[0, 4]
+        law_se = math.sqrt((mu4 - profile.evaluate_R(0.0) ** 2) / 20000)
+        assert f"law SE {law_se:.3g} above" in check["detail"]
 
     def test_generation_checked_before_any_step(self, tmp_path, capsys, monkeypatch):
         def no_step(*args, **kwargs):

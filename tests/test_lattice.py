@@ -107,6 +107,8 @@ class TestSharedEdges:
         for b, s in ((2, 2), (2, 3), (3, 2)):
             params = LatticeParams(b, s)
             paths = all_paths(params, 2)
+            inc = incidence_matrix(params, 2, paths)
+            assert np.array_equal(inc.sum(axis=1), np.full(len(paths), s**2))
             N = shared_edge_matrix(params, 2, paths)
             assert N.shape == (len(paths), len(paths))
             for i, p in enumerate(paths):
@@ -245,9 +247,11 @@ class TestUniformSampling:
         rng = np.random.default_rng(5)
         draws = 200_000
         paths = rng.integers(1, 3, size=(draws, decision_count(2, 3)))
-        # the cells as base-2 integers, a bijection onto 0..127 like the index
-        counts = np.bincount((paths - 1) @ 2 ** np.arange(6, -1, -1), minlength=128)
-        assert stats.chisquare(counts).pvalue > 1e-6
+        # bin by the cylinder index: every cell of Gamma_3 is hit, uniformly
+        cells, hits = np.unique(paths, axis=0, return_counts=True)
+        index = [recursive_path_index(params2, 3, c) for c in cells]
+        assert sorted(index) == list(range(128))
+        assert stats.chisquare(hits).pvalue > 1e-6
 
     def test_first_decision_marginal(self, params2):
         rng = np.random.default_rng(6)
@@ -277,11 +281,15 @@ class TestEdges:
             assert path_edge_indices(params2, n, p).tolist() == expected
 
     def test_incidence_reproduces_shared_counts(self, params2):
-        paths = index_ordered_paths(params2, 2)
-        inc = incidence_matrix(params2, 2, paths)
-        assert np.array_equal(inc.sum(axis=1), np.full(len(paths), 4.0))
-        N = [[brute_shared_edges(params2, 2, p, q) for q in paths] for p in paths]
-        assert np.array_equal(inc @ inc.T, N)
+        # one generation beyond the all-pairs check: every path of Gamma_3
+        # against a sample, by the label route
+        paths = index_ordered_paths(params2, 3)
+        inc = incidence_matrix(params2, 3, paths)
+        assert np.array_equal(inc.sum(axis=1), np.full(len(paths), 8.0))
+        rng = np.random.default_rng(9)
+        rows = rng.choice(len(paths), size=8, replace=False)
+        N = [[brute_shared_edges(params2, 3, paths[i], q) for q in paths] for i in rows]
+        assert np.array_equal(inc[rows] @ inc.T, N)
 
     def test_incidence_budget(self, params2):
         with pytest.raises(BudgetError):
