@@ -42,13 +42,15 @@ test suite rather than an assumption.
 
 Reproducibility: every stream is a Philox generator keyed by
 (master seed, realm, index, chunk), so outputs are bit-reproducible for a
-fixed chunk count regardless of thread count.
+fixed chunk count; the chunks of a step run on up to one thread each, which
+changes no byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -236,20 +238,20 @@ def simulate_mass_trajectory(
     master_seed: int,
     snapshot_levels=(),
     chunks: int = 1,
-    threads: int = 1,
     profile: "VarianceProfile | None" = None,
 ) -> dict:
     """Population at r plus copies captured at intermediate trajectory levels.
 
     Seeds ``size`` draws of the seed law at r0 = r - depth (enforced to lie
     at or below the asymptotic validity level) and applies ``depth``
-    population-dynamics steps with per-(iteration, chunk) streams.  Returns
+    population-dynamics steps with per-(iteration, chunk) streams, the
+    chunks on min(chunks, usable CPUs) threads.  Returns
     {level: MassPopulation} with the final level r always present.
     """
     if depth < 1:
         raise UsageError("depth must be >= 1")
-    if chunks < 1 or threads < 1:
-        raise UsageError(f"chunks ({chunks}) and threads ({threads}) must be >= 1")
+    if chunks < 1:
+        raise UsageError(f"chunks ({chunks}) must be >= 1")
     base_level = r - depth
     if base_level > MINIMUM_BASE_LEVEL:
         raise UsageError(
@@ -300,7 +302,9 @@ def simulate_mass_trajectory(
             detail=detail,
         )
 
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(chunks, cpus or 1)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for iteration in range(1, depth + 1):
             streams = [
                 substream(master_seed, _REALM_EVOLVE, iteration, c) for c in range(chunks)
@@ -328,20 +332,11 @@ def simulate_mass_law(
     size: int,
     master_seed: int,
     chunks: int = 1,
-    threads: int = 1,
     profile: "VarianceProfile | None" = None,
 ) -> MassPopulation:
     """Population of total masses at r (see :func:`simulate_mass_trajectory`)."""
     return simulate_mass_trajectory(
-        b,
-        r,
-        seed_spec,
-        depth,
-        size,
-        master_seed,
-        chunks=chunks,
-        threads=threads,
-        profile=profile,
+        b, r, seed_spec, depth, size, master_seed, chunks=chunks, profile=profile
     )[r]
 
 
@@ -458,20 +453,12 @@ def default_leaf_population(
     master_seed: int,
     pop_size: int = 1_000_000,
     chunks: int = 1,
-    threads: int = 1,
     profile: "VarianceProfile | None" = None,
 ) -> MassPopulation:
     """Population at the leaf level r - n used to draw measure-sample leaves."""
     return simulate_mass_law(
-        b,
-        leaf_level(r, n, depth),
-        seed_spec,
-        depth - n,
-        pop_size,
-        master_seed,
-        chunks=chunks,
-        threads=threads,
-        profile=profile,
+        b, leaf_level(r, n, depth), seed_spec, depth - n, pop_size, master_seed,
+        chunks=chunks, profile=profile,
     )
 
 

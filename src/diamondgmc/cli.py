@@ -1,11 +1,13 @@
 """Command-line harness: every experiment behind a reproducible config.
 
-Commands: rfunc, correlation, simulate, gmc, fixed-point.  Configuration is
+Commands: rfunc, correlation, simulate, gmc, fixed-point.  ``RunConfig``
+declares every setting once; ``COMMAND_SETTINGS`` names the ones each command
+reads, and only those are its flags and config-file keys.  Configuration is
 a flat key = value text file; command-line flags override file keys; the
-merged configuration is what the manifest records.  Unknown config keys are
-rejected.  Every command writes exactly one JSON manifest (config snapshot,
-per-check verdicts, wall clock) next to its data files; data files are
-byte-reproducible for a fixed (config, seed, chunk count).
+merged settings of the command are what the manifest records.  Every command
+writes exactly one JSON manifest (config snapshot, per-check verdicts, wall
+clock) next to its data files; data files are byte-reproducible for a fixed
+(config, seed, chunk count).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,6 +48,8 @@ from .correlation import (
 )
 from .errors import ConvergenceError, DomainError, RangeError, UsageError
 from .gmc import (
+    _REALM_GMC,
+    KERNEL_MODES,
     cameron_martin_density,
     chaos_totals,
     conditional_gmc_experiment,
@@ -71,58 +75,82 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .rfunction import VarianceProfile, eta, kappa_sq, moment_table, psi
+from .rfunction import SEED_KINDS, VarianceProfile, eta, kappa_sq, moment_table, psi
 
-_UNSET = object()
+GMC_CHECKS = ("shift", "kahane", "conditional", "renormalization", "strong-disorder")
+
+
+def _setting(default, choices=None):
+    return field(default=default, metadata={"choices": choices})
 
 
 @dataclass
 class RunConfig:
-    command: str = ""
+    """Every setting's name, type (that of its default) and default.
+
+    The flags and the config-file keys derive from these fields: ``seed_spec``
+    is ``--seed-spec`` on the command line and ``seed_spec`` in a file.
+    """
+
     b: int = 2
-    s: int = 0  # 0 means "same as b" except for fixed-point
+    s: int = 2
     r: float = 0.0
     a: float = 1.0
     n: int = 2
     depth: int = 24
     size: int = 1_000_000
     seed: int = 12345
-    seed_spec: str = "two-point"
-    mode: str = "exact-discrete"
+    seed_spec: str = _setting("two-point", SEED_KINDS)
+    mode: str = _setting("exact-discrete", KERNEL_MODES)
     grid: str = ""
     out: str = "."
-    threads: int = 1
     chunks: int = 1
     allow_flagged: bool = False
-    check: str = "conditional"
+    check: str = _setting("conditional", GMC_CHECKS)
     realizations: int = 1000
     draws: int = 1000
     kmax: int = 6
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_KEYS = {"allow_flagged"}
-_INT_KEYS = {
-    "b", "s", "n", "depth", "size", "seed", "threads", "chunks",
-    "realizations", "draws", "kmax",
+# the settings each command reads besides ``out``; every command also takes --config
+COMMAND_SETTINGS = {
+    "rfunc": {"b", "grid", "kmax", "seed_spec", "allow_flagged"},
+    "correlation": {"b", "r", "a", "n"},
+    "simulate": {
+        "b", "r", "depth", "size", "seed", "seed_spec", "n", "realizations", "chunks",
+        "allow_flagged",
+    },
+    "gmc": {
+        "b", "r", "a", "n", "depth", "seed", "seed_spec", "mode", "check", "realizations",
+        "draws", "grid", "allow_flagged",
+    },
+    "fixed-point": {"b", "s"},
 }
-_FLOAT_KEYS = {"r", "a"}
 
 
-def _coerce(key: str, raw: str):
-    if key in _BOOL_KEYS:
+def _settings(command: str) -> list:
+    """The fields of ``RunConfig`` that ``command`` reads, in declaration order."""
+    return [f for f in fields(RunConfig) if f.name in COMMAND_SETTINGS[command] | {"out"}]
+
+
+def _flag(f) -> str:
+    return "--" + f.name.replace("_", "-")
+
+
+def _coerce(f, raw: str, what: str):
+    """The value of setting ``f`` written as ``raw``; ``what`` names it in errors."""
+    kind = type(f.default)
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise UsageError(f"config key {key} expects a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return _number(int, raw, f"config key {key}")
-    if key in _FLOAT_KEYS:
-        return _number(float, raw, f"config key {key}")
+        raise UsageError(f"{what} expects a boolean, got {raw!r}")
+    if kind is not str:
+        return _number(kind, raw, what)
+    choices = f.metadata.get("choices")
+    if choices and raw not in choices:
+        raise UsageError(f"{what} must be one of {', '.join(choices)}, got {raw!r}")
     return raw
 
 
@@ -136,9 +164,10 @@ def _number(kind, raw: str, what: str):
     return value
 
 
-def parse_config_file(path) -> dict:
+def parse_config_file(path, command: str) -> dict:
+    """The settings of ``command`` in a flat ``key = value`` file; other keys are errors."""
     out = {}
-    known = set(_FIELD_TYPES) - {"command"}
+    known = {f.name: f for f in _settings(command)}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -151,11 +180,8 @@ def parse_config_file(path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in known:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            out[key] = _coerce(key, raw)
-        except UsageError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from None
+            raise UsageError(f"{path}:{lineno}: {command} reads no config key {key!r}")
+        out[key] = _coerce(known[key], raw, f"{path}:{lineno}: config key {key}")
     return out
 
 
@@ -177,27 +203,27 @@ def parse_grid(text: str):
 
 
 def _merge_config(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
-        for key, value in parse_config_file(args.config).items():
+    """Defaults, then the config file's keys, then the flags given."""
+    cfg = RunConfig()
+    if args.config:
+        for key, value in parse_config_file(args.config, args.command).items():
             setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        value = getattr(args, f.name, _UNSET)
-        if value is not _UNSET and value is not None:
+    for f in _settings(args.command):
+        value = getattr(args, f.name)
+        if isinstance(value, str):
+            value = _coerce(f, value, _flag(f))
+        if value is not None:
             setattr(cfg, f.name, value)
-    if cfg.s == 0:
-        cfg.s = cfg.b
     return cfg
 
 
 class _Run:
     """Collects one command's checks and notes in a report and writes the manifest."""
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, command: str, cfg: RunConfig):
+        self.command = command
         self.cfg = cfg
-        self.report = ExperimentReport(cfg.command)
+        self.report = ExperimentReport(command)
         self.started = time.time()
         self.out_dir = Path(cfg.out)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,23 +244,23 @@ class _Run:
         manifest = {
             "tool": "diamondgmc",
             "version": __version__,
-            "command": self.cfg.command,
-            "config": self.cfg.to_dict(),
+            "command": self.command,
+            "config": {f.name: getattr(self.cfg, f.name) for f in _settings(self.command)},
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "wall_clock_seconds": time.time() - self.started,
             "checks": [c.to_dict() for c in self.report.checks],
             "notes": self.report.notes,
             "exit_status": status,
         }
-        write_json(self.out_dir / f"{self.cfg.command}_manifest.json", manifest)
+        write_json(self.out_dir / f"{self.command}_manifest.json", manifest)
         for c in self.report.checks:
             print(f"[{c.verdict.upper():7s}] {c.name}: {c.detail or c.tolerance}")
-        print(f"manifest: {self.out_dir / (self.cfg.command + '_manifest.json')}")
+        print(f"manifest: {self.out_dir / (self.command + '_manifest.json')}")
         return status
 
 
-def cmd_rfunc(cfg: RunConfig) -> int:
-    run = _Run(cfg)
+def cmd_rfunc(run: _Run) -> int:
+    cfg = run.cfg
     profile = VarianceProfile(cfg.b)
     grid = parse_grid(cfg.grid or "-8:1:8")
     k_max = cfg.kmax
@@ -341,10 +367,9 @@ def cmd_rfunc(cfg: RunConfig) -> int:
     return run.finish()
 
 
-def cmd_correlation(cfg: RunConfig) -> int:
-    run = _Run(cfg)
-    params = LatticeParams(cfg.b, cfg.s)
-    params.require_critical()
+def cmd_correlation(run: _Run) -> int:
+    cfg = run.cfg
+    params = LatticeParams(cfg.b, cfg.b)
     if cfg.n < 1:
         raise UsageError("correlation checks need --n >= 1")
     profile = VarianceProfile(cfg.b)
@@ -417,10 +442,9 @@ def cmd_correlation(cfg: RunConfig) -> int:
     return run.finish()
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    run = _Run(cfg)
+def cmd_simulate(run: _Run) -> int:
+    cfg = run.cfg
     run.report.notes.append(SEEDING_BIAS_NOTE)
-    LatticeParams(cfg.b, cfg.s).require_critical()
     profile = VarianceProfile(cfg.b)
     seed_spec = SeedSpec(cfg.seed_spec)
 
@@ -435,7 +459,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     trajectory = simulate_mass_trajectory(
         cfg.b, cfg.r, seed_spec, cfg.depth, cfg.size, cfg.seed,
         snapshot_levels=() if leaf_r is None else (leaf_r,),
-        chunks=cfg.chunks, threads=cfg.threads, profile=profile,
+        chunks=cfg.chunks, profile=profile,
     )
     pop = trajectory[cfg.r]
     write_population(run.out_dir / "population.bin", pop)
@@ -514,8 +538,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return run.finish()
 
 
-def cmd_gmc(cfg: RunConfig) -> int:
-    run = _Run(cfg)
+def cmd_gmc(run: _Run) -> int:
+    cfg = run.cfg
     profile = VarianceProfile(cfg.b)
     seed_spec = SeedSpec(cfg.seed_spec)
 
@@ -533,7 +557,7 @@ def cmd_gmc(cfg: RunConfig) -> int:
     if cfg.check == "shift":
         lam = edge_weight(profile, cfg.r, cfg.a, cfg.n, cfg.mode)
         uniform = np.ones((cfg.b * cfg.b) ** cfg.n)  # leaves of the uniform measure
-        rng = substream(cfg.seed, 3, 0)
+        rng = substream(cfg.seed, _REALM_GMC, 0)
         real = sample_gmc(uniform, cfg.b, lam, rng)
         phi = rng.standard_normal(uniform.size)
         shifted = shift_field(real, phi)
@@ -558,7 +582,8 @@ def cmd_gmc(cfg: RunConfig) -> int:
     elif cfg.check == "kahane":
         lam = edge_weight(profile, cfg.r, cfg.a, cfg.n, cfg.mode)
         uniform = np.ones((cfg.b * cfg.b) ** cfg.n)
-        totals = chaos_totals(uniform, cfg.b, lam, substream(cfg.seed, 3, 1), cfg.draws)
+        rng = substream(cfg.seed, _REALM_GMC, 1)
+        totals = chaos_totals(uniform, cfg.b, lam, rng, cfg.draws)
         report = ExperimentReport("kahane", provenance={"n": cfg.n})
         report.arrays["totals"] = totals
         overlap = overlap_moments(uniform, cfg.b, 3)
@@ -579,18 +604,13 @@ def cmd_gmc(cfg: RunConfig) -> int:
             cfg.realizations, cfg.draws, cfg.seed, seed_spec,
         )
         run.extend(report)
-    elif cfg.check == "strong-disorder":
+    else:  # strong-disorder; the coercion of --check admits only GMC_CHECKS
         grid = parse_grid(cfg.grid or "1,4,9,16")
         report = strong_disorder_bound(
             profile, grid, cfg.n, cfg.depth,
             cfg.realizations, cfg.draws, cfg.seed, seed_spec,
         )
         run.extend(report)
-    else:
-        raise UsageError(
-            f"unknown gmc check {cfg.check!r}; choose from shift, kahane, "
-            f"conditional, renormalization, strong-disorder"
-        )
     write_json(run.out_dir / f"gmc_{cfg.check}_report.json", report.to_dict())
     for label, values in report.arrays.items():
         arr = np.atleast_2d(np.asarray(values))
@@ -604,8 +624,8 @@ def cmd_gmc(cfg: RunConfig) -> int:
     return run.finish()
 
 
-def cmd_fixed_point(cfg: RunConfig) -> int:
-    run = _Run(cfg)
+def cmd_fixed_point(run: _Run) -> int:
+    cfg = run.cfg
     try:
         x = intersection_fixed_point(cfg.b, cfg.s)
         dim = intersection_hausdorff_dim(cfg.b, cfg.s)
@@ -649,32 +669,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key = value file")
-        p.add_argument("--b", type=int, default=None)
-        p.add_argument("--s", type=int, default=None)
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--size", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--seed-spec", dest="seed_spec", default=None,
-                       choices=("deterministic-one", "lognormal", "two-point"))
-        p.add_argument("--mode", default=None,
-                       choices=("exact-discrete", "asymptotic"))
-        p.add_argument("--grid", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--chunks", type=int, default=None)
-        p.add_argument("--allow-flagged", dest="allow_flagged",
-                       action="store_const", const=True, default=None)
-        p.add_argument("--check", default=None,
-                       choices=("shift", "kahane", "conditional",
-                                "renormalization", "strong-disorder"))
-        p.add_argument("--realizations", type=int, default=None)
-        p.add_argument("--draws", type=int, default=None)
-        p.add_argument("--kmax", type=int, default=None)
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="flat key = value file")
+        for f in _settings(name):
+            if type(f.default) is bool:
+                p.add_argument(_flag(f), action="store_const", const=True)
+            else:
+                p.add_argument(_flag(f), choices=f.metadata.get("choices"))
     return parser
 
 
@@ -699,7 +700,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_join_grid_values(list(argv)))
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_Run(args.command, cfg))
     except (UsageError, DomainError, ConvergenceError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -36,11 +36,14 @@ from functools import lru_cache, reduce
 
 import mpmath as mp
 
-from .errors import UsageError
+from .errors import BudgetError, UsageError
 from .lattice import LatticeParams, decision_count, path_count_int
 from .rfunction import VarianceProfile
 
-HISTOGRAM_GENERATION_BUDGET = 16
+# The histograms run over N = 0..b^n, the edges of one path, and the cost of
+# a step grows with that span and with the digits of the counts: at b = 2 the
+# step to n = 12 takes about 1.5 s and the step to n = 13 about 24 s.
+HISTOGRAM_EDGE_BUDGET = 8192
 _MASS_LOG_WINDOW = 80.0
 
 
@@ -74,22 +77,12 @@ class PairCountHistogram:
     n: int
     counts: tuple  # sorted (N, count) pairs, counts exact ints
 
-    def moment(self, power: int) -> int:
-        """Exact integer sum of N^power over all ordered pairs."""
-        return sum(k**power * c for k, c in self.counts)
-
 
 def pair_count_histogram(params: LatticeParams, n: int) -> PairCountHistogram:
     params.require_critical()
-    if n < 0:
-        raise UsageError("generation must be >= 0")
-    if n > HISTOGRAM_GENERATION_BUDGET:
-        raise UsageError(
-            f"generation {n} exceeds the histogram budget {HISTOGRAM_GENERATION_BUDGET}"
-        )
+    conditional = conditional_pair_histogram(params.b, n)
     gamma = path_count_int(params, n)
-    counts = tuple((k, gamma * c) for k, c in conditional_pair_histogram(params.b, n))
-    return PairCountHistogram(params, n, counts)
+    return PairCountHistogram(params, n, tuple((k, gamma * c) for k, c in conditional))
 
 
 @lru_cache(maxsize=None)
@@ -98,6 +91,14 @@ def conditional_pair_histogram(b: int, n: int):
     params = LatticeParams(b, b)
     if n < 0:
         raise UsageError("generation must be >= 0")
+    feasible = 0  # the largest generation whose b^n path edges fit the budget
+    while b ** (feasible + 1) <= HISTOGRAM_EDGE_BUDGET:
+        feasible += 1
+    if n > feasible:
+        raise BudgetError(
+            f"generation {n} exceeds the histogram budget of {HISTOGRAM_EDGE_BUDGET} "
+            f"edges a path (b^n); largest feasible n at b = {b} is {feasible}"
+        )
     if n == 0:
         return ((1, 1),)
     prev = dict(conditional_pair_histogram(b, n - 1))
@@ -134,9 +135,6 @@ class CorrelationTable:
 
     def log_weight(self, N: int) -> float:
         return N * self.log1p_R_shifted - 2.0 * self.log_gamma
-
-    def weight(self, N: int) -> float:
-        return math.exp(self.log_weight(N))
 
 
 def correlation_table(profile: VarianceProfile, r: float, n: int) -> CorrelationTable:

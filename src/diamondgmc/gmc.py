@@ -413,6 +413,8 @@ def renormalization_consistency(
     seed_spec = seed_spec or SeedSpec()
     b = profile.b
     bb = b * b
+    # both batches hold realizations x b^(2n) leaf cells: b^2 copies at n - 1
+    check_audit_budget(b, n, realizations)
 
     lam_a = edge_weight(profile, r + 1, a, n, "exact-discrete")
     leaf_a = default_leaf_population(

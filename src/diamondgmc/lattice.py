@@ -42,12 +42,9 @@ class LatticeParams:
         if self.b < 2 or self.s < 2:
             raise UsageError(f"b and s must both be >= 2, got b={self.b}, s={self.s}")
 
-    def critical(self) -> bool:
-        """True when branching equals segmenting (Hausdorff dimension two)."""
-        return self.b == self.s
-
     def require_critical(self):
-        if not self.critical():
+        """Reject all but the critical lattice b = s (Hausdorff dimension two)."""
+        if self.b != self.s:
             raise UsageError(
                 f"operation requires the critical lattice b = s, got b={self.b}, s={self.s}"
             )

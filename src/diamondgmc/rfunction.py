@@ -24,7 +24,7 @@ time: the order-k coefficients enter the balance at order k + 1 linearly with
 closed-form slopes, so one residual evaluation per order determines them, and
 a final full-balance check proves that every order through the last vanishes
 exactly.  Only the seed is evaluated in mpmath.  The orbit is iterated in
-integer fixed point with at least ``precision_dps`` significant digits,
+integer fixed point with at least ``PRECISION_DPS`` significant digits,
 built once per residue class r mod 1 and cached, so the recursion identity
 psi_b(R(r)) = R(r+1) holds to rounding on any evaluated grid.
 
@@ -64,6 +64,17 @@ _FOLD_TERMS = [
 
 SEED_KINDS = ("deterministic-one", "lognormal", "two-point")
 
+# The R evaluator seeds its orbit SEED_DEPTH levels below the target with the
+# asymptotic series through 1/t^SEED_ORDER and doubles the depth, up to
+# MAX_SEED_DEPTH, until two successive values agree within TOLERANCE
+# (relative above 1); the orbit keeps at least PRECISION_DPS significant
+# decimal digits.
+SEED_DEPTH = 1024
+SEED_ORDER = 10
+MAX_SEED_DEPTH = 1 << 16
+TOLERANCE = 1e-12
+PRECISION_DPS = 40
+
 
 def kappa_sq(b: int) -> float:
     return 2.0 / (b - 1)
@@ -80,15 +91,6 @@ def psi(b: int, x: float) -> float:
     if x < 0:
         raise DomainError(f"psi is restricted to x >= 0, got {x}")
     return math.expm1(b * math.log1p(x)) / b
-
-
-def asymptotic_R_two_term(b: int, r: float) -> float:
-    """The quoted two-term vanishing asymptotic, valid for r << 0."""
-    if r >= -1.0:
-        raise DomainError("two-term asymptotic requires r << 0")
-    t = -r
-    k2 = kappa_sq(b)
-    return k2 / t + k2 * eta(b) * math.log(t) / t**2
 
 
 # -- exact asymptotic expansion ----------------------------------------------
@@ -231,27 +233,14 @@ class _Orbit:
 
 @dataclass
 class VarianceProfile:
-    """Evaluator for R and R' pinned by the r -> -infinity asymptotics.
-
-    ``seed_depth`` is the initial iteration count from the asymptotic seed;
-    it is doubled until two successive evaluations agree within ``tolerance``
-    (relative for values above 1).  ``precision_dps`` is the number of
-    significant decimal digits the orbit keeps at least.
-    """
+    """Evaluator for R and R' pinned by the r -> -infinity asymptotics."""
 
     b: int
-    seed_depth: int = 1024
-    tolerance: float = 1e-12
-    seed_order: int = 10
-    max_seed_depth: int = 1 << 16
-    precision_dps: int = 40
-    _orbits: dict = field(default_factory=dict, repr=False, compare=False)
+    _orbits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.b < 2:
             raise UsageError("b must be >= 2")
-        if self.seed_depth < 1:
-            raise UsageError("seed_depth must be >= 1")
 
     @property
     def kappa_sq(self) -> float:
@@ -264,28 +253,28 @@ class VarianceProfile:
     # -- orbit machinery ----------------------------------------------------
 
     def _build_orbit(self, xi, probe_floor):
-        coeffs = asymptotic_expansion(self.b, self.seed_order)
-        depth = self.seed_depth
+        coeffs = asymptotic_expansion(self.b, SEED_ORDER)
+        depth = SEED_DEPTH
         prev = None
-        while depth <= self.max_seed_depth:
+        while depth <= MAX_SEED_DEPTH:
             base_floor = probe_floor - depth
-            with mp.workdps(self.precision_dps):
+            with mp.workdps(PRECISION_DPS):
                 R, Rp = _seed_pair_mp(coeffs, -(mp.mpf(xi) + base_floor))
                 # R' is the smaller of the two and only grows upward, so
-                # scaling for its digits keeps both at precision_dps digits
-                bits = math.ceil(self.precision_dps * math.log2(10)) - min(0, mp.mag(Rp))
+                # scaling for its digits keeps both at PRECISION_DPS digits
+                bits = math.ceil(PRECISION_DPS * math.log2(10)) - min(0, mp.mag(Rp))
                 orbit = _Orbit(xi, base_floor, depth, bits,
                                int(mp.ldexp(R, bits)), int(mp.ldexp(Rp, bits)))
             self._extend_orbit(orbit, probe_floor)
             probe_val = orbit.values[-1][0]
             if prev is not None:
                 scale = max(1.0, abs(probe_val))
-                if abs(probe_val - prev) <= self.tolerance * scale:
+                if abs(probe_val - prev) <= TOLERANCE * scale:
                     return orbit
             prev = probe_val
             depth *= 2
         raise ConvergenceError(
-            f"R evaluation did not stabilize within depth {self.max_seed_depth} "
+            f"R evaluation did not stabilize within depth {MAX_SEED_DEPTH} "
             f"at r ~ {xi + probe_floor} (b={self.b})",
             last_iterates=(prev, probe_val),
         )
@@ -422,16 +411,9 @@ def raw_to_centered(raw) -> list:
 class MomentTable:
     """Raw and centered total-mass moments over an r-grid."""
 
-    b: int
     r_values: np.ndarray
     raw: np.ndarray       # shape (len(r_values), k_max + 1)
     centered: np.ndarray  # same shape; column m is the m-th centered moment
-    seed_kind: str
-    depth: int
-
-    @property
-    def k_max(self) -> int:
-        return self.raw.shape[1] - 1
 
 
 def moment_table(
@@ -497,11 +479,4 @@ def moment_table(
         ]
     )
     inverse = np.argsort(order)
-    return MomentTable(
-        b=profile.b,
-        r_values=r_values,
-        raw=raw_rows[inverse],
-        centered=centered_rows[inverse],
-        seed_kind=seed_kind,
-        depth=depth,
-    )
+    return MomentTable(r_values, raw_rows[inverse], centered_rows[inverse])

@@ -20,8 +20,9 @@ finds each coefficient from two residual evaluations, the row-by-row
 all b^2 factors of a chunk in one (b, b, size) call, the Kahane moment
 recursion at a numeric edge weight, the moment-ladder step that
 enumerates multinomial compositions, the pair-count histogram by its own
-recursion over ordered pairs, the R orbit stepped in mpmath, and the
-correlation-measure sum over every histogram entry.
+recursion over ordered pairs, the R orbit stepped in mpmath, the
+correlation-measure sum over every histogram entry, and the quoted two-term
+asymptotic of R.
 """
 
 import csv
@@ -37,7 +38,14 @@ from diamondgmc.cascade import _chunk_sizes
 from diamondgmc.errors import BudgetError, UsageError
 from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.reporting import format_float
-from diamondgmc.rfunction import _psi_series, _seed_pair_mp, _shift_series, asymptotic_expansion
+from diamondgmc.rfunction import (
+    _psi_series,
+    _seed_pair_mp,
+    _shift_series,
+    asymptotic_expansion,
+    eta,
+    kappa_sq,
+)
 
 INCIDENCE_CELL_BUDGET = 1 << 24
 
@@ -428,3 +436,9 @@ def histogram_mass_all_terms(table, counts, tilt: float = 0.0) -> float:
         step = mp.log1p(table.R_shifted) + tilt
         total = mp.fsum(c * mp.exp(k * step) for k, c in counts)
         return float(total / mp.mpf(path_count_int(table.histogram.params, table.n)) ** 2)
+
+
+def asymptotic_R_two_term(b: int, r: float) -> float:
+    """The quoted two-term vanishing asymptotic of R, valid for r << 0."""
+    t = -r
+    return kappa_sq(b) / t + kappa_sq(b) * eta(b) * math.log(t) / t**2

@@ -111,8 +111,8 @@ def test_criterion_03_exact_combinatorics(params2):
     for n in range(11):
         hist = pair_count_histogram(params2, n)
         pairs = path_count_int(params2, n) ** 2
-        assert hist.moment(1) == pairs          # mean N_n = 1, exactly
-        assert hist.moment(2) == (1 + n) * pairs  # mean N_n^2 = 1 + n(b-1)
+        assert sum(k * c for k, c in hist.counts) == pairs               # mean N_n = 1, exactly
+        assert sum(k * k * c for k, c in hist.counts) == (1 + n) * pairs  # mean N_n^2 = 1 + n(b-1)
     announce(3, "histograms equal brute force at n <= 2; N-moment identities "
                 "exact (big integers) for n <= 10", time.time() - start, 5.0)
 

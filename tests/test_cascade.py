@@ -166,10 +166,12 @@ class TestSimulateMassLaw:
         one = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs)
         two = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs)
         assert np.array_equal(one.masses, two.masses)
-        threaded = simulate_mass_law(
-            2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, threads=3, **kwargs
-        )
-        assert np.array_equal(one.masses, threaded.masses)
+        # the chunks of a step run concurrently or one after another, to the same bytes
+        masses = substream(42, 7).lognormal(sigma=0.5, size=10_001)
+        serial = population_step(masses, 2, [substream(42, 8, c) for c in range(4)])
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = population_step(masses, 2, [substream(42, 8, c) for c in range(4)], pool)
+        assert serial.tobytes() == pooled.tobytes()
         other_chunks = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=2, **kwargs)
         assert not np.array_equal(one.masses, other_chunks.masses)
 

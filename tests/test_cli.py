@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 import diamondgmc
-from diamondgmc import cascade
-from diamondgmc.cli import main, parse_config_file, parse_grid
+from diamondgmc import cascade, correlation
+from diamondgmc.cli import COMMAND_SETTINGS, RunConfig, main, parse_config_file, parse_grid
 from diamondgmc.correlation import pair_count_histogram
 from diamondgmc.errors import UsageError
 from diamondgmc.lattice import LatticeParams
@@ -70,7 +72,7 @@ class TestConfig:
             "allow_flagged = true\n"
             "seed_spec = lognormal\n"
         )
-        parsed = parse_config_file(cfg)
+        parsed = parse_config_file(cfg, "simulate")
         assert parsed == {
             "b": 2,
             "r": -4.5,
@@ -82,7 +84,18 @@ class TestConfig:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         with pytest.raises(UsageError):
-            parse_config_file(cfg)
+            parse_config_file(cfg, "simulate")
+
+    def test_keys_the_command_does_not_read_rejected(self, tmp_path, capsys):
+        # s is a setting of fixed-point only
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b = 2\ns = 3\n")
+        with pytest.raises(UsageError, match="correlation reads no config key 's'"):
+            parse_config_file(cfg, "correlation")
+        out = tmp_path / "out"
+        assert main(["correlation", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "correlation_manifest.json").exists()
 
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -129,7 +142,7 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
 )
 def test_usage_errors_exit_one(args, tmp_path, capsys):
     bad_int = tmp_path / "bad.cfg"
-    bad_int.write_text("n = abc\n")
+    bad_int.write_text("b = abc\n")
     paths = {"{missing}": str(tmp_path / "missing.cfg"), "{bad_int}": str(bad_int)}
     argv = [paths.get(a, a) for a in args]
     if argv:
@@ -145,6 +158,38 @@ def test_help_exits_zero(capsys):
         main(["gmc", "--help"])
     assert exc.value.code == 0
     assert "--check" in capsys.readouterr().out
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SETTINGS))
+def test_help_lists_exactly_the_declared_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(--[a-z-]+)", capsys.readouterr().out)) - {"--help"}
+    declared = {_flag(name) for name in COMMAND_SETTINGS[command] | {"out", "config"}}
+    assert listed == declared
+
+
+_UNDECLARED = [
+    (command, f.name)
+    for command in sorted(COMMAND_SETTINGS)
+    for f in dataclasses.fields(RunConfig)
+    if f.name not in COMMAND_SETTINGS[command] | {"out"}
+]
+
+
+@pytest.mark.parametrize("command, name", _UNDECLARED, ids=lambda v: v)
+def test_undeclared_flag_exits_one(command, name, tmp_path, capsys):
+    value = getattr(RunConfig(), name)
+    argv = [command, _flag(name)] + ([] if value is True or value is False else [str(value)])
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unrecognized arguments" in err
+    assert not list(tmp_path.iterdir())  # no manifest, no output
 
 
 class TestFixedPointCommand:
@@ -279,10 +324,26 @@ class TestCorrelationCommand:
         assert {c["verdict"] for c in checks.values()} == {"pass"}
 
     def test_non_critical_rejected(self, tmp_path, capsys):
+        # correlation runs on the critical lattice only: it takes no --s
         status = main(
             ["correlation", "--b", "2", "--s", "3", "--out", str(tmp_path)]
         )
         assert status == 1
+        assert "unrecognized arguments: --s 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b, n", [(2, 14), (3, 9)])
+    def test_histogram_budget_checked_first(self, b, n, tmp_path, capsys, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a histogram step ran before the budget check")
+
+        monkeypatch.setattr(correlation, "_square", no_step)
+        status = main(
+            ["correlation", "--b", str(b), "--n", str(n), "--out", str(tmp_path)]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: generation {n} exceeds the histogram budget")
+        assert "Traceback" not in err
 
     def test_kernel_marginal_beyond_double_range(self, tmp_path):
         # b = 3, n = 7: both sides of the kernel-marginal identity are about
@@ -477,7 +538,7 @@ class TestGmcCommand:
         assert f"error: gmc --check {check} needs --mode exact-discrete" in err
         assert not (tmp_path / f"gmc_{check}_report.json").exists()
 
-    @pytest.mark.parametrize("check", ["conditional", "strong-disorder"])
+    @pytest.mark.parametrize("check", ["conditional", "renormalization", "strong-disorder"])
     def test_reference_budget_checked_before_any_population(
         self, check, tmp_path, capsys, monkeypatch
     ):

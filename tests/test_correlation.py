@@ -13,8 +13,10 @@ from _oracles import (
     shared_edge_matrix,
     upsilon_pair_matrix,
 )
-from diamondgmc.errors import UsageError
+from diamondgmc import correlation
+from diamondgmc.errors import BudgetError, UsageError
 from diamondgmc.correlation import (
+    HISTOGRAM_EDGE_BUDGET,
     conditional_pair_histogram,
     correlation_table,
     histogram_mass,
@@ -54,8 +56,8 @@ class TestPairCountHistogram:
             hist = pair_count_histogram(params2, n)
             total = path_count_int(params2, n) ** 2
             assert sum(c for _, c in hist.counts) == total
-            assert hist.moment(1) == total
-            assert hist.moment(2) == (1 + n) * total
+            assert sum(k * c for k, c in hist.counts) == total
+            assert sum(k * k * c for k, c in hist.counts) == (1 + n) * total
 
     def test_matches_recursion_oracle(self):
         # H_n = |Gamma_n| c_n against the pair recursion, exactly
@@ -67,6 +69,17 @@ class TestPairCountHistogram:
     def test_non_critical_rejected(self):
         with pytest.raises(UsageError):
             pair_count_histogram(LatticeParams(2, 3), 1)
+
+    @pytest.mark.parametrize("b, feasible", [(2, 13), (3, 8), (4, 6), (5, 5)])
+    def test_edge_budget(self, b, feasible, monkeypatch):
+        # b^n <= 8192 shared edges; beyond it the error comes before any step
+        def no_step(*args):
+            raise AssertionError("a histogram step ran before the budget check")
+
+        monkeypatch.setattr(correlation, "_square", no_step)
+        with pytest.raises(BudgetError, match=f"largest feasible n at b = {b} is {feasible}$"):
+            pair_count_histogram(LatticeParams(b, b), feasible + 1)
+        assert b**feasible <= HISTOGRAM_EDGE_BUDGET < b ** (feasible + 1)
 
 
 class TestHistogramMass:
@@ -93,7 +106,7 @@ class TestUpsilonTotalMass:
     def test_weak_disorder_limit(self, profile2):
         table = correlation_table(profile2, -1e4, 3)
         assert upsilon_total_mass(table) == pytest.approx(1.0, abs=1e-3)
-        assert table.weight(0) == pytest.approx(1.0 / 128**2, rel=1e-12)
+        assert math.exp(table.log_weight(0)) == pytest.approx(1.0 / 128**2, rel=1e-12)
 
     def test_generation_consistency(self, profile2):
         target = 1.0 + profile2.evaluate_R(0.0)
@@ -258,7 +271,7 @@ class TestPairMatrix:
         for i in range(8):
             for j in range(8):
                 assert U[i, j] == pytest.approx(
-                    table.weight(int(N[i, j])), rel=1e-12
+                    math.exp(table.log_weight(int(N[i, j]))), rel=1e-12
                 )
 
     def test_support_generation_checked(self, profile2, params2):

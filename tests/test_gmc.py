@@ -430,7 +430,9 @@ class TestThetaSummary:
         r, n = -6.0, 2
         lam = edge_weight(profile2, r, 1.0, n, "asymptotic")
         table = correlation_table(profile2, r, n)
-        expected = lam * sum(k * c * table.weight(k) for k, c in table.histogram.counts)
+        expected = lam * sum(
+            k * c * math.exp(table.log_weight(k)) for k, c in table.histogram.counts
+        )
         leaf = default_leaf_population(
             2, r, n, 24, SeedSpec(), 41, pop_size=400_000, profile=profile2
         )

@@ -41,8 +41,7 @@ class TestParams:
             LatticeParams(2, 1)
 
     def test_critical(self):
-        assert LatticeParams(2, 2).critical()
-        assert not LatticeParams(2, 3).critical()
+        LatticeParams(2, 2).require_critical()
         with pytest.raises(UsageError):
             LatticeParams(2, 3).require_critical()
 

@@ -2,7 +2,8 @@
 
 A command's status is 0 unless the README notes ``# exits N`` beside it.  Each
 runs in a fresh working directory as ``python -m diamondgmc.cli``, the module
-behind the ``diamondgmc`` script.
+behind the ``diamondgmc`` script.  The README's table of each command's flags
+matches the settings the CLI declares for it.
 """
 
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import diamondgmc
+from diamondgmc.cli import COMMAND_SETTINGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(diamondgmc.__file__).resolve().parents[1]
@@ -62,3 +64,13 @@ def test_readme_command(argv, status, tmp_path):
     out = tmp_path / argv[argv.index("--out") + 1] if "--out" in argv else tmp_path
     manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
     assert manifest["exit_status"] == status
+
+
+def test_flag_table_matches_the_declared_settings():
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (`--.*) \|$", README.read_text(), re.M))
+    assert {
+        command: set(re.findall(r"`--([a-z-]+)`", flags)) for command, flags in rows.items()
+    } == {
+        command: {name.replace("_", "-") for name in names}
+        for command, names in COMMAND_SETTINGS.items()
+    }

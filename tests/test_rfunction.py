@@ -4,13 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import expansion_by_two_evaluations, moment_step_by_compositions, orbit_by_mpmath
-from diamondgmc import cli
+from _oracles import (
+    asymptotic_R_two_term,
+    expansion_by_two_evaluations,
+    moment_step_by_compositions,
+    orbit_by_mpmath,
+)
+from diamondgmc import cli, rfunction
 from diamondgmc.errors import ConvergenceError, DomainError, RangeError, UsageError
 from diamondgmc.rfunction import (
     MomentTable,
     VarianceProfile,
-    asymptotic_R_two_term,
     asymptotic_expansion,
     eta,
     kappa_sq,
@@ -82,11 +86,15 @@ class TestEvaluateR:
         assert abs(val - ref) / ref < 1e-6
         assert ref == pytest.approx(2.0e-6, rel=2e-5)
 
-    def test_depth_insensitivity(self):
-        shallow = VarianceProfile(2, seed_depth=512)
-        deep = VarianceProfile(2, seed_depth=1024)
-        for r in np.arange(-5.0, 5.5, 1.0):
-            a, b = shallow.evaluate_R(r), deep.evaluate_R(r)
+    def test_depth_insensitivity(self, monkeypatch):
+        grid = np.arange(-5.0, 5.5, 1.0)
+        deep = VarianceProfile(2)
+        with monkeypatch.context() as m:
+            m.setattr(rfunction, "SEED_DEPTH", 512)
+            shallow = VarianceProfile(2)
+            shallow_values = [shallow.evaluate_R(r) for r in grid]
+        for r, a in zip(grid, shallow_values):
+            b = deep.evaluate_R(r)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
     def test_recursion_identity(self, profile2):
@@ -182,10 +190,12 @@ class TestEvaluateR:
         assert cli.main(argv) == 0
         assert sorted(builds) == [k / 8 for k in range(8)]
 
-    def test_convergence_error_reports_iterates(self):
-        prof = VarianceProfile(2, seed_depth=4, max_seed_depth=8, tolerance=0.0)
+    def test_convergence_error_reports_iterates(self, monkeypatch):
+        monkeypatch.setattr(rfunction, "SEED_DEPTH", 4)
+        monkeypatch.setattr(rfunction, "MAX_SEED_DEPTH", 8)
+        monkeypatch.setattr(rfunction, "TOLERANCE", 0.0)
         with pytest.raises(ConvergenceError) as err:
-            prof.evaluate_R(0.0)
+            VarianceProfile(2).evaluate_R(0.0)
         assert err.value.last_iterates is not None
 
 
