@@ -169,7 +169,16 @@ class MassPopulation:
         return float(dev_sq.sum() / (self.size - 1)), mean_se(dev_sq)[1]
 
     def central_moment_se(self, k: int):
-        return mean_se((self.masses - self.masses.mean()) ** k)
+        """Mean and SE of the k-th power of the deviations, for k >= 1.
+
+        The power is formed by in-place products: numpy's float ``**`` with an
+        integer exponent above 2 calls ``pow`` per entry, about 10x slower.
+        """
+        dev = self.masses - self.masses.mean()
+        power = dev.copy()
+        for _ in range(k - 1):
+            power *= dev
+        return mean_se(power)
 
 
 def _chunk_sizes(total: int, chunks: int):

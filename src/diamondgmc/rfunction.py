@@ -23,10 +23,13 @@ order with exact rational coefficients derived from the recursion itself
 time: the order-k coefficients enter the balance at order k + 1 linearly with
 closed-form slopes, so one residual evaluation per order determines them, and
 a final full-balance check proves that every order through the last vanishes
-exactly.  Only the seed is evaluated in mpmath.  The orbit is iterated in
-integer fixed point with at least ``PRECISION_DPS`` significant digits,
-built once per residue class r mod 1 and cached, so the recursion identity
-psi_b(R(r)) = R(r+1) holds to rounding on any evaluated grid.
+exactly.  Each residual runs on integer numerators with one denominator per
+series (y over the lcm D of its denominators, psi_b(y) over b D^b), and
+only its result is turned into Fractions.  Only the seed is evaluated in
+mpmath.  The orbit is iterated in integer fixed point with at least
+``PRECISION_DPS`` significant digits, built once per residue class r mod 1
+and cached, so the recursion identity psi_b(R(r)) = R(r+1) holds to
+rounding on any evaluated grid.
 
 R'(r) rides along the same orbit via the differentiated recursion
 R'(r + 1) = (1 + R(r))^(b-1) R'(r), seeded with the series derivative.
@@ -99,66 +102,77 @@ def psi(b: int, x: float) -> float:
 #     R(r) = sum_{k>=1} P_k(L) / t^k,  deg P_k = k - 1,
 # and the recursion y(t-1) = psi_b(y(t)) determines every coefficient once
 # the leading coefficient kappa^2 and the log-free 1/t^2 coefficient (zero,
-# by the stated error bound) are fixed.  All series arithmetic below is over
-# Fractions; a key (k, j) holds the coefficient of L^j / t^k.
+# by the stated error bound) are fixed.  The coefficients are Fractions; the
+# residual runs on integer numerators over one denominator per series and
+# returns Fractions.  A key (k, j) holds the coefficient of L^j / t^k.
 
 
 def _series_mul(u, v, k_cap):
+    """Product of two integer-numerator series, truncated at 1/t^k_cap."""
     out = {}
     for (k1, j1), c1 in u.items():
         for (k2, j2), c2 in v.items():
             k = k1 + k2
-            if k > k_cap:
-                continue
-            key = (k, j1 + j2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {key: c for key, c in out.items() if c != 0}
+            if k <= k_cap:
+                key = (k, j1 + j2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
 
 
-def _psi_series(y, b, k_cap):
-    out = {}
-    power = dict(y)
-    for d in range(1, b + 1):
-        coef = Fraction(math.comb(b, d), b)
-        for key, c in power.items():
-            out[key] = out.get(key, Fraction(0)) + coef * c
-        if d < b:
-            power = _series_mul(power, y, k_cap)
-    return {key: c for key, c in out.items() if c != 0}
+@lru_cache(maxsize=None)
+def _shift_basis(k, m, k_cap):
+    """(t - 1)^-k delta^m through 1/t^k_cap, over lcm(1..k_cap)^m.
 
-
-def _shift_series(y, k_cap):
-    """Expand y(t - 1) as a series in 1/t and L = log t."""
-    # 1/(t-1)^k = sum_i binom(k-1+i, i) t^-(k+i)
-    inv_pow = {}
-    for k in range(1, k_cap + 1):
-        inv_pow[k] = {
-            (k + i, 0): Fraction(math.comb(k - 1 + i, i))
-            for i in range(0, k_cap - k + 1)
-        }
-    # delta = log(t-1) - log t = -sum_{i>=1} t^-i / i
-    delta = {(i, 0): Fraction(-1, i) for i in range(1, k_cap + 1)}
-    max_j = max((j for (_, j) in y), default=0)
-    delta_pow = {0: {(0, 0): Fraction(1)}}
-    for m in range(1, max_j + 1):
-        delta_pow[m] = _series_mul(delta_pow[m - 1], delta, k_cap)
-
-    out = {}
-    for (k, j), c in y.items():
-        for m in range(0, j + 1):
-            binom = Fraction(math.comb(j, m))
-            base = _series_mul(inv_pow[k], delta_pow[m], k_cap)
-            for (kk, jj), cc in base.items():
-                key = (kk, jj + (j - m))
-                out[key] = out.get(key, Fraction(0)) + c * binom * cc
-    return {key: c for key, c in out.items() if c != 0}
+    With 1/(t - 1)^k = sum_i C(k - 1 + i, i) t^-(k + i) and
+    delta = log(t - 1) - log t = -sum_{i>=1} t^-i / i; returned as
+    (k', numerator) pairs of the 1/t^k' terms.
+    """
+    lcm = math.lcm(*range(1, k_cap + 1))
+    series = {k + i: math.comb(k - 1 + i, i) for i in range(k_cap - k + 1)}
+    for _ in range(m):
+        product = {}
+        for kk, c in series.items():
+            for i in range(1, k_cap - kk + 1):
+                product[kk + i] = product.get(kk + i, 0) - c * (lcm // i)
+        series = product
+    return tuple(series.items())
 
 
 def _residual(coeffs, b, k_cap):
-    """Series of psi_b(y(t)) - y(t - 1), truncated at 1/t^k_cap."""
-    res = _psi_series(coeffs, b, k_cap)
-    for key, c in _shift_series(coeffs, k_cap).items():
-        res[key] = res.get(key, Fraction(0)) - c
+    """Nonzero coefficients of psi_b(y(t)) - y(t - 1), truncated at 1/t^k_cap.
+
+    y = coeffs is held over D, the lcm of its denominators, so psi_b(y) =
+    sum_d C(b, d) y^d / b is held over b D^b, and the shifted series
+    y(t - 1) = sum c (L + delta)^j / (t - 1)^k over D lcm(1..k_cap)^max_j.
+    """
+    D = math.lcm(*(c.denominator for c in coeffs.values()))
+    y = {key: c.numerator * (D // c.denominator) for key, c in coeffs.items() if c}
+    psi_num = {}
+    power = y
+    for d in range(1, b + 1):
+        scale = math.comb(b, d) * D ** (b - d)
+        for key, c in power.items():
+            psi_num[key] = psi_num.get(key, 0) + scale * c
+        if d < b:
+            power = _series_mul(power, y, k_cap)
+    max_j = max((j for _, j in y), default=0)
+    lcm = math.lcm(*range(1, k_cap + 1))
+    lcm_pow = lcm**max_j
+    shift_num = {}
+    for (k, j), c in y.items():
+        for m in range(j + 1):
+            scale = c * math.comb(j, m) * lcm ** (max_j - m)
+            for kk, cc in _shift_basis(k, m, k_cap):
+                key = (kk, j - m)
+                shift_num[key] = shift_num.get(key, 0) + scale * cc
+    # over the common denominator b D^b lcm(1..k_cap)^max_j
+    shift_scale = b * D ** (b - 1)
+    den = b * D**b * lcm_pow
+    res = {}
+    for key in psi_num.keys() | shift_num.keys():
+        num = psi_num.get(key, 0) * lcm_pow - shift_num.get(key, 0) * shift_scale
+        if num:
+            res[key] = Fraction(num, den)
     return res
 
 

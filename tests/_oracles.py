@@ -39,9 +39,7 @@ from diamondgmc.errors import BudgetError, UsageError
 from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.reporting import format_float
 from diamondgmc.rfunction import (
-    _psi_series,
     _seed_pair_mp,
-    _shift_series,
     asymptotic_expansion,
     eta,
     kappa_sq,
@@ -216,6 +214,63 @@ def dense_kahane(kernel: np.ndarray, reference: np.ndarray, m: int) -> float:
     exponent = sum(kernel[axes[k], axes[l]] for k in range(m) for l in range(k + 1, m))
     weight = reduce(np.multiply, [reference[ax] for ax in axes])
     return float((weight * np.exp(exponent)).sum())
+
+
+# Series over Fractions, a key (k, j) holding the coefficient of L^j / t^k
+# with t = -r and L = log t, written apart from the library's
+# integer-numerator solver so that the oracle shares none of its code.
+
+
+def _series_mul(u, v, k_cap):
+    out = {}
+    for (k1, j1), c1 in u.items():
+        for (k2, j2), c2 in v.items():
+            k = k1 + k2
+            if k > k_cap:
+                continue
+            key = (k, j1 + j2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _psi_series(y, b, k_cap):
+    """psi_b(y) = sum_d C(b, d) y^d / b, truncated at 1/t^k_cap."""
+    out = {}
+    power = dict(y)
+    for d in range(1, b + 1):
+        coef = Fraction(math.comb(b, d), b)
+        for key, c in power.items():
+            out[key] = out.get(key, Fraction(0)) + coef * c
+        if d < b:
+            power = _series_mul(power, y, k_cap)
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _shift_series(y, k_cap):
+    """Expand y(t - 1) as a series in 1/t and L = log t."""
+    # 1/(t-1)^k = sum_i binom(k-1+i, i) t^-(k+i)
+    inv_pow = {}
+    for k in range(1, k_cap + 1):
+        inv_pow[k] = {
+            (k + i, 0): Fraction(math.comb(k - 1 + i, i))
+            for i in range(0, k_cap - k + 1)
+        }
+    # delta = log(t-1) - log t = -sum_{i>=1} t^-i / i
+    delta = {(i, 0): Fraction(-1, i) for i in range(1, k_cap + 1)}
+    max_j = max((j for (_, j) in y), default=0)
+    delta_pow = {0: {(0, 0): Fraction(1)}}
+    for m in range(1, max_j + 1):
+        delta_pow[m] = _series_mul(delta_pow[m - 1], delta, k_cap)
+
+    out = {}
+    for (k, j), c in y.items():
+        for m in range(0, j + 1):
+            binom = Fraction(math.comb(j, m))
+            base = _series_mul(inv_pow[k], delta_pow[m], k_cap)
+            for (kk, jj), cc in base.items():
+                key = (kk, jj + (j - m))
+                out[key] = out.get(key, Fraction(0)) + c * binom * cc
+    return {key: c for key, c in out.items() if c != 0}
 
 
 def _residual_coeff(coeffs, b, k_cap, key):

@@ -336,7 +336,7 @@ class TestCorrelationCommand:
         def no_step(*args):
             raise AssertionError("a histogram step ran before the budget check")
 
-        monkeypatch.setattr(correlation, "_square", no_step)
+        monkeypatch.setattr(correlation, "_power", no_step)
         status = main(
             ["correlation", "--b", str(b), "--n", str(n), "--out", str(tmp_path)]
         )

@@ -51,13 +51,17 @@ class TestPairCountHistogram:
     def test_mass_partition_n2(self, params2):
         assert sum(c for _, c in pair_count_histogram(params2, 2).counts) == 64
 
-    def test_exact_moment_identities_up_to_n12(self, params2):
-        for n in range(13):
-            hist = pair_count_histogram(params2, n)
-            total = path_count_int(params2, n) ** 2
+    @pytest.mark.parametrize("b, n_max", [(2, 13), (3, 8), (4, 6), (5, 5)])
+    def test_exact_moment_identities_to_budget_edge(self, b, n_max):
+        # N_n is 0 off q's top branch and a sum of b copies of N_(n-1) on it,
+        # so E N_n = 1 and E N_n^2 = 1 + (b - 1) n over uniform pairs
+        params = LatticeParams(b, b)
+        for n in range(n_max + 1):
+            hist = pair_count_histogram(params, n)
+            total = path_count_int(params, n) ** 2
             assert sum(c for _, c in hist.counts) == total
             assert sum(k * c for k, c in hist.counts) == total
-            assert sum(k * k * c for k, c in hist.counts) == (1 + n) * total
+            assert sum(k * k * c for k, c in hist.counts) == (1 + (b - 1) * n) * total
 
     def test_matches_recursion_oracle(self):
         # H_n = |Gamma_n| c_n against the pair recursion, exactly
@@ -76,10 +80,14 @@ class TestPairCountHistogram:
         def no_step(*args):
             raise AssertionError("a histogram step ran before the budget check")
 
-        monkeypatch.setattr(correlation, "_square", no_step)
+        monkeypatch.setattr(correlation, "_power", no_step)
         with pytest.raises(BudgetError, match=f"largest feasible n at b = {b} is {feasible}$"):
             pair_count_histogram(LatticeParams(b, b), feasible + 1)
         assert b**feasible <= HISTOGRAM_EDGE_BUDGET < b ** (feasible + 1)
+        # the step to n = feasible packs the widest slots, and int() reads a
+        # slot back only within the interpreter's digit limit
+        width = correlation._slot_width(path_count_int(LatticeParams(b, b), feasible - 1), b)
+        assert width <= (sys.get_int_max_str_digits() or math.inf)
 
 
 class TestHistogramMass:

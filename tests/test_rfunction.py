@@ -63,7 +63,7 @@ class TestAsymptoticExpansion:
         assert coeffs[(3, 0)] == 1
 
     @pytest.mark.parametrize(
-        "b, order", [(2, 2), (2, 5), (2, 10), (3, 3), (3, 10), (4, 4), (4, 10)]
+        "b, order", [(2, 2), (2, 5), (2, 10), (3, 3), (3, 10), (4, 4), (4, 10), (5, 10)]
     )
     def test_matches_two_evaluation_oracle(self, b, order):
         # key order matters too: the seed series is summed in dict order
