@@ -54,7 +54,6 @@ from .gmc import (
     chaos_totals,
     conditional_gmc_experiment,
     edge_weight,
-    renormalization_consistency,
     sample_gmc,
     shift_field,
     strong_disorder_bound,
@@ -77,7 +76,7 @@ from .reporting import (
 )
 from .rfunction import SEED_KINDS, VarianceProfile, eta, kappa_sq, moment_table, psi
 
-GMC_CHECKS = ("shift", "kahane", "conditional", "renormalization", "strong-disorder")
+GMC_CHECKS = ("shift", "kahane", "conditional", "strong-disorder")
 
 
 def _setting(default, choices=None):
@@ -412,9 +411,7 @@ def cmd_correlation(run: _Run) -> int:
     check_rows = []
     n_rn = min(n_max, 8)
     tbl = correlation_table(profile, cfg.r, n_rn)
-    rn_mass = histogram_mass(
-        tbl, tbl.histogram.counts, rn_log_kernel(profile, cfg.r, cfg.a, n_rn, 1)
-    )
+    rn_mass = histogram_mass(tbl, rn_log_kernel(profile, cfg.r, cfg.a, n_rn, 1))
     rn_target = 1.0 + profile.evaluate_R(cfg.r + cfg.a)
     run.report.add(
         exact_check(f"rn-exactness(n={n_rn})", (rn_mass - rn_target) / rn_target, 1e-12,
@@ -528,7 +525,8 @@ def cmd_simulate(run: _Run) -> int:
                         detail=f"relative, sum_k S_k vs T^2 over {cfg.realizations} realizations")
         )
         table = correlation_table(profile, cfg.r, cfg.n)
-        for k, pairs in table.histogram.counts:
+        hist = pair_count_histogram(LatticeParams(cfg.b, cfg.b), cfg.n)
+        for k, pairs in hist.counts:
             target = math.exp(math.log(pairs) + table.log_weight(k))
             est, se = mean_se(class_sums[k])
             run.report.add(
@@ -545,13 +543,13 @@ def cmd_gmc(run: _Run) -> int:
 
     # the statistical checks' SEs need two draws, and two realizations where
     # they read them
-    pooled = ("conditional", "renormalization", "strong-disorder")
+    pooled = ("conditional", "strong-disorder")
     if cfg.check in ("kahane",) + pooled and cfg.draws < 2:
         raise UsageError(f"gmc --check {cfg.check} needs --draws >= 2")
     if cfg.check in pooled and cfg.realizations < 2:
         raise UsageError(f"gmc --check {cfg.check} needs --realizations >= 2")
-    # their exact targets hold for the exact-discrete edge weight only
-    if cfg.check in ("conditional", "renormalization") and cfg.mode != "exact-discrete":
+    # its exact targets hold for the exact-discrete edge weight only
+    if cfg.check == "conditional" and cfg.mode != "exact-discrete":
         raise UsageError(f"gmc --check {cfg.check} needs --mode exact-discrete")
 
     if cfg.check == "shift":
@@ -594,12 +592,6 @@ def cmd_gmc(run: _Run) -> int:
         run.extend(report)
     elif cfg.check == "conditional":
         report = conditional_gmc_experiment(
-            profile, cfg.r, cfg.a, cfg.n, cfg.depth,
-            cfg.realizations, cfg.draws, cfg.seed, seed_spec,
-        )
-        run.extend(report)
-    elif cfg.check == "renormalization":
-        report = renormalization_consistency(
             profile, cfg.r, cfg.a, cfg.n, cfg.depth,
             cfg.realizations, cfg.draws, cfg.seed, seed_spec,
         )

@@ -23,9 +23,10 @@ recursion H_{n+1} = b H_n^{*b} + b (b - 1) |Gamma_n|^(2b) at N = 0: with
 G_n = |Gamma_n| and G_{n+1} = b G_n^b, H_n = G_n c_n gives
 H_n^{*b} = G_n^b c_n^{*b}, so G_{n+1} c_{n+1} = b G_n^b c_n^{*b} +
 b (b - 1) G_n^(2b) at N = 0, which is H_{n+1}.  The pair recursion, on
-counts with twice the digits, is kept only as a test oracle.  Counts are
-exact big integers; weights are handled in log space.  No path is
-enumerated.
+counts with twice the digits, is kept only as a test oracle.  Sums over
+pairs run over c_n and divide by |Gamma_n| once; H_n itself is formed only
+where pair counts are output.  Counts are exact big integers; weights are
+handled in log space.  No path is enumerated.
 """
 
 from __future__ import annotations
@@ -134,12 +135,14 @@ class CorrelationTable:
     """Correlation-measure weights at parameter r over generation-n cylinder pairs.
 
     Weights are stored in log space: log w(N) = N log(1 + R(r - n)) - 2 log|Gamma_n|.
+    Sums over pairs run over the conditional histogram c_n, since the pair
+    counts are H_n = |Gamma_n| c_n.
     """
 
     profile: VarianceProfile
     r: float
     n: int
-    histogram: PairCountHistogram
+    conditional: tuple  # c_n as sorted (N, count) pairs, counts exact ints
     R_shifted: float  # R(r - n)
     log_gamma: float  # log |Gamma_n|
 
@@ -153,28 +156,29 @@ class CorrelationTable:
 
 def correlation_table(profile: VarianceProfile, r: float, n: int) -> CorrelationTable:
     params = LatticeParams(profile.b, profile.b)
-    hist = pair_count_histogram(params, n)
     return CorrelationTable(
         profile=profile,
         r=r,
         n=n,
-        histogram=hist,
+        conditional=conditional_pair_histogram(profile.b, n),
         R_shifted=profile.evaluate_R(r - n),
         log_gamma=decision_count(params.s, n) * math.log(params.b),
     )
 
 
-def histogram_mass(table: CorrelationTable, counts, tilt: float = 0.0) -> float:
-    """sum_k c_k ((1 + R(r - n)) e^tilt)^k / |Gamma_n|^2 over the (k, c_k) of ``counts``.
+def _conditional_mass(table: CorrelationTable, tilt: float, paths: int) -> float:
+    """sum_k c_n(k) ((1 + R(r - n)) e^tilt)^k / |Gamma_n|^paths.
 
     Summed in 30-digit mpmath from the table's float R(r - n).  In doubles
-    each log-space term log c_k + k log(1 + R) - 2 log|Gamma_n| cancels logs
-    of size 2 log|Gamma_n| (about 7207 at b = 3, n = 8), whose rounding alone
-    reaches 1.6e-12 relative.  Those float logs do suffice to pick the terms:
-    only the ones within ``_MASS_LOG_WINDOW`` of the largest enter the sum,
-    and the rest, each below e^-80 of it, cannot move 30 digits.
+    each log-space term log c_k + k log(1 + R) - paths log|Gamma_n| cancels
+    logs of size up to 2 log|Gamma_n| (about 7207 at b = 3, n = 8), whose
+    rounding alone reaches 1.6e-12 relative.  Those float logs do suffice to
+    pick the terms: only the ones within ``_MASS_LOG_WINDOW`` of the largest
+    enter the sum, and the rest, each below e^-80 of it, cannot move 30
+    digits.
     """
-    gamma = path_count_int(table.histogram.params, table.n)
+    gamma = path_count_int(LatticeParams(table.profile.b, table.profile.b), table.n)
+    counts = table.conditional
     step_f = math.log1p(table.R_shifted) + tilt
     logs = [math.log(c) + k * step_f for k, c in counts]
     floor = max(logs) - _MASS_LOG_WINDOW
@@ -183,12 +187,21 @@ def histogram_mass(table: CorrelationTable, counts, tilt: float = 0.0) -> float:
         total = mp.fsum(
             c * mp.exp(k * step) for (k, c), log in zip(counts, logs) if log >= floor
         )
-        return float(total / mp.mpf(gamma) ** 2)
+        return float(total / mp.mpf(gamma) ** paths)
+
+
+def histogram_mass(table: CorrelationTable, tilt: float = 0.0) -> float:
+    """Total correlation mass with each weight tilted by e^(tilt N).
+
+    sum_k H_n(k) ((1 + R(r - n)) e^tilt)^k / |Gamma_n|^2, formed as the sum
+    over c_n divided by |Gamma_n| once.
+    """
+    return _conditional_mass(table, tilt, 1)
 
 
 def upsilon_total_mass(table: CorrelationTable) -> float:
     """Total correlation mass; equals 1 + R(r) for every generation n."""
-    return histogram_mass(table, table.histogram.counts)
+    return histogram_mass(table)
 
 
 def marginal_check(table: CorrelationTable) -> float:
@@ -196,7 +209,7 @@ def marginal_check(table: CorrelationTable) -> float:
 
     Contract: equals (1 + R(r))/|Gamma_n|.
     """
-    return histogram_mass(table, conditional_pair_histogram(table.profile.b, table.n))
+    return _conditional_mass(table, 0.0, 2)
 
 
 def rn_log_kernel(profile: VarianceProfile, r: float, a: float, n: int, N: int) -> float:
@@ -232,9 +245,10 @@ class LebesgueWeights:
         return lw - math.log(self.R_r) - 2.0 * self.table.log_gamma
 
     def rho_total(self) -> float:
+        # over pairs, H_n(k) = |Gamma_n| c_n(k)
         terms = [
-            math.log(c) + self.rho_log_weight(k)
-            for k, c in self.table.histogram.counts
+            math.log(c) + self.table.log_gamma + self.rho_log_weight(k)
+            for k, c in self.table.conditional
             if k > 0
         ]
         return math.exp(_logsumexp(terms))

@@ -28,13 +28,12 @@ correlation identity exact: reweighting the generation-n correlation measure
 at parameter r by exp(K) gives the one at r + a.  asymptotic,
 lam = a * kappa^2 / n^2, matches the limiting intersection kernel and is
 used for the strong-disorder bound.  The exact-discrete weight depends only
-on (r - n, a), so the level-n construction at r + 1 and the level-(n-1)
-construction at r share one edge weight; that is what makes the composite
-(renormalized) construction agree with the single-level one, mirroring the
-hierarchical decomposition of the kernel operator: over b^2 blocks of
-sub-leaves, the single-level chaos total is (1/b) sum_i prod_j of the block
-chaos totals, which the weight-decomposition audit checks on the leaf tree
-at any n.
+on (r - n, a), so the level-n chaos at r and the level-(n-1) chaos at r - 1
+share one edge weight.  Over b^2 blocks of sub-leaves the level-n chaos
+total is therefore (1/b) sum_i prod_j of the block chaos totals, the
+hierarchical decomposition of the kernel operator: one renormalization step
+of the chaos is the chaos one level down.  The conditional experiment checks
+this exactly, as its weight-decomposition audit on the leaf tree.
 """
 
 from __future__ import annotations
@@ -248,7 +247,10 @@ def conditional_gmc_experiment(
     * pooled moments against a directly simulated population at r + a of
       matched size (``direct_size`` defaults to ``realizations`` so both
       routes see comparable tail depth); a large direct population and a
-      two-sample KS statistic are attached as diagnostics.
+      two-sample KS statistic are attached as diagnostics;
+    * for n >= 2, the weight-decomposition audit at (r - 1, a, n): both of
+      its edge weights are this run's kernel, so one renormalization step
+      of the level-n chaos reproduces it from level n - 1 exactly.
     """
     seed_spec = seed_spec or SeedSpec()
     b = profile.b
@@ -344,6 +346,12 @@ def conditional_gmc_experiment(
     report.add(
         se_check("third-moment-vs-direct", dmoms[3][0], pooled[3][0], comb3, 5.0)
     )
+    if n >= 2:
+        audit = renormalization_weight_audit(profile, r - 1, a, n, master_seed)
+        report.add(
+            exact_check("weight-decomposition-audit", audit, 1e-12,
+                        detail="relative, level-n vs block-composed level-(n-1) total")
+        )
     ks_d, ks_p = ks_two_sample(totals, big_direct.masses)
     report.arrays["totals"] = totals.ravel()
     report.arrays["direct_totals"] = direct.masses
@@ -364,10 +372,10 @@ def conditional_gmc_experiment(
 def renormalization_weight_audit(
     profile: VarianceProfile, r: float, a: float, n: int, master_seed: int
 ) -> float:
-    """Deterministic product-structure audit of the composite construction.
+    """Deterministic product-structure audit of one renormalization step.
 
-    For one hand-set Gaussian edge vector and lognormal leaves, compares the
-    total of the single-level chaos at (r + 1, a, n) with the composite one:
+    For one seeded Gaussian edge vector and lognormal leaves, compares the
+    total of the level-n chaos at (r + 1, a, n) with the composite one:
     the leaves split into b^2 consecutive blocks of generation-(n - 1)
     sub-leaves, each block carries its own chaos at (r, a, n - 1), and the
     block totals combine as (1/b) sum_i prod_j.  Returns the relative gap,
@@ -387,127 +395,6 @@ def renormalization_weight_audit(
     blocks = (leaves * _edge_factors(lam_sub, g.copy())).reshape(b * b, -1)
     composite = float(tree_total(tree_total(blocks.T, b), b))
     return abs(single - composite) / max(abs(single), 1e-300)
-
-
-def renormalization_consistency(
-    profile: VarianceProfile,
-    r: float,
-    a: float,
-    n: int,
-    depth: int,
-    realizations: int,
-    draws: int,
-    master_seed: int,
-    seed_spec: "SeedSpec | None" = None,
-    leaf_pop_size: int = 1_000_000,
-) -> ExperimentReport:
-    """Single-level vs composite chaos constructions of the same law.
-
-    (A) one chaos at (r + 1, a, n) over references at (r + 1, n);
-    (B) b^2 independent chaoses at (r, a, n - 1) over independent references
-    at (r, n - 1), combined by the one-step renormalization map.  Both
-    total-mass laws target 1 + R(r + 1 + a) in second moment.
-    """
-    if n < 2:
-        raise UsageError("the composite construction needs n >= 2")
-    seed_spec = seed_spec or SeedSpec()
-    b = profile.b
-    bb = b * b
-    # both batches hold realizations x b^(2n) leaf cells: b^2 copies at n - 1
-    check_audit_budget(b, n, realizations)
-
-    lam_a = edge_weight(profile, r + 1, a, n, "exact-discrete")
-    leaf_a = default_leaf_population(
-        b, r + 1, n, depth, seed_spec, master_seed, pop_size=leaf_pop_size, profile=profile
-    )
-    refs_a = sample_measure_batch(b, r + 1, n, realizations, leaf_a, master_seed)
-    totals_a = np.empty((realizations, draws))
-    for i in range(realizations):
-        rng = substream(master_seed, _REALM_GMC, 2 * i)
-        totals_a[i] = chaos_totals(refs_a[i], b, lam_a, rng, draws)
-
-    lam_b = edge_weight(profile, r, a, n - 1, "exact-discrete")
-    leaf_seed = int(
-        np.random.SeedSequence((int(master_seed), _REALM_DIRECT, 1)).generate_state(1)[0]
-    )
-    leaf_b = default_leaf_population(
-        b, r, n - 1, depth, seed_spec, leaf_seed, pop_size=leaf_pop_size, profile=profile
-    )
-    refs_b = sample_measure_batch(
-        b, r, n - 1, realizations * bb, leaf_b, leaf_seed
-    ).reshape(realizations, bb, -1)
-    totals_b = np.empty((realizations, draws))
-    for i in range(realizations):
-        rng = substream(master_seed, _REALM_GMC, 2 * i + 1)
-        copy_totals = np.empty((bb, draws))
-        for c in range(bb):
-            copy_totals[c] = chaos_totals(refs_b[i, c], b, lam_b, rng, draws)
-        totals_b[i] = tree_total(copy_totals, b)
-
-    pooled_a = _pooled_moments(totals_a)
-    pooled_b = _pooled_moments(totals_b)
-    target2 = 1.0 + profile.evaluate_R(r + 1 + a)
-
-    report = ExperimentReport(
-        name="renormalization-consistency",
-        notes=[SEEDING_BIAS_NOTE],
-        provenance={
-            "b": b,
-            "r": r,
-            "a": a,
-            "n": n,
-            "depth": depth,
-            "realizations": realizations,
-            "draws": draws,
-            "master_seed": master_seed,
-            "seed_kind": seed_spec.kind,
-            "leaf_pop_size": leaf_pop_size,
-        },
-    )
-    report.add(
-        se_check("single-level-second-moment", target2, pooled_a[2][0], pooled_a[2][1], 4.0)
-    )
-    report.add(
-        se_check("composite-second-moment", target2, pooled_b[2][0], pooled_b[2][1], 4.0)
-    )
-    comb2 = math.hypot(pooled_a[2][1], pooled_b[2][1])
-    report.add(
-        se_check(
-            "second-moment-single-vs-composite",
-            pooled_a[2][0],
-            pooled_b[2][0],
-            comb2,
-            4.0,
-        )
-    )
-    comb3 = math.hypot(pooled_a[3][1], pooled_b[3][1])
-    report.add(
-        se_check(
-            "third-moment-single-vs-composite",
-            pooled_a[3][0],
-            pooled_b[3][0],
-            comb3,
-            5.0,
-        )
-    )
-    audit = renormalization_weight_audit(profile, r, a, n, master_seed)
-    report.add(
-        exact_check("weight-decomposition-audit", audit, 1e-12,
-                    detail="relative, single-level vs composite total")
-    )
-    ks_d, ks_p = ks_two_sample(totals_a, totals_b)
-    report.arrays["single_level_totals"] = totals_a.ravel()
-    report.arrays["composite_totals"] = totals_b.ravel()
-    report.diagnostics.update(
-        {
-            "single_level_moments": {str(k): v for k, v in pooled_a.items()},
-            "composite_moments": {str(k): v for k, v in pooled_b.items()},
-            "target_second_moment": target2,
-            "ks_statistic": ks_d,
-            "ks_pvalue": ks_p,
-        }
-    )
-    return report
 
 
 def strong_disorder_bound(

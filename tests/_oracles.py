@@ -490,7 +490,8 @@ def histogram_mass_all_terms(table, counts, tilt: float = 0.0) -> float:
     with mp.workdps(30):
         step = mp.log1p(table.R_shifted) + tilt
         total = mp.fsum(c * mp.exp(k * step) for k, c in counts)
-        return float(total / mp.mpf(path_count_int(table.histogram.params, table.n)) ** 2)
+        gamma = path_count_int(LatticeParams(table.profile.b, table.profile.b), table.n)
+        return float(total / mp.mpf(gamma) ** 2)
 
 
 def asymptotic_R_two_term(b: int, r: float) -> float:

@@ -37,17 +37,17 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_ks_diagnostics_run_without_scipy(tmp_path):
-    # both KS diagnostics, with scipy made unimportable in the child process
+    # the conditional run's KS diagnostic, with scipy made unimportable in the
+    # child process
     env = dict(os.environ, PYTHONPATH=str(Path(diamondgmc.__file__).resolve().parents[1]))
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from diamondgmc.cli import main\n"
-        "for check in ('conditional', 'renormalization'):\n"
-        "    status = main(['gmc', '--check', check, '--r', '-4', '--a', '0', '--n', '2',\n"
-        "                   '--realizations', '50', '--draws', '100',\n"
-        f"                   '--out', {str(tmp_path)!r} + '/' + check])\n"
-        "    print('status', check, status)\n"
+        "status = main(['gmc', '--check', 'conditional', '--r', '-4', '--a', '0', '--n', '2',\n"
+        "               '--realizations', '50', '--draws', '100',\n"
+        f"               '--out', {str(tmp_path)!r}])\n"
+        "print('status', status)\n"
         "print('status', sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod))\n"
     )
     proc = subprocess.run(
@@ -55,11 +55,10 @@ def test_ks_diagnostics_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     statuses = [line for line in proc.stdout.splitlines() if line.startswith("status ")]
-    assert statuses == ["status conditional 0", "status renormalization 0", "status []"]
-    for check in ("conditional", "renormalization"):
-        diag = read_manifest(tmp_path / check / f"gmc_{check}_report.json")["diagnostics"]
-        assert 0.0 <= diag["ks_statistic"] <= 1.0
-        assert 0.0 <= diag["ks_pvalue"] <= 1.0
+    assert statuses == ["status 0", "status []"]
+    diag = read_manifest(tmp_path / "gmc_conditional_report.json")["diagnostics"]
+    assert 0.0 <= diag["ks_statistic"] <= 1.0
+    assert 0.0 <= diag["ks_pvalue"] <= 1.0
 
 
 class TestConfig:
@@ -516,19 +515,23 @@ class TestGmcCommand:
 
     def test_conditional_layer_passes_at_zero_coupling(self, tmp_path):
         # at a = 0 the chaos is the identity and the exact SE vanishes; the
-        # SE floor keeps rounding noise from reading as a violation
-        status = main(
-            ["gmc", "--check", "conditional", "--r", "-4", "--a", "0", "--n", "2",
-             "--realizations", "50", "--draws", "100", "--out", str(tmp_path)]
-        )
-        assert status == 0
-        report = read_manifest(tmp_path / "gmc_conditional_report.json")
-        checks = {c["name"]: c for c in report["checks"]}
-        assert checks["conditional-second-moment-layer"]["verdict"] == "pass"
+        # SE floor keeps rounding noise from reading as a violation.  At
+        # n = 1 there is no sub-level, so no weight-decomposition audit.
+        for n in ("2", "1"):
+            out = tmp_path / n
+            status = main(
+                ["gmc", "--check", "conditional", "--r", "-4", "--a", "0", "--n", n,
+                 "--realizations", "50", "--draws", "100", "--out", str(out)]
+            )
+            assert status == 0
+            report = read_manifest(out / "gmc_conditional_report.json")
+            checks = {c["name"]: c for c in report["checks"]}
+            assert checks["conditional-second-moment-layer"]["verdict"] == "pass"
+            assert ("weight-decomposition-audit" in checks) == (n != "1")
 
-    @pytest.mark.parametrize("check", ["conditional", "renormalization"])
+    @pytest.mark.parametrize("check", ["conditional"])
     def test_asymptotic_mode_rejected(self, check, tmp_path, capsys):
-        # both checks' exact targets need the exact-discrete edge weight
+        # the check's exact targets need the exact-discrete edge weight
         status = main(
             ["gmc", "--check", check, "--mode", "asymptotic", "--r", "-4", "--a", "1",
              "--n", "2", "--realizations", "20", "--draws", "50", "--out", str(tmp_path)]
@@ -538,7 +541,7 @@ class TestGmcCommand:
         assert f"error: gmc --check {check} needs --mode exact-discrete" in err
         assert not (tmp_path / f"gmc_{check}_report.json").exists()
 
-    @pytest.mark.parametrize("check", ["conditional", "renormalization", "strong-disorder"])
+    @pytest.mark.parametrize("check", ["conditional", "strong-disorder"])
     def test_reference_budget_checked_before_any_population(
         self, check, tmp_path, capsys, monkeypatch
     ):
@@ -555,15 +558,16 @@ class TestGmcCommand:
         assert "largest feasible n at 1000 realizations is 5" in err
         assert "Traceback" not in err
 
-    def test_renormalization_check_at_n5(self, tmp_path):
+    def test_conditional_audit_at_n5(self, tmp_path):
         status = main(
-            ["gmc", "--check", "renormalization", "--n", "5", "--realizations", "20",
+            ["gmc", "--check", "conditional", "--n", "5", "--realizations", "20",
              "--draws", "200", "--out", str(tmp_path)]
         )
         assert status in (0, 1, 2)
-        report = read_manifest(tmp_path / "gmc_renormalization_report.json")
+        report = read_manifest(tmp_path / "gmc_conditional_report.json")
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["weight-decomposition-audit"]["verdict"] == "pass"
+        assert checks["weight-decomposition-audit"]["estimate"] <= 1e-12
 
     def test_strong_disorder_check(self, tmp_path):
         status = main(

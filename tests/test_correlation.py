@@ -95,12 +95,13 @@ class TestHistogramMass:
         "b, r, n, tilt", [(2, 0.0, 11, 0.0), (2, 3.0, 8, 0.4), (3, 5.0, 7, 0.0), (3, 5.0, 7, -0.3)]
     )
     def test_window_matches_every_term_sum(self, b, r, n, tilt):
-        # the terms more than e^-80 below the largest cannot move the sum
+        # the terms more than e^-80 below the largest cannot move the sum;
+        # the reference sums every term of the pair counts H_n over
+        # |Gamma_n|^2, the marginal every term of c_n
         table = correlation_table(VarianceProfile(b), r, n)
-        for counts in (table.histogram.counts, conditional_pair_histogram(b, n)):
-            assert histogram_mass(table, counts, tilt) == histogram_mass_all_terms(
-                table, counts, tilt
-            )
+        pairs = pair_count_histogram(LatticeParams(b, b), n).counts
+        assert histogram_mass(table, tilt) == histogram_mass_all_terms(table, pairs, tilt)
+        assert marginal_check(table) == histogram_mass_all_terms(table, table.conditional)
 
 
 class TestUpsilonTotalMass:
@@ -177,7 +178,7 @@ class TestRnKernel:
                 math.log(c)
                 + table.log_weight(k)
                 + rn_log_kernel(profile2, 0.0, 1.0, n, k)
-                for k, c in table.histogram.counts
+                for k, c in pair_count_histogram(LatticeParams(2, 2), n).counts
             ]
             peak = max(terms)
             total = math.exp(peak) * math.fsum(math.exp(t - peak) for t in terms)
@@ -222,7 +223,7 @@ class TestLebesgue:
     def test_product_part_is_uniform(self, profile2):
         table = correlation_table(profile2, 0.0, 3)
         # 1/|Gamma_n|^2 on every pair, one in total
-        pairs = sum(c for _, c in table.histogram.counts)
+        pairs = sum(c for _, c in pair_count_histogram(LatticeParams(2, 2), 3).counts)
         assert pairs == path_count_int(LatticeParams(2, 2), 3) ** 2
         assert pairs * math.exp(-2 * table.log_gamma) == pytest.approx(1.0, rel=1e-12)
 

@@ -31,7 +31,6 @@ from diamondgmc.gmc import (
     edge_weight,
     edge_marginals,
     half_moment_log_bounds,
-    renormalization_consistency,
     renormalization_weight_audit,
     sample_gmc,
     shift_field,
@@ -369,18 +368,6 @@ class TestExperiments:
         assert 0.0 <= report.diagnostics["ks_statistic"] <= 1.0
         assert 0.0 <= report.diagnostics["ks_pvalue"] <= 1.0
 
-    def test_renormalization_tame_config(self, profile2):
-        report = renormalization_consistency(
-            profile2, -6.0, 1.0, 2, 24, realizations=150, draws=150,
-            master_seed=102, leaf_pop_size=200_000,
-        )
-        assert not report.failed
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["weight-decomposition-audit"].verdict == "pass"
-        assert by_name["single-level-second-moment"].verdict == "pass"
-        assert 0.0 <= report.diagnostics["ks_statistic"] <= 1.0
-        assert 0.0 <= report.diagnostics["ks_pvalue"] <= 1.0
-
     def test_strong_disorder_small(self, profile2):
         report = strong_disorder_bound(
             profile2, [1.0, 4.0], 2, 24, realizations=40, draws=150,
@@ -425,13 +412,14 @@ class TestThetaSummary:
         # dual route: E[sum T(p,q) M(p) M(q)] over references equals the
         # kernel-weighted correlation mass lam * sum_k k h(k) w(k), computed
         # from the exact histogram rather than any sampling
-        from diamondgmc.correlation import correlation_table
+        from diamondgmc.correlation import correlation_table, pair_count_histogram
 
         r, n = -6.0, 2
         lam = edge_weight(profile2, r, 1.0, n, "asymptotic")
         table = correlation_table(profile2, r, n)
         expected = lam * sum(
-            k * c * math.exp(table.log_weight(k)) for k, c in table.histogram.counts
+            k * c * math.exp(table.log_weight(k))
+            for k, c in pair_count_histogram(LatticeParams(2, 2), n).counts
         )
         leaf = default_leaf_population(
             2, r, n, 24, SeedSpec(), 41, pop_size=400_000, profile=profile2
