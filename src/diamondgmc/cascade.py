@@ -73,7 +73,9 @@ _REALM_LEAF = 2
 # realizations) the ``simulate`` audit (batch, class sums and tree totals)
 # peaks near 35 MiB, below the 1M-entry trajectory's own peak; the m = 4
 # overlap polynomials of the ``gmc`` conditional layer peak near 116 MiB
-# (about 116 bytes a cell), growing 4x per generation at b = 2.
+# (about 116 bytes a cell), growing 4x per generation at b = 2.  The same
+# budget caps every chaos draw block (b^(2n) edge gaussians x draws), checked
+# before the block or any population is drawn.
 AUDIT_CELL_BUDGET = 1 << 20
 MINIMUM_BASE_LEVEL = -16.0
 
@@ -432,17 +434,19 @@ def horner(coeffs: np.ndarray, z: float) -> np.ndarray:
     return value
 
 
-def check_audit_budget(b: int, n: int, count: int):
-    """Raise ``BudgetError`` if ``count`` realizations of b^(2n) leaves exceed the budget."""
+def check_audit_budget(b: int, n: int, count: int, batch="leaf batch", unit="realizations"):
+    """Raise ``BudgetError`` if ``count`` rows of b^(2n) edge cells exceed the budget.
+
+    A row is one realization's leaves or one draw's edge gaussians.
+    """
     cells = count * b ** (2 * n)
     if cells > AUDIT_CELL_BUDGET:
-        feasible = max(
-            (k for k in range(n) if count * b ** (2 * k) <= AUDIT_CELL_BUDGET), default=0
-        )
+        fits = [k for k in range(n) if count * b ** (2 * k) <= AUDIT_CELL_BUDGET]
         raise BudgetError(
-            f"leaf batch at generation {n} needs {count} x {b ** (2 * n)} = {cells} leaf "
-            f"cells, above the budget of {AUDIT_CELL_BUDGET}; largest feasible n at "
-            f"{count} realizations is {feasible}"
+            f"{batch} at generation {n} needs {count} x {b ** (2 * n)} = {cells} "
+            f"cells, above the budget of {AUDIT_CELL_BUDGET}; "
+            + (f"largest feasible n at {count} {unit} is {fits[-1]}" if fits
+               else f"no n is feasible at {count} {unit}")
         )
 
 
@@ -461,13 +465,12 @@ def default_leaf_population(
     seed_spec: SeedSpec,
     master_seed: int,
     pop_size: int = 1_000_000,
-    chunks: int = 1,
     profile: "VarianceProfile | None" = None,
 ) -> MassPopulation:
     """Population at the leaf level r - n used to draw measure-sample leaves."""
     return simulate_mass_law(
         b, leaf_level(r, n, depth), seed_spec, depth - n, pop_size, master_seed,
-        chunks=chunks, profile=profile,
+        profile=profile,
     )
 
 

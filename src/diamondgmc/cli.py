@@ -553,6 +553,7 @@ def cmd_gmc(run: _Run) -> int:
         raise UsageError(f"gmc --check {cfg.check} needs --mode exact-discrete")
 
     if cfg.check == "shift":
+        check_audit_budget(cfg.b, cfg.n, 1, "chaos field", "draw")
         lam = edge_weight(profile, cfg.r, cfg.a, cfg.n, cfg.mode)
         uniform = np.ones((cfg.b * cfg.b) ** cfg.n)  # leaves of the uniform measure
         rng = substream(cfg.seed, _REALM_GMC, 0)
@@ -578,6 +579,7 @@ def cmd_gmc(run: _Run) -> int:
         report.add(exact_check("cameron-martin-density", cm_dev, 1e-12, detail="log densities"))
         run.extend(report)
     elif cfg.check == "kahane":
+        check_audit_budget(cfg.b, cfg.n, cfg.draws, "chaos draw block", "draws")
         lam = edge_weight(profile, cfg.r, cfg.a, cfg.n, cfg.mode)
         uniform = np.ones((cfg.b * cfg.b) ** cfg.n)
         rng = substream(cfg.seed, _REALM_GMC, 1)

@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-import mpmath as mp
-
 from .errors import BudgetError, UsageError
 from .lattice import LatticeParams, decision_count, path_count_int
 from .rfunction import VarianceProfile
@@ -49,6 +47,7 @@ from .rfunction import VarianceProfile
 # need 4933 digits, beyond the 4300 that int() reads by default.
 HISTOGRAM_EDGE_BUDGET = 8192
 _MASS_LOG_WINDOW = 80.0
+_MASS_COUNT_BITS = 112
 
 
 def _slot_width(total: int, b: int) -> int:
@@ -169,25 +168,29 @@ def correlation_table(profile: VarianceProfile, r: float, n: int) -> Correlation
 def _conditional_mass(table: CorrelationTable, tilt: float, paths: int) -> float:
     """sum_k c_n(k) ((1 + R(r - n)) e^tilt)^k / |Gamma_n|^paths.
 
-    Summed in 30-digit mpmath from the table's float R(r - n).  In doubles
-    each log-space term log c_k + k log(1 + R) - paths log|Gamma_n| cancels
-    logs of size up to 2 log|Gamma_n| (about 7207 at b = 3, n = 8), whose
-    rounding alone reaches 1.6e-12 relative.  Those float logs do suffice to
-    pick the terms: only the ones within ``_MASS_LOG_WINDOW`` of the largest
-    enter the sum, and the rest, each below e^-80 of it, cannot move 30
-    digits.
+    Summed in 30-digit ``decimal`` from the table's float R(r - n).  In
+    doubles each log-space term log c_k + k log(1 + R) - paths log|Gamma_n|
+    cancels logs of size up to 2 log|Gamma_n| (about 7207 at b = 3, n = 8),
+    whose rounding alone reaches 1.6e-12 relative.  Those float logs do
+    suffice to pick the terms: only the ones within ``_MASS_LOG_WINDOW`` of
+    the largest enter the sum, and the rest, each below e^-80 of it, cannot
+    move 30 digits.  A count enters as its leading ``_MASS_COUNT_BITS`` bits
+    times 2^s, under 2e-34 relative from the full count, whose conversion
+    is slow (2466 digits at b = 2, n = 13).
     """
-    gamma = path_count_int(LatticeParams(table.profile.b, table.profile.b), table.n)
+    b, D = table.profile.b, decimal.Decimal
     counts = table.conditional
     step_f = math.log1p(table.R_shifted) + tilt
     logs = [math.log(c) + k * step_f for k, c in counts]
     floor = max(logs) - _MASS_LOG_WINDOW
-    with mp.workdps(30):
-        step = mp.log1p(table.R_shifted) + tilt
-        total = mp.fsum(
-            c * mp.exp(k * step) for (k, c), log in zip(counts, logs) if log >= floor
-        )
-        return float(total / mp.mpf(gamma) ** paths)
+    with decimal.localcontext(decimal.Context(30, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)):
+        x = ((1 + D(table.R_shifted)).ln() + D(tilt)).exp()
+        total = D(0)
+        for (k, c), log in zip(counts, logs):
+            if log >= floor:
+                s = max(0, c.bit_length() - _MASS_COUNT_BITS)
+                total += D(c >> s) * D(2) ** s * x**k
+        return float(total / D(b) ** (decision_count(b, table.n) * paths))
 
 
 def histogram_mass(table: CorrelationTable, tilt: float = 0.0) -> float:

@@ -234,7 +234,8 @@ def conditional_gmc_experiment(
     For each of ``realizations`` references at (r, n), draw ``draws``
     conditional chaos realizations with the exact-discrete (r, a, n) kernel,
     the weight that makes the 1 + R(r + a) target exact, and pool the total
-    masses.  The references' leaves must fit ``AUDIT_CELL_BUDGET``.  Checks:
+    masses.  The references' leaves, and each reference's (edges, draws)
+    block of gaussians, must fit ``AUDIT_CELL_BUDGET``.  Checks:
 
     * conditional layer -- per reference, the Monte Carlo second moment of
       the chaos totals against the exact quadratic form
@@ -255,8 +256,10 @@ def conditional_gmc_experiment(
     seed_spec = seed_spec or SeedSpec()
     b = profile.b
     lam = edge_weight(profile, r, a, n, "exact-discrete")
-    # the exact moments below hold every reference's overlap polynomials at once
+    # the exact moments below hold every reference's overlap polynomials at
+    # once, and each reference's chaos totals one (edges, draws) block
     check_audit_budget(b, n, realizations)
+    check_audit_budget(b, n, draws, "chaos draw block", "draws")
     leaf = default_leaf_population(
         b, r, n, depth, seed_spec, master_seed, pop_size=leaf_pop_size, profile=profile
     )
@@ -429,6 +432,7 @@ def strong_disorder_bound(
     b = profile.b
     lam1 = edge_weight(profile, 0.0, 1.0, n, "asymptotic")
     check_audit_budget(b, n, realizations)
+    check_audit_budget(b, n, draws, "chaos draw block", "draws")
     leaf = default_leaf_population(
         b, 0.0, n, depth, seed_spec, master_seed, pop_size=leaf_pop_size, profile=profile
     )

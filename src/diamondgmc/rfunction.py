@@ -26,9 +26,9 @@ a final full-balance check proves that every order through the last vanishes
 exactly.  Each residual runs on integer numerators with one denominator per
 series (y over the lcm D of its denominators, psi_b(y) over b D^b), and
 only its result is turned into Fractions.  Only the seed is evaluated in
-mpmath.  The orbit is iterated in integer fixed point with at least
-``PRECISION_DPS`` significant digits, built once per residue class r mod 1
-and cached, so the recursion identity psi_b(R(r)) = R(r+1) holds to
+``decimal``, with guard digits.  The orbit is iterated in integer fixed point
+with at least ``PRECISION_DPS`` significant digits, built once per residue
+class r mod 1 and cached, so the recursion identity psi_b(R(r)) = R(r+1) holds to
 rounding on any evaluated grid.
 
 R'(r) rides along the same orbit via the differentiated recursion
@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeError, UsageError
@@ -208,19 +208,16 @@ def asymptotic_expansion(b: int, order: int):
     return coeffs
 
 
-def _seed_pair_mp(coeffs, t):
-    """Series value of (R, R') at r = -t in the active mpmath precision."""
-    L = mp.log(t)
-    R = mp.mpf(0)
-    Rp = mp.mpf(0)
+def _seed_pair(coeffs, t):
+    """Series value of (R, R') at r = -t in the active decimal context."""
+    L = t.ln()
+    R = Rp = Decimal(0)
     for (k, j), c in coeffs.items():
-        c_mp = mp.mpf(c.numerator) / mp.mpf(c.denominator)
+        c = Decimal(c.numerator) / c.denominator
         Lj = L**j
-        R += c_mp * Lj / t**k
-        deriv = k * Lj
-        if j:
-            deriv -= j * L ** (j - 1)
-        Rp += c_mp * deriv / t ** (k + 1)
+        R += c * Lj / t**k
+        deriv = k * Lj - (j * L ** (j - 1) if j else 0)
+        Rp += c * deriv / t ** (k + 1)
     return R, Rp
 
 
@@ -272,13 +269,13 @@ class VarianceProfile:
         prev = None
         while depth <= MAX_SEED_DEPTH:
             base_floor = probe_floor - depth
-            with mp.workdps(PRECISION_DPS):
-                R, Rp = _seed_pair_mp(coeffs, -(mp.mpf(xi) + base_floor))
+            with localcontext(Context(prec=PRECISION_DPS + 10)):
+                R, Rp = _seed_pair(coeffs, -(Decimal(xi) + base_floor))
                 # R' is the smaller of the two and only grows upward, so
-                # scaling for its digits keeps both at PRECISION_DPS digits
-                bits = math.ceil(PRECISION_DPS * math.log2(10)) - min(0, mp.mag(Rp))
-                orbit = _Orbit(xi, base_floor, depth, bits,
-                               int(mp.ldexp(R, bits)), int(mp.ldexp(Rp, bits)))
+                # scaling for its digits (R' >= 10^adjusted) keeps both at
+                # PRECISION_DPS digits
+                bits = math.ceil((PRECISION_DPS - min(0, Rp.adjusted())) * math.log2(10))
+                orbit = _Orbit(xi, base_floor, depth, bits, int(R * 2**bits), int(Rp * 2**bits))
             self._extend_orbit(orbit, probe_floor)
             probe_val = orbit.values[-1][0]
             if prev is not None:

@@ -20,7 +20,7 @@ finds each coefficient from two residual evaluations, the row-by-row
 all b^2 factors of a chunk in one (b, b, size) call, the Kahane moment
 recursion at a numeric edge weight, the moment-ladder step that
 enumerates multinomial compositions, the pair-count histogram by its own
-recursion over ordered pairs, the R orbit stepped in mpmath, the
+recursion over ordered pairs, the R orbit seeded and stepped in mpmath, the
 correlation-measure sum over every histogram entry, and the quoted two-term
 asymptotic of R.
 """
@@ -38,12 +38,7 @@ from diamondgmc.cascade import _chunk_sizes
 from diamondgmc.errors import BudgetError, UsageError
 from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.reporting import format_float
-from diamondgmc.rfunction import (
-    _seed_pair_mp,
-    asymptotic_expansion,
-    eta,
-    kappa_sq,
-)
+from diamondgmc.rfunction import asymptotic_expansion, eta, kappa_sq
 
 INCIDENCE_CELL_BUDGET = 1 << 24
 
@@ -462,6 +457,22 @@ def pair_histogram_by_recursion(b: int, n: int) -> tuple:
         gamma = b ** _offset(b, level)
         hist[0] = hist.get(0, 0) + b * (b - 1) * gamma ** (2 * b)
     return tuple(sorted(hist.items()))
+
+
+def _seed_pair_mp(coeffs, t):
+    """Series value of (R, R') at r = -t in the active mpmath precision."""
+    L = mp.log(t)
+    R = mp.mpf(0)
+    Rp = mp.mpf(0)
+    for (k, j), c in coeffs.items():
+        c_mp = mp.mpf(c.numerator) / mp.mpf(c.denominator)
+        Lj = L**j
+        R += c_mp * Lj / t**k
+        deriv = k * Lj
+        if j:
+            deriv -= j * L ** (j - 1)
+        Rp += c_mp * deriv / t ** (k + 1)
+    return R, Rp
 
 
 def _psi_mp(b: int, x):

@@ -25,15 +25,19 @@ def read_manifest(path):
         return json.load(fh)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy is a test-only dependency: importing the CLI loads no scipy module
+def test_cli_import_loads_no_scipy_or_mpmath():
+    # scipy and mpmath are test-only dependencies: importing the CLI loads
+    # no module of either
     env = dict(os.environ, PYTHONPATH=str(Path(diamondgmc.__file__).resolve().parents[1]))
-    code = "import sys, diamondgmc.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    code = (
+        "import sys, diamondgmc.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ks_diagnostics_run_without_scipy(tmp_path):
@@ -133,6 +137,10 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         ["gmc", "--check", "renormalization", "--draws", "0"],
         ["gmc", "--check", "kahane", "--draws", "0"],
         ["gmc", "--check", "conditional", "--realizations", "0"],
+        # each chaos draw block is budgeted before it is allocated
+        ["gmc", "--check", "shift", "--n", "40"],
+        ["gmc", "--check", "kahane", "--n", "1", "--draws", "10000000000000"],
+        ["gmc", "--check", "strong-disorder", "--n", "2", "--draws", "100000"],
         ["gmc", "--check", "foo"],
         ["gmc", "--n", "abc"],
         [],
@@ -358,7 +366,7 @@ class TestCorrelationCommand:
     def test_exact_checks_hold_at_b3_n8(self, tmp_path):
         # 2 log|Gamma_8| is about 7207 at b = 3: summed as float logs, the
         # mass and RN terms lose about 1.6e-12 to rounding alone, above the
-        # 1e-12 tolerance; the sums run in mpmath
+        # 1e-12 tolerance; the sums run in 30-digit decimal
         status = main(
             ["correlation", "--b", "3", "--r", "5", "--n", "8", "--out", str(tmp_path)]
         )

@@ -92,7 +92,16 @@ class TestPairCountHistogram:
 
 class TestHistogramMass:
     @pytest.mark.parametrize(
-        "b, r, n, tilt", [(2, 0.0, 11, 0.0), (2, 3.0, 8, 0.4), (3, 5.0, 7, 0.0), (3, 5.0, 7, -0.3)]
+        "b, r, n, tilt",
+        [
+            (2, 0.0, 11, 0.0),
+            (2, 3.0, 8, 0.4),
+            (3, 5.0, 7, 0.0),
+            (3, 5.0, 7, -0.3),
+            # the longest counts within the histogram budget
+            (2, 0.0, 13, 0.0),
+            (4, -2.0, 6, 0.0),
+        ],
     )
     def test_window_matches_every_term_sum(self, b, r, n, tilt):
         # the terms more than e^-80 below the largest cannot move the sum;

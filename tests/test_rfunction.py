@@ -159,7 +159,8 @@ class TestEvaluateR:
     @pytest.mark.parametrize("b", [2, 3, 4, 5])
     def test_matches_mpmath_orbit(self, b):
         # every cached pair of the integer orbit, from its seed up to the
-        # overflow level, against the same seed stepped in 40-digit mpmath
+        # overflow level, against the same series seed evaluated and stepped
+        # in 40-digit mpmath
         prof = VarianceProfile(b)
         for xi in (0.0, 0.25, 0.625):
             r = -40.0 + xi
