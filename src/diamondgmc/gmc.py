@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import (
+    AUDIT_CELL_BUDGET,
     SeedSpec,
     check_audit_budget,
     default_leaf_population,
@@ -55,8 +56,8 @@ from .cascade import (
     tree_total,
 )
 from .correlation import rn_log_kernel
-from .errors import DomainError, RangeError, UsageError
-from .rfunction import VarianceProfile, kappa_sq
+from .errors import BudgetError, DomainError, RangeError, UsageError
+from .rfunction import VarianceProfile, kappa_sq, moment_recursion_step, moment_table
 from .reporting import (
     SEEDING_BIAS_NOTE,
     SE_RELIABILITY_RATIO,
@@ -206,13 +207,30 @@ def half_moment_log_bounds(leaves, b: int, lam: float, r_grid) -> np.ndarray:
     return np.array([0.5 * (math.log(s) if s > 0 else -math.inf) + 0.5 * theta for s in sums])
 
 
-def _pooled_moments(totals: np.ndarray, powers=(1, 2, 3)):
-    """Cluster-robust moment estimates from a (realizations, draws) array."""
-    return {k: mean_se((totals**k).mean(axis=1)) for k in powers}
+def chaos_moment_ladder(b: int, leaf_moments, lam: float, n: int) -> list:
+    """Exact E[T^k], k = 0..K, of the level-n chaos total over iid leaves.
+
+    n renormalization steps carry the leaves' raw moments m_k, tilted by the
+    edge factor's exp(lam C(k,2)), to the root; m_0 = 1 is not read.  Moments
+    from one that leaves double range, or enters as nan, upward read inf.
+    """
+    leaf = [float(m) for m in leaf_moments]  # Python floats: overflow raises, not warns
+    for top in range(len(leaf), 0, -1):
+        try:
+            moments = [1.0] + [m * math.exp(lam * math.comb(k, 2))
+                               for k, m in enumerate(leaf[1:top], start=1)]
+            for _ in range(n):
+                moments = moment_recursion_step(b, moments)
+        except OverflowError:
+            continue
+        if all(map(math.isfinite, moments)):
+            return moments + [math.inf] * (len(leaf) - top)
 
 
-def _direct_moments(masses: np.ndarray, powers=(1, 2, 3)):
-    return {k: mean_se(masses**k) for k in powers}
+def _law_se(ladder: list, k: int, count: int) -> float:
+    """sqrt(Var T^k / count) from exact moments; inf once E[T^2k] is."""
+    var = ladder[2 * k] - ladder[k] ** 2 if math.isfinite(ladder[2 * k]) else math.inf
+    return math.sqrt(max(var, 0.0) / count)
 
 
 def conditional_gmc_experiment(
@@ -225,33 +243,31 @@ def conditional_gmc_experiment(
     draws: int,
     master_seed: int,
     seed_spec: "SeedSpec | None" = None,
-    leaf_pop_size: int = 1_000_000,
-    direct_size: "int | None" = None,
-    big_direct_size: int = 1_000_000,
+    pop_size: int = 1_000_000,
 ) -> ExperimentReport:
     """Chaos-over-random-reference composition experiment.
 
     For each of ``realizations`` references at (r, n), draw ``draws``
     conditional chaos realizations with the exact-discrete (r, a, n) kernel,
     the weight that makes the 1 + R(r + a) target exact, and pool the total
-    masses.  The references' leaves, and each reference's (edges, draws)
-    block of gaussians, must fit ``AUDIT_CELL_BUDGET``.  Checks:
+    masses.  The references' leaves, each reference's (edges, draws) block
+    of gaussians and the (realizations, draws) totals must fit
+    ``AUDIT_CELL_BUDGET``.  Checks:
 
     * conditional layer -- per reference, the Monte Carlo second moment of
       the chaos totals against the exact quadratic form
       sum exp(K) M_p M_q, in units of its exact SE from the fourth moment
       (flagged where those SEs leave the layer uninformative);
-    * pooled second moment against 1 + R(r + a) with cluster SEs.  In the
-      strongly disordered regime this target is dominated by reference-tail
-      events no feasible sample sees, and the check reports as flagged via
-      the SE-reliability rule rather than pass/fail;
-    * pooled moments against a directly simulated population at r + a of
-      matched size (``direct_size`` defaults to ``realizations`` so both
-      routes see comparable tail depth); a large direct population and a
-      two-sample KS statistic are attached as diagnostics;
+    * pooled second moment against 1 + R(r + a), and pooled second and
+      third moments against E[T^k | pool], exact for the ``pop_size`` leaf
+      pool the references draw from; cluster SEs, floored by the law SE
+      sqrt((L_2k - L_k^2) / (realizations draws)) of the moment ladder L of
+      the law's leaves or of the pool (a lower bound: draws share a reference);
     * for n >= 2, the weight-decomposition audit at (r - 1, a, n): both of
       its edge weights are this run's kernel, so one renormalization step
       of the level-n chaos reproduces it from level n - 1 exactly.
+
+    A direct population at r + a and its two-sample KS statistic are diagnostics.
     """
     seed_spec = seed_spec or SeedSpec()
     b = profile.b
@@ -260,8 +276,14 @@ def conditional_gmc_experiment(
     # once, and each reference's chaos totals one (edges, draws) block
     check_audit_budget(b, n, realizations)
     check_audit_budget(b, n, draws, "chaos draw block", "draws")
+    count = realizations * draws
+    if count > AUDIT_CELL_BUDGET:
+        raise BudgetError(
+            f"totals block needs {realizations} x {draws} = {count} cells, "
+            f"above the budget of {AUDIT_CELL_BUDGET}"
+        )
     leaf = default_leaf_population(
-        b, r, n, depth, seed_spec, master_seed, pop_size=leaf_pop_size, profile=profile
+        b, r, n, depth, seed_spec, master_seed, pop_size=pop_size, profile=profile
     )
     refs = sample_measure_batch(b, r, n, realizations, leaf, master_seed)
 
@@ -278,24 +300,15 @@ def conditional_gmc_experiment(
     cond_z = ((totals**2).mean(axis=1) - quad) / cond_se
     pooled_rel_se = math.sqrt(np.sum((cond_se / quad) ** 2)) / realizations
 
-    pooled = _pooled_moments(totals)
-    target2 = 1.0 + profile.evaluate_R(r + a)
+    pooled = {k: mean_se((totals**k).mean(axis=1)) for k in (1, 2, 3)}  # cluster-robust
+    pool_ladder = chaos_moment_ladder(b, [np.mean(leaf.masses**k) for k in range(7)], lam, n)
+    law_leaves = moment_table(profile, [r - n], 4, seed_spec.kind, depth - n).raw[0]
+    law_ladder = chaos_moment_ladder(b, law_leaves, lam, n)
 
-    direct_seed = int(
-        np.random.SeedSequence((int(master_seed), _REALM_DIRECT)).generate_state(1)[0]
-    )
-    direct_size = direct_size or realizations
-    direct = simulate_mass_law(
-        b, r + a, seed_spec, depth, max(direct_size, b * b), direct_seed, profile=profile
-    )
-    dmoms = _direct_moments(direct.masses)
-    big_seed = int(
-        np.random.SeedSequence((int(master_seed), _REALM_DIRECT, 2)).generate_state(1)[0]
-    )
+    big_seed = int(np.random.SeedSequence((master_seed, _REALM_DIRECT, 2)).generate_state(1)[0])
     big_direct = simulate_mass_law(
-        b, r + a, seed_spec, depth, big_direct_size, big_seed, profile=profile
+        b, r + a, seed_spec, depth, pop_size, big_seed, profile=profile
     )
-    big_moms = _direct_moments(big_direct.masses)
 
     report = ExperimentReport(
         name="conditional-gmc",
@@ -311,9 +324,7 @@ def conditional_gmc_experiment(
             "master_seed": master_seed,
             "seed_kind": seed_spec.kind,
             "mode": "exact-discrete",
-            "leaf_pop_size": leaf_pop_size,
-            "direct_size": direct_size,
-            "big_direct_size": big_direct_size,
+            "pop_size": pop_size,
         },
     )
     report.add(se_check("mean-vs-one", 1.0, pooled[1][0], pooled[1][1], 4.0))
@@ -339,16 +350,12 @@ def conditional_gmc_experiment(
         )
     )
     report.add(
-        se_check("second-moment-vs-1+R", target2, pooled[2][0], pooled[2][1], 4.0)
+        se_check("second-moment-vs-1+R", 1.0 + profile.evaluate_R(r + a), *pooled[2], 4.0,
+                 floor=_law_se(law_ladder, 2, count))
     )
-    comb2 = math.hypot(pooled[2][1], dmoms[2][1])
-    report.add(
-        se_check("second-moment-vs-direct", dmoms[2][0], pooled[2][0], comb2, 5.0)
-    )
-    comb3 = math.hypot(pooled[3][1], dmoms[3][1])
-    report.add(
-        se_check("third-moment-vs-direct", dmoms[3][0], pooled[3][0], comb3, 5.0)
-    )
+    for k, word in ((2, "second"), (3, "third")):
+        report.add(se_check(f"{word}-moment-vs-pool-ladder", pool_ladder[k], *pooled[k], 5.0,
+                            floor=_law_se(pool_ladder, k, count)))
     if n >= 2:
         audit = renormalization_weight_audit(profile, r - 1, a, n, master_seed)
         report.add(
@@ -357,13 +364,10 @@ def conditional_gmc_experiment(
         )
     ks_d, ks_p = ks_two_sample(totals, big_direct.masses)
     report.arrays["totals"] = totals.ravel()
-    report.arrays["direct_totals"] = direct.masses
     report.diagnostics.update(
         {
             "pooled_moments": {str(k): v for k, v in pooled.items()},
-            "direct_moments_matched": {str(k): v for k, v in dmoms.items()},
-            "direct_moments_large": {str(k): v for k, v in big_moms.items()},
-            "target_second_moment": target2,
+            "direct_moments_large": {str(k): mean_se(big_direct.masses**k) for k in (1, 2, 3)},
             "ks_statistic": ks_d,
             "ks_pvalue": ks_p,
             "kernel_edge_weight": lam,
@@ -409,7 +413,7 @@ def strong_disorder_bound(
     draws: int,
     master_seed: int,
     seed_spec: "SeedSpec | None" = None,
-    leaf_pop_size: int = 1_000_000,
+    pop_size: int = 1_000_000,
 ) -> ExperimentReport:
     """Fractional-moment bound and decay for chaos over references at level 0.
 
@@ -434,7 +438,7 @@ def strong_disorder_bound(
     check_audit_budget(b, n, realizations)
     check_audit_budget(b, n, draws, "chaos draw block", "draws")
     leaf = default_leaf_population(
-        b, 0.0, n, depth, seed_spec, master_seed, pop_size=leaf_pop_size, profile=profile
+        b, 0.0, n, depth, seed_spec, master_seed, pop_size=pop_size, profile=profile
     )
     refs = sample_measure_batch(b, 0.0, n, realizations, leaf, master_seed)
 
@@ -476,7 +480,7 @@ def strong_disorder_bound(
             "draws": draws,
             "master_seed": master_seed,
             "seed_kind": seed_spec.kind,
-            "leaf_pop_size": leaf_pop_size,
+            "pop_size": pop_size,
         },
     )
     # mc > bound + 4 SE, compared as log(mc - 4 SE) > log(bound)

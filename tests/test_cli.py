@@ -59,7 +59,7 @@ def test_ks_diagnostics_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     statuses = [line for line in proc.stdout.splitlines() if line.startswith("status ")]
-    assert statuses == ["status 0", "status []"]
+    assert statuses == ["status 2", "status []"]
     diag = read_manifest(tmp_path / "gmc_conditional_report.json")["diagnostics"]
     assert 0.0 <= diag["ks_statistic"] <= 1.0
     assert 0.0 <= diag["ks_pvalue"] <= 1.0
@@ -141,6 +141,9 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         ["gmc", "--check", "shift", "--n", "40"],
         ["gmc", "--check", "kahane", "--n", "1", "--draws", "10000000000000"],
         ["gmc", "--check", "strong-disorder", "--n", "2", "--draws", "100000"],
+        # and so is the conditional run's (realizations, draws) totals block
+        ["gmc", "--check", "conditional", "--r", "-4", "--a", "0", "--n", "1",
+         "--realizations", "65536", "--draws", "65536"],
         ["gmc", "--check", "foo"],
         ["gmc", "--n", "abc"],
         [],
@@ -525,17 +528,23 @@ class TestGmcCommand:
         # at a = 0 the chaos is the identity and the exact SE vanishes; the
         # SE floor keeps rounding noise from reading as a violation.  At
         # n = 1 there is no sub-level, so no weight-decomposition audit.
+        # The pooled moments' law SEs, about 20% of the second moment at
+        # 50 x 100, flag exactly the three pooled checks.
+        pooled = {"second-moment-vs-1+R", "second-moment-vs-pool-ladder",
+                  "third-moment-vs-pool-ladder"}
         for n in ("2", "1"):
             out = tmp_path / n
             status = main(
                 ["gmc", "--check", "conditional", "--r", "-4", "--a", "0", "--n", n,
                  "--realizations", "50", "--draws", "100", "--out", str(out)]
             )
-            assert status == 0
+            assert status == 2
             report = read_manifest(out / "gmc_conditional_report.json")
             checks = {c["name"]: c for c in report["checks"]}
             assert checks["conditional-second-moment-layer"]["verdict"] == "pass"
             assert ("weight-decomposition-audit" in checks) == (n != "1")
+            assert {name for name, c in checks.items() if c["verdict"] == "flagged"} == pooled
+            assert all("law SE" in checks[name]["detail"] for name in pooled)
 
     @pytest.mark.parametrize("check", ["conditional"])
     def test_asymptotic_mode_rejected(self, check, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from diamondgmc.cascade import (
 )
 from diamondgmc.gmc import (
     cameron_martin_density,
+    chaos_moment_ladder,
     chaos_totals,
     conditional_gmc_experiment,
     edge_weight,
@@ -37,7 +39,7 @@ from diamondgmc.gmc import (
     strong_disorder_bound,
 )
 from diamondgmc.lattice import LatticeParams, path_count_int
-from diamondgmc.rfunction import kappa_sq
+from diamondgmc.rfunction import kappa_sq, moment_table
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +347,46 @@ class TestCompositionStructure:
         assert abs(a2.mean() - b2.mean()) <= 4 * comb
 
 
+class TestChaosMomentLadder:
+    """E[T^k] of the chaos over iid leaves, from the leaf law's raw moments."""
+
+    @pytest.mark.parametrize(
+        "b, n, values, probs, k_max",
+        [
+            (2, 1, [0.4, 1.0, 1.9], [0.3, 0.45, 0.25], 6),
+            (3, 1, [0.4, 1.0, 1.9], [0.3, 0.45, 0.25], 4),
+            (2, 2, [0.5, 1.5], [0.5, 0.5], 3),
+        ],
+    )
+    def test_matches_enumeration(self, b, n, values, probs, k_max):
+        # sum over every leaf assignment of P(leaves) Q_k(e^lam)
+        lam = 0.37
+        picks = np.array(list(itertools.product(range(len(values)), repeat=(b * b) ** n))).T
+        weights = np.prod(np.asarray(probs)[picks], axis=0)
+        overlap = overlap_moments(np.asarray(values)[picks], b, k_max)
+        enumerated = [float(weights @ horner(overlap[k], math.exp(lam))) for k in range(k_max + 1)]
+        leaf = [float(np.dot(probs, np.power(values, k))) for k in range(k_max + 1)]
+        ladder = chaos_moment_ladder(b, leaf, lam, n)
+        assert np.max(np.abs(np.subtract(ladder, enumerated)) / enumerated) <= 1e-12
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_law_second_moment_is_one_plus_R(self, b, profile2, profile3):
+        # the exact-discrete kernel makes E[T^2] = 1 + R(r + a) at every finite n
+        profile = {2: profile2, 3: profile3}[b]
+        worst = 0.0
+        for r, a, n in itertools.product([-6.0, -2.5, 0.0, 1.0], [0.0, 0.5, 1.0, 2.0], range(1, 6)):
+            lam = edge_weight(profile, r, a, n, "exact-discrete")
+            leaf = moment_table(profile, [r - n], 4, "two-point", 24 - n).raw[0]
+            target = 1.0 + profile.evaluate_R(r + a)
+            worst = max(worst, abs(chaos_moment_ladder(b, leaf, lam, n)[2] - target) / target)
+        assert worst <= 1e-12
+
+    def test_out_of_range_moments_read_inf(self):
+        # 10^300 overflows in its b-th power, and a nan enters as out of range
+        assert chaos_moment_ladder(2, [1.0, 1.0, 2.0, 1e300], 0.0, 1) == [1.0, 1.0, 2.5, math.inf]
+        assert chaos_moment_ladder(2, [np.nan] * 3, 0.5, 2) == [1.0, math.inf, math.inf]
+
+
 class TestExperiments:
     def test_conditional_zero_coupling_totals_equal_reference(self, profile2):
         lam = edge_weight(profile2, -6.0, 0.0, 2, "exact-discrete")
@@ -359,7 +401,7 @@ class TestExperiments:
     def test_conditional_experiment_tame_config(self, profile2):
         report = conditional_gmc_experiment(
             profile2, -6.0, 1.0, 2, 24, realizations=200, draws=200,
-            master_seed=101, leaf_pop_size=200_000, big_direct_size=200_000,
+            master_seed=101, pop_size=200_000,
         )
         assert not report.failed
         by_name = {c.name: c for c in report.checks}
@@ -371,7 +413,7 @@ class TestExperiments:
     def test_strong_disorder_small(self, profile2):
         report = strong_disorder_bound(
             profile2, [1.0, 4.0], 2, 24, realizations=40, draws=150,
-            master_seed=103, leaf_pop_size=100_000,
+            master_seed=103, pop_size=100_000,
         )
         assert not report.failed
 

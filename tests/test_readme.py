@@ -1,4 +1,5 @@
-"""Every CLI command of the README, run verbatim, ends with its documented exit status.
+"""Every CLI command of the README, run verbatim, ends with its documented exit status
+and prints no traceback and no warning.
 
 A command's status is 0 unless the README notes ``# exits N`` beside it.  Each
 runs in a fresh working directory as ``python -m diamondgmc.cli``, the module
@@ -60,6 +61,7 @@ def test_readme_command(argv, status, tmp_path):
     )
     output = proc.stdout + proc.stderr
     assert "Traceback" not in output
+    assert "Warning" not in output
     assert proc.returncode == status, output
     out = tmp_path / argv[argv.index("--out") + 1] if "--out" in argv else tmp_path
     manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
