@@ -8,8 +8,8 @@ with independent factors.  Populations approximate one step by drawing the
 b^2 factors uniformly with replacement from the current population
 (population dynamics); the exact tree of depth n is used only on top of
 population-drawn leaves, for cylinder-level quantities.  ``population_step``
-draws the b^2 factors one at a time, in the order of one (b, b, size) draw,
-so it never holds more than one factor's indices.
+draws the b^2 factors one at a time, in the order of one (b, b, size) draw;
+besides input and output it holds one branch product and one index block.
 
 The generation-n leaves of a measure realization at r are total masses at
 level r - n, which the trajectory to r passes through: the ``simulate``
@@ -71,13 +71,20 @@ _REALM_LEAF = 2
 # Leaf cells (realizations x b^(2n)) of a batch of cylinder leaves, checked
 # before any population runs.  At 2^20 cells (b = 2, n = 5, 1000
 # realizations) the ``simulate`` audit (batch, class sums and tree totals)
-# peaks near 35 MiB, below the 1M-entry trajectory's own peak; the m = 4
+# peaks 34 MiB above import, near the 1M-entry trajectory's 37 MiB; the m = 4
 # overlap polynomials of the ``gmc`` conditional layer peak near 116 MiB
 # (about 116 bytes a cell), growing 4x per generation at b = 2.  The same
 # budget caps every chaos draw block (b^(2n) edge gaussians x draws), checked
 # before the block or any population is drawn.
 AUDIT_CELL_BUDGET = 1 << 20
 MINIMUM_BASE_LEVEL = -16.0
+
+# Entries of a population, checked before any seed is drawn: a ``simulate`` run
+# peaks about 40 bytes an entry above its import baseline (38 MiB at 1M, 159 MiB
+# at 4M), so 2^24 entries is about 0.6 GiB.  A population step holds input,
+# output and branch product, and gathers POPULATION_BLOCK entries at a time.
+POPULATION_SIZE_BUDGET = 1 << 24
+POPULATION_BLOCK = 1 << 15
 
 POPULATION_MAGIC = b"DGMCPOP1"
 
@@ -165,22 +172,19 @@ class MassPopulation:
     def size(self) -> int:
         return self.masses.size
 
-    def variance_se(self):
-        """Sample variance and the standard error of that estimate."""
-        dev_sq = (self.masses - self.masses.mean()) ** 2
-        return float(dev_sq.sum() / (self.size - 1)), mean_se(dev_sq)[1]
-
-    def central_moment_se(self, k: int):
-        """Mean and SE of the k-th power of the deviations, for k >= 1.
-
-        The power is formed by in-place products: numpy's float ``**`` with an
-        integer exponent above 2 calls ``pow`` per entry, about 10x slower.
-        """
-        dev = self.masses - self.masses.mean()
-        power = dev.copy()
-        for _ in range(k - 1):
-            power *= dev
-        return mean_se(power)
+    def central_moments_se(self, k_max: int) -> dict:
+        """{k: (estimate, SE)} for k = 2..k_max: the sample variance (over size - 1),
+        then means of k-th powers of the deviations, as in-place products by fresh
+        deviations (numpy's float ``**`` with an integer exponent above 2 calls
+        ``pow`` per entry, about 10x slower); two such arrays live at most."""
+        mean = self.masses.mean()
+        power = self.masses - mean
+        power *= power
+        moments = {2: (float(power.sum() / (self.size - 1)), mean_se(power)[1])}
+        for k in range(3, k_max + 1):
+            power *= self.masses - mean
+            moments[k] = mean_se(power)
+        return moments
 
 
 def _chunk_sizes(total: int, chunks: int):
@@ -196,9 +200,10 @@ def population_step(masses: np.ndarray, b: int, streams, pool=None) -> np.ndarra
 
     Output chunk ``c`` (sizes from ``_chunk_sizes``) draws the b^2 factors
     of each entry from ``streams[c]``, one factor (i, j) at a time in C
-    order, which consumes the stream exactly as one (b, b, size) draw would;
-    the product over j and the sum over i run in place.  An executor ``pool``
-    runs the chunks concurrently without changing the result.
+    order, in blocks of ``POPULATION_BLOCK`` entries, which consumes the
+    stream exactly as one (b, b, size) draw would; the product over j and
+    the sum over i run in place.  An executor ``pool`` runs the chunks
+    concurrently without changing the result.
     """
     if masses.size < b * b:
         raise UsageError(f"population size {masses.size} is below b^2 = {b * b}")
@@ -209,17 +214,18 @@ def population_step(masses: np.ndarray, b: int, streams, pool=None) -> np.ndarra
     def chunk(c):
         rng, size = streams[c], sizes[c]
         total = out[starts[c] : starts[c] + size]
-        term, factor = np.empty(size), np.empty(size)
-
-        def draw(into):
-            # the indices are in range, so "clip" never acts; it spares the
-            # bounds-checked mode its temporary copy of ``into``
-            return masses.take(rng.integers(0, masses.size, size=size), out=into, mode="clip")
-
+        term, factor = np.empty(size), np.empty(min(size, POPULATION_BLOCK))
         for i in range(b):
-            acc = draw(total if i == 0 else term)
-            for _ in range(1, b):
-                acc *= draw(factor)
+            acc = total if i == 0 else term
+            for j in range(b):
+                for lo in range(0, size, POPULATION_BLOCK):
+                    block = acc[lo : lo + POPULATION_BLOCK]
+                    into = factor[: block.size] if j else block
+                    # the indices are in range, so "clip" never acts; it spares
+                    # the bounds-checked mode its temporary copy of ``into``
+                    masses.take(rng.integers(masses.size, size=into.size), out=into, mode="clip")
+                    if j:
+                        block *= into
             if i:
                 total += term
         total /= b
@@ -251,7 +257,7 @@ def simulate_mass_trajectory(
     chunks: int = 1,
     profile: "VarianceProfile | None" = None,
 ) -> dict:
-    """Population at r plus copies captured at intermediate trajectory levels.
+    """Population at r and at snapshot levels (uncopied: no step writes its input).
 
     Seeds ``size`` draws of the seed law at r0 = r - depth (enforced to lie
     at or below the asymptotic validity level) and applies ``depth``
@@ -263,6 +269,10 @@ def simulate_mass_trajectory(
         raise UsageError("depth must be >= 1")
     if chunks < 1:
         raise UsageError(f"chunks ({chunks}) must be >= 1")
+    if size > POPULATION_SIZE_BUDGET:
+        raise BudgetError(
+            f"population size {size} is above the budget of {POPULATION_SIZE_BUDGET} entries"
+        )
     base_level = r - depth
     if base_level > MINIMUM_BASE_LEVEL:
         raise UsageError(
@@ -329,7 +339,7 @@ def simulate_mass_trajectory(
                 norm_log += math.log(pre_mean)
             if iteration in offsets:
                 level = offsets[iteration]
-                out[level] = MassPopulation(level, masses.copy(), provenance(level, True))
+                out[level] = MassPopulation(level, masses, provenance(level, True))
 
     out[r] = MassPopulation(r, masses, provenance(r, False))
     return out
@@ -511,7 +521,7 @@ def write_population(path, pop: MassPopulation):
         fh.write(POPULATION_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(pop.masses.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(pop.masses, dtype="<f8").data)
 
 
 def read_population(path) -> MassPopulation:

@@ -459,12 +459,17 @@ def cmd_simulate(run: _Run) -> int:
         chunks=cfg.chunks, profile=profile,
     )
     pop = trajectory[cfg.r]
+    if cfg.n >= 1:
+        # one leaf batch serves both audits (class sums S_k, tree totals); its
+        # own substreams let it be drawn first, so the snapshot is freed here
+        leaves = sample_measure_batch(
+            cfg.b, cfg.r, cfg.n, cfg.realizations, trajectory[leaf_r], cfg.seed
+        ).T
+    del trajectory
     write_population(run.out_dir / "population.bin", pop)
 
     mean, mean_err = mean_se(pop.masses)
-    var, var_se = pop.variance_se()
-    mu3, mu3_se = pop.central_moment_se(3)
-    mu4, mu4_se = pop.central_moment_se(4)
+    moments = pop.central_moments_se(4)
     frac, frac_se = fractional_moment(pop, 0.5)
     target_var = profile.evaluate_R(cfg.r)
     write_csv(
@@ -472,9 +477,9 @@ def cmd_simulate(run: _Run) -> int:
         ["statistic", "estimate", "se", "target"],
         [
             ["mean", mean, mean_err, 1.0],
-            ["variance", var, var_se, target_var],
-            ["central3", mu3, mu3_se, math.nan],
-            ["central4", mu4, mu4_se, math.nan],
+            ["variance", *moments[2], target_var],
+            ["central3", *moments[3], math.nan],
+            ["central4", *moments[4], math.nan],
             ["half_moment", frac, frac_se, math.nan],
         ],
     )
@@ -500,7 +505,7 @@ def cmd_simulate(run: _Run) -> int:
         profile, [cfg.r], k_max=4, seed_kind=cfg.seed_spec, depth=cfg.depth
     ).centered[0, 4]
     law_se = math.sqrt(max(mu4_law - target_var**2, 0.0) / pop.size)
-    run.report.add(se_check("variance-vs-R", target_var, var, var_se, 4.0, floor=law_se))
+    run.report.add(se_check("variance-vs-R", target_var, *moments[2], 4.0, floor=law_se))
     if pop.provenance.overflow_count:
         run.report.add(
             CheckResult(
@@ -512,11 +517,6 @@ def cmd_simulate(run: _Run) -> int:
         )
 
     if cfg.n >= 1:
-        # one batch of leaf vectors serves both audits: the class sums S_k and
-        # the tree totals are independent recursions over the same leaves
-        leaves = sample_measure_batch(
-            cfg.b, cfg.r, cfg.n, cfg.realizations, trajectory[leaf_r], cfg.seed
-        ).T
         class_sums = overlap_moments(leaves, cfg.b, 2)[2]
         squares = tree_total(leaves, cfg.b) ** 2
         gap = np.abs(class_sums.sum(axis=0) - squares) / np.maximum(squares, 1e-300)

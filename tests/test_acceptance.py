@@ -168,11 +168,11 @@ def test_criterion_05_cascade_law_matching(profile2):
                 2, 0.0, SeedSpec(kind), 24, size, base_seed + j,
                 snapshot_levels=levels, profile=profile2,
             )
-            out["v0"].append(traj[0.0].variance_se()[0])
-            out["m3"].append(traj[-10.0].central_moment_se(3)[0])
-            out["m4"].append(traj[-12.0].central_moment_se(4)[0])
+            out["v0"].append(traj[0.0].central_moments_se(2)[2][0])
+            out["m3"].append(traj[-10.0].central_moments_se(3)[3][0])
+            out["m4"].append(traj[-12.0].central_moments_se(4)[4][0])
             for L in levels:
-                out["lv"][L].append(traj[L].variance_se()[0])
+                out["lv"][L].append(traj[L].central_moments_se(2)[2][0])
         return {k: (np.array(v) if not isinstance(v, dict) else v) for k, v in out.items()}
 
     tp = replicas("two-point", 61000)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 
 from diamondgmc.errors import UsageError
 from diamondgmc.cascade import (
+    POPULATION_BLOCK,
     MassPopulation,
     Provenance,
     SeedSpec,
@@ -97,23 +99,66 @@ class TestEvolvePopulation:
         with pytest.raises(UsageError):
             simulate_mass_law(2, -24.0, SeedSpec(), 24, 3, 5, profile=profile2)
 
+    @staticmethod
+    def assert_one_shot_draws(pop, b, chunks, seed):
+        expected = population_step_one_shot(
+            pop, b, [substream(seed, pop.size, c) for c in range(chunks)]
+        )
+        got = population_step(pop, b, [substream(seed, pop.size, c) for c in range(chunks)])
+        assert got.tobytes() == expected.tobytes()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = population_step(
+                pop, b, [substream(seed, pop.size, c) for c in range(chunks)], pool
+            )
+        assert threaded.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("chunks", [1, 3, 5])
     def test_keeps_the_one_shot_draws(self, b, chunks):
         # 1001 and 4099 are not multiples of 3 or 5: the chunks differ in size
         masses = substream(22, b).lognormal(sigma=0.5, size=4099)
         for size in (b * b + 1, 1001, 4099):
-            pop = masses[:size]
-            expected = population_step_one_shot(
-                pop, b, [substream(23, size, c) for c in range(chunks)]
-            )
-            got = population_step(pop, b, [substream(23, size, c) for c in range(chunks)])
-            assert got.tobytes() == expected.tobytes()
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                threaded = population_step(
-                    pop, b, [substream(23, size, c) for c in range(chunks)], pool
-                )
-            assert threaded.tobytes() == expected.tobytes()
+            self.assert_one_shot_draws(masses[:size], b, chunks, 23)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_block_edges_keep_the_one_shot_draws(self, b, chunks):
+        # every chunk ends one entry short of, at, or past a block edge
+        edges = (POPULATION_BLOCK - 1, POPULATION_BLOCK, POPULATION_BLOCK + 1,
+                 2 * POPULATION_BLOCK + 17)
+        masses = substream(24, b).lognormal(sigma=0.5, size=chunks * edges[-1])
+        for edge in edges:
+            self.assert_one_shot_draws(masses[: chunks * edge], b, chunks, 25)
+
+    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_leaves_its_input_unchanged(self, b, chunks):
+        # the trajectory keeps its snapshots without a copy, so no step may write its input
+        masses = substream(26, b).lognormal(sigma=0.5, size=2 * POPULATION_BLOCK + 17)
+        before = masses.tobytes()
+        population_step(masses, b, [substream(27, c) for c in range(chunks)])
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            population_step(masses, b, [substream(27, c) for c in range(chunks)], pool)
+        assert masses.tobytes() == before
+
+    def test_peak_memory_is_three_arrays_and_a_few_blocks(self, profile2):
+        # numpy reports its allocations to tracemalloc; a trajectory step holds
+        # its input, output and branch accumulator, and index and factor blocks,
+        # and the central moments the population and two arrays more
+        size = 400_000
+        # the profile's orbit and numpy's first-call caches are built outside the trace
+        simulate_mass_law(2, -8.0, SeedSpec(), 16, 1000, 28, profile=profile2)
+        tracemalloc.start()
+        try:
+            pop = simulate_mass_law(2, -8.0, SeedSpec(), 16, size, 28, profile=profile2)
+            step_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            pop.central_moments_se(4)
+            moment_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step_peak <= 8 * (3 * size + 4 * POPULATION_BLOCK)
+        assert moment_peak <= 8 * (3 * size + 4 * POPULATION_BLOCK)
 
     def test_one_step_variance_map(self, profile2):
         # at a weak-disorder level the one-step output variance matches
@@ -121,9 +166,9 @@ class TestEvolvePopulation:
         pop = simulate_mass_law(
             2, -8.0, SeedSpec(), 16, 1_000_000, 71, profile=profile2
         )
-        v_in = pop.variance_se()[0]
+        v_in = pop.central_moments_se(2)[2][0]
         out = replace(pop, masses=population_step(pop.masses, 2, substream(6, 0).spawn(1)))
-        v_out, v_se = out.variance_se()
+        v_out, v_se = out.central_moments_se(2)[2]
         assert abs(v_out - psi(2, v_in)) <= 4 * v_se
         m_out, m_se = mean_se(out.masses)
         assert abs(m_out - 1.0) <= 4 * m_se
@@ -141,7 +186,7 @@ class TestSimulateMassLaw:
             snapshot_levels=levels[:-1], profile=profile2,
         )
         for level in levels:
-            var, se = traj[level].variance_se()
+            var, se = traj[level].central_moments_se(2)[2]
             assert abs(var - profile2.evaluate_R(level)) <= 4 * se
 
     def test_mean_is_pinned_and_steps_recorded(self, profile2):
@@ -157,8 +202,8 @@ class TestSimulateMassLaw:
     def test_seed_kinds_agree_in_distribution(self, profile2):
         a = simulate_mass_law(2, -6.0, SeedSpec("two-point"), 18, 200_000, 9, profile=profile2)
         b = simulate_mass_law(2, -6.0, SeedSpec("lognormal"), 18, 200_000, 10, profile=profile2)
-        va, sa = a.variance_se()
-        vb, sb = b.variance_se()
+        va, sa = a.central_moments_se(2)[2]
+        vb, sb = b.central_moments_se(2)[2]
         assert abs(va - vb) <= 4 * math.hypot(sa, sb)
 
     def test_reproducibility_and_chunk_contract(self, profile2):

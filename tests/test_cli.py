@@ -133,6 +133,8 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         ["simulate", "--chunks", "0"] + _SMALL_SIM,
         ["simulate", "--chunks", "-1"] + _SMALL_SIM,
         ["simulate", "--threads", "-3"] + _SMALL_SIM,
+        # the population size is budgeted before any seed is drawn
+        ["simulate", "--r", "0", "--depth", "24", "--size", "100000000000"],
         ["gmc", "--check", "conditional", "--draws", "0"],
         ["gmc", "--check", "renormalization", "--draws", "0"],
         ["gmc", "--check", "kahane", "--draws", "0"],
