@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 from .reporting import mean_se
-from .rfunction import SEED_KINDS, VarianceProfile
+from .rfunction import SeedSpec, VarianceProfile  # SeedSpec: re-exported
 
 # Stream realms (second key component after the master seed).
 _REALM_SEED = 0
@@ -91,41 +91,10 @@ POPULATION_MAGIC = b"DGMCPOP1"
 
 def substream(master_seed: int, *key) -> np.random.Generator:
     """Counter-based generator for the given (master seed, key...) address."""
+    if master_seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {master_seed}")
     entropy = (int(master_seed),) + tuple(int(k) for k in key)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Mean-one seed law for the base level of the recursion.
-
-    two-point: mass 1/2 at 1 +- sqrt(V); matches mean 1, variance V and has
-    third central moment zero.  lognormal: mean-one lognormal of variance V.
-    deterministic-one: the exact fixed point (V ignored).
-    """
-
-    kind: str = "two-point"
-
-    def __post_init__(self):
-        if self.kind not in SEED_KINDS:
-            raise UsageError(f"unknown seed kind {self.kind!r}; choose from {SEED_KINDS}")
-
-    def draw(self, rng: np.random.Generator, size: int, variance: float) -> np.ndarray:
-        if self.kind == "deterministic-one":
-            return np.ones(size)
-        if variance < 0:
-            raise UsageError("seed variance must be >= 0")
-        if self.kind == "lognormal":
-            sigma_sq = math.log1p(variance)
-            sigma = math.sqrt(sigma_sq)
-            return rng.lognormal(mean=-0.5 * sigma_sq, sigma=sigma, size=size)
-        if variance > 1.0:
-            raise UsageError(
-                f"two-point seed needs variance <= 1 for nonnegative support, got {variance}"
-            )
-        sigma = math.sqrt(variance)
-        signs = 2.0 * rng.integers(0, 2, size=size) - 1.0
-        return 1.0 + sigma * signs
 
 
 @dataclass(frozen=True)
@@ -273,6 +242,8 @@ def simulate_mass_trajectory(
         raise BudgetError(
             f"population size {size} is above the budget of {POPULATION_SIZE_BUDGET} entries"
         )
+    if size < b * b:
+        raise UsageError(f"population size {size} is below b^2 = {b * b}")
     base_level = r - depth
     if base_level > MINIMUM_BASE_LEVEL:
         raise UsageError(

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .cascade import (
-    SeedSpec,
     check_audit_budget,
     fractional_moment,
     horner,
@@ -74,7 +73,9 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .rfunction import SEED_KINDS, VarianceProfile, eta, kappa_sq, moment_table, psi
+from .rfunction import (
+    SEED_KINDS, SeedSpec, VarianceProfile, eta, kappa_sq, law_se, moment_table, psi,
+)
 
 GMC_CHECKS = ("shift", "kahane", "conditional", "strong-disorder")
 
@@ -225,7 +226,12 @@ class _Run:
         self.report = ExperimentReport(command)
         self.started = time.time()
         self.out_dir = Path(cfg.out)
+
+    def path(self, name: str) -> Path:
+        """``name`` in the output directory, which the first write creates: a
+        run rejected before it writes leaves no directory behind."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
 
     def extend(self, report: ExperimentReport):
         self.report.checks.extend(report.checks)
@@ -251,7 +257,7 @@ class _Run:
             "notes": self.report.notes,
             "exit_status": status,
         }
-        write_json(self.out_dir / f"{self.command}_manifest.json", manifest)
+        write_json(self.path(f"{self.command}_manifest.json"), manifest)
         for c in self.report.checks:
             print(f"[{c.verdict.upper():7s}] {c.name}: {c.detail or c.tolerance}")
         print(f"manifest: {self.out_dir / (self.command + '_manifest.json')}")
@@ -263,41 +269,20 @@ def cmd_rfunc(run: _Run) -> int:
     profile = VarianceProfile(cfg.b)
     grid = parse_grid(cfg.grid or "-8:1:8")
     k_max = cfg.kmax
+    table = moment_table(profile, grid, k_max=k_max, seed_kind=cfg.seed_spec)
 
     rows = []
+    values = []  # (r, R) in grid order, where R is representable
     flagged_rows = 0
-    by_residue = {}
-    for rv in grid:
-        by_residue.setdefault(round(rv - math.floor(rv), 12), []).append(rv)
-    tables = {}
-    for residue, values in by_residue.items():
-        tables[residue] = moment_table(
-            profile, values, k_max=k_max, seed_kind=cfg.seed_spec
-        )
-    moment_lookup = {}
-    for table in tables.values():
-        for i, rv in enumerate(table.r_values):
-            moment_lookup[float(rv)] = (table.raw[i], table.centered[i])
-
     psi_resid_max = 0.0
-    monotone = True
-    prev = None  # (r, R) along the sorted grid
-    for rv in sorted(grid):
-        try:
-            R = profile.evaluate_R(rv)
-        except (RangeError, ConvergenceError):
-            continue
-        if prev is not None and rv > prev[0] and R <= prev[1]:
-            monotone = False
-        prev = (rv, R)
-    for rv in grid:
+    for rv, raw, cen in zip(grid, table.raw, table.centered):
         try:
             R, Rp = profile.evaluate_pair(rv)
         except (RangeError, ConvergenceError):
             flagged_rows += 1
             rows.append([rv] + [math.nan] * (2 * k_max - 1))
             continue
-        raw, cen = moment_lookup[float(rv)]
+        values.append((rv, R))
         if np.any(~np.isfinite(raw)):
             flagged_rows += 1
         row = [rv, R, Rp]
@@ -310,13 +295,15 @@ def cmd_rfunc(run: _Run) -> int:
             psi_resid_max = max(psi_resid_max, resid)
         except (RangeError, ConvergenceError):
             flagged_rows += 1
+    ascending = sorted(values)
+    monotone = all(R0 < R1 for (r0, R0), (r1, R1) in zip(ascending, ascending[1:]) if r0 < r1)
 
     header = (
         ["r", "R", "R_prime"]
         + [f"m{k}" for k in range(2, k_max + 1)]
         + [f"Rc{k}" for k in range(3, k_max + 1)]
     )
-    write_csv(run.out_dir / "rfunc_table.csv", header, rows)
+    write_csv(run.path("rfunc_table.csv"), header, rows)
 
     run.report.add(
         CheckResult(
@@ -340,9 +327,8 @@ def cmd_rfunc(run: _Run) -> int:
             tolerance="R strictly increasing on the grid",
         )
     )
-    for rv in grid:
+    for rv, R in values:
         if rv <= -1000.0:
-            R = profile.evaluate_R(rv)
             lhs = abs(R * (-rv) / kappa_sq(cfg.b) - 1.0)
             rhs = 1.1 * eta(cfg.b) * math.log(-rv) / (-rv)
             run.report.add(
@@ -377,7 +363,7 @@ def cmd_correlation(run: _Run) -> int:
     hist = pair_count_histogram(params, n_max)
     table_n = correlation_table(profile, cfg.r, n_max)
     write_csv(
-        run.out_dir / "histogram.csv",
+        run.path("histogram.csv"),
         ["N", "count_log10", "weight_log"],
         [
             [k, math.log10(c), table_n.log_weight(k)]
@@ -432,7 +418,7 @@ def cmd_correlation(run: _Run) -> int:
         exact_check("kernel-marginal-identity", worst_rel, 1e-8, detail="relative")
     )
     write_csv(
-        run.out_dir / "identity_checks.csv",
+        run.path("identity_checks.csv"),
         ["check", "lhs", "rhs", "abs_err", "rel_err"],
         check_rows,
     )
@@ -466,14 +452,14 @@ def cmd_simulate(run: _Run) -> int:
             cfg.b, cfg.r, cfg.n, cfg.realizations, trajectory[leaf_r], cfg.seed
         ).T
     del trajectory
-    write_population(run.out_dir / "population.bin", pop)
+    write_population(run.path("population.bin"), pop)
 
     mean, mean_err = mean_se(pop.masses)
     moments = pop.central_moments_se(4)
     frac, frac_se = fractional_moment(pop, 0.5)
     target_var = profile.evaluate_R(cfg.r)
     write_csv(
-        run.out_dir / "summary.csv",
+        run.path("summary.csv"),
         ["statistic", "estimate", "se", "target"],
         [
             ["mean", mean, mean_err, 1.0],
@@ -501,11 +487,9 @@ def cmd_simulate(run: _Run) -> int:
     # the sample variance's exact SE is sqrt((mu4 - R^2) / size), mu4 taken
     # from the law the run drew (its seed, depth steps); at r near 0 mu4 comes
     # from tail events no feasible population holds
-    mu4_law = moment_table(
-        profile, [cfg.r], k_max=4, seed_kind=cfg.seed_spec, depth=cfg.depth
-    ).centered[0, 4]
-    law_se = math.sqrt(max(mu4_law - target_var**2, 0.0) / pop.size)
-    run.report.add(se_check("variance-vs-R", target_var, *moments[2], 4.0, floor=law_se))
+    law = moment_table(profile, [cfg.r], k_max=4, seed_kind=cfg.seed_spec, depth=cfg.depth)
+    run.report.add(se_check("variance-vs-R", target_var, *moments[2], 4.0,
+                            floor=law_se(law.centered[0], 2, pop.size)))
     if pop.provenance.overflow_count:
         run.report.add(
             CheckResult(
@@ -515,6 +499,7 @@ def cmd_simulate(run: _Run) -> int:
                 detail="non-finite masses counted, not dropped",
             )
         )
+    del pop  # the audit reads only the leaf batch
 
     if cfg.n >= 1:
         class_sums = overlap_moments(leaves, cfg.b, 2)[2]
@@ -605,13 +590,13 @@ def cmd_gmc(run: _Run) -> int:
             cfg.realizations, cfg.draws, cfg.seed, seed_spec,
         )
         run.extend(report)
-    write_json(run.out_dir / f"gmc_{cfg.check}_report.json", report.to_dict())
+    write_json(run.path(f"gmc_{cfg.check}_report.json"), report.to_dict())
     for label, values in report.arrays.items():
         arr = np.atleast_2d(np.asarray(values))
         if arr.shape[0] == 1:
             arr = arr.T
         write_csv(
-            run.out_dir / f"gmc_{cfg.check}_{label}.csv",
+            run.path(f"gmc_{cfg.check}_{label}.csv"),
             [label] if arr.shape[1] == 1 else [f"{label}_{i}" for i in range(arr.shape[1])],
             arr,
         )

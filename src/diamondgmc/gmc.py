@@ -45,7 +45,6 @@ import numpy as np
 
 from .cascade import (
     AUDIT_CELL_BUDGET,
-    SeedSpec,
     check_audit_budget,
     default_leaf_population,
     horner,
@@ -57,7 +56,9 @@ from .cascade import (
 )
 from .correlation import rn_log_kernel
 from .errors import BudgetError, DomainError, RangeError, UsageError
-from .rfunction import VarianceProfile, kappa_sq, moment_recursion_step, moment_table
+from .rfunction import (
+    SeedSpec, VarianceProfile, _or_inf, kappa_sq, law_se, moment_recursion_step, moment_table,
+)
 from .reporting import (
     SEEDING_BIAS_NOTE,
     SE_RELIABILITY_RATIO,
@@ -135,7 +136,7 @@ def sample_gmc(leaves, b: int, lam: float, rng: np.random.Generator) -> GmcReali
     g = rng.standard_normal(leaves.size)
     weights = leaves * _edge_factors(lam, g.copy())
     if not np.all(np.isfinite(weights)):
-        raise RangeError("chaos weights overflowed double precision")
+        raise RangeError("chaos weights leave double precision range")
     return GmcRealization(leaves, b, lam, g, weights)
 
 
@@ -214,23 +215,12 @@ def chaos_moment_ladder(b: int, leaf_moments, lam: float, n: int) -> list:
     edge factor's exp(lam C(k,2)), to the root; m_0 = 1 is not read.  Moments
     from one that leaves double range, or enters as nan, upward read inf.
     """
-    leaf = [float(m) for m in leaf_moments]  # Python floats: overflow raises, not warns
-    for top in range(len(leaf), 0, -1):
-        try:
-            moments = [1.0] + [m * math.exp(lam * math.comb(k, 2))
-                               for k, m in enumerate(leaf[1:top], start=1)]
-            for _ in range(n):
-                moments = moment_recursion_step(b, moments)
-        except OverflowError:
-            continue
-        if all(map(math.isfinite, moments)):
-            return moments + [math.inf] * (len(leaf) - top)
-
-
-def _law_se(ladder: list, k: int, count: int) -> float:
-    """sqrt(Var T^k / count) from exact moments; inf once E[T^2k] is."""
-    var = ladder[2 * k] - ladder[k] ** 2 if math.isfinite(ladder[2 * k]) else math.inf
-    return math.sqrt(max(var, 0.0) / count)
+    moments = [1.0] + [float(m) * _or_inf(math.exp, lam * math.comb(k, 2))
+                       for k, m in enumerate(leaf_moments[1:], start=1)]
+    for _ in range(n):
+        moments = moment_recursion_step(b, moments)
+    top = next((k for k, m in enumerate(moments) if not math.isfinite(m)), len(moments))
+    return moments[:top] + [math.inf] * (len(moments) - top)
 
 
 def conditional_gmc_experiment(
@@ -351,11 +341,11 @@ def conditional_gmc_experiment(
     )
     report.add(
         se_check("second-moment-vs-1+R", 1.0 + profile.evaluate_R(r + a), *pooled[2], 4.0,
-                 floor=_law_se(law_ladder, 2, count))
+                 floor=law_se(law_ladder, 2, count))
     )
     for k, word in ((2, "second"), (3, "third")):
         report.add(se_check(f"{word}-moment-vs-pool-ladder", pool_ladder[k], *pooled[k], 5.0,
-                            floor=_law_se(pool_ladder, k, count)))
+                            floor=law_se(pool_ladder, k, count)))
     if n >= 2:
         audit = renormalization_weight_audit(profile, r - 1, a, n, master_seed)
         report.add(

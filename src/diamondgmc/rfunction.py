@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RangeError, UsageError
+from .errors import BudgetError, ConvergenceError, DomainError, RangeError, UsageError
 
 MOMENT_ORDER_BUDGET = 16
 _FLOAT_CAP = 1e300
@@ -77,6 +77,12 @@ SEED_ORDER = 10
 MAX_SEED_DEPTH = 1 << 16
 TOLERANCE = 1e-12
 PRECISION_DPS = 40
+# R leaves double range above r = 9 (b = 2; lower for larger b), so no orbit
+# is probed higher: above, the orbit runs into its overflow and reports it.
+TOP_PROBE = 16
+# Levels of one orbit, checked before it is extended: a level holds about
+# 135 bytes and takes about 11 us, so 2^18 levels take 3 s and 35 MiB.
+ORBIT_LEVEL_BUDGET = 1 << 18
 
 
 def kappa_sq(b: int) -> float:
@@ -300,6 +306,12 @@ class VarianceProfile:
         need = top_floor - orbit.base_floor + 1 - len(orbit.values)
         if need <= 0:
             return
+        levels = min(top_floor, TOP_PROBE) - orbit.base_floor + 1
+        if levels > ORBIT_LEVEL_BUDGET:
+            raise BudgetError(
+                f"R orbit from r = {orbit.xi + orbit.base_floor} to {orbit.xi + top_floor} "
+                f"needs {levels} levels, above the budget of {ORBIT_LEVEL_BUDGET}"
+            )
         b, bits, values = self.b, orbit.bits, orbit.values
         one = 1 << bits
         shift = bits * (b - 2)
@@ -332,7 +344,7 @@ class VarianceProfile:
         xi = r - floor_r
         orbit = self._orbits.get(xi)
         if orbit is None or floor_r < orbit.base_floor:
-            orbit = self._build_orbit(xi, floor_r)
+            orbit = self._build_orbit(xi, min(floor_r, TOP_PROBE))
             self._orbits[xi] = orbit
         self._extend_orbit(orbit, floor_r)
         return orbit, floor_r - orbit.base_floor
@@ -358,12 +370,69 @@ class VarianceProfile:
 # -- moment ladder ------------------------------------------------------------
 
 
+def _or_inf(fn, *args) -> float:
+    """fn(*args), or inf where the value leaves double range (float ``**`` and
+    ``math.exp`` raise there)."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+@dataclass(frozen=True)
+class SeedSpec:
+    """Mean-one seed law for the base level of the recursion.
+
+    two-point: mass 1/2 at 1 +- sqrt(V); matches mean 1, variance V and has
+    third central moment zero (needs V <= 1 for nonnegative support).
+    lognormal: mean-one lognormal of variance V, m_k = (1 + V)^C(k,2).
+    deterministic-one: the exact fixed point (V ignored).
+    """
+
+    kind: str = "two-point"
+
+    def __post_init__(self):
+        if self.kind not in SEED_KINDS:
+            raise UsageError(f"unknown seed kind {self.kind!r}; choose from {SEED_KINDS}")
+
+    def _check_variance(self, variance: float):
+        if self.kind != "deterministic-one" and variance < 0:
+            raise DomainError("seed variance must be >= 0")
+        if self.kind == "two-point" and variance > 1.0:
+            raise DomainError(
+                f"two-point seed needs variance <= 1 for nonnegative support, got {variance}"
+            )
+
+    def draw(self, rng: np.random.Generator, size: int, variance: float) -> np.ndarray:
+        """``size`` independent draws of the law."""
+        self._check_variance(variance)
+        if self.kind == "deterministic-one":
+            return np.ones(size)
+        if self.kind == "lognormal":
+            sigma_sq = math.log1p(variance)
+            return rng.lognormal(mean=-0.5 * sigma_sq, sigma=math.sqrt(sigma_sq), size=size)
+        signs = 2.0 * rng.integers(0, 2, size=size) - 1.0
+        return 1.0 + math.sqrt(variance) * signs
+
+    def raw_moments(self, variance: float, k_max: int) -> list:
+        """Raw moments m_0..m_K of the law; an order beyond double range reads inf."""
+        self._check_variance(variance)
+        if self.kind == "deterministic-one":
+            return [1.0] * (k_max + 1)
+        if self.kind == "lognormal":
+            return [_or_inf(pow, 1.0 + variance, math.comb(k, 2)) for k in range(k_max + 1)]
+        sigma = math.sqrt(variance)
+        return [0.5 * ((1.0 + sigma) ** k + (1.0 - sigma) ** k) for k in range(k_max + 1)]
+
+
 def moment_recursion_step(b: int, moments) -> list:
     """Push raw moments m_0..m_K through one renormalization step.
 
     A branch is b independent factors in series, with moments x_k = m_k^b;
     the b independent branches fold by binomial convolution, and the branch
-    average divides the k-th moment by b^k.
+    average divides the k-th moment by b^k.  Order k reads only orders <= k,
+    so an order beyond double range reads inf (never raises), the orders
+    below it stay exact, and inf carries upward.
     """
     moments = list(moments)
     if not moments or moments[0] != 1.0:
@@ -371,7 +440,7 @@ def moment_recursion_step(b: int, moments) -> list:
     k_max = len(moments) - 1
     if k_max > MOMENT_ORDER_BUDGET:
         raise UsageError(f"moment order {k_max} exceeds the budget {MOMENT_ORDER_BUDGET}")
-    branch = [m**b for m in moments]
+    branch = [_or_inf(pow, m, b) for m in moments]
     acc = branch
     for _ in range(1, b):
         acc = [
@@ -381,29 +450,10 @@ def moment_recursion_step(b: int, moments) -> list:
     return [x / b**k for k, x in enumerate(acc)]
 
 
-def seed_raw_moments(kind: str, variance: float, k_max: int) -> list:
-    """Raw moments m_0..m_K of a mean-one seed law with the given variance.
-
-    two-point: mass 1/2 at 1 +- sqrt(V) (third central moment zero; needs
-    V <= 1 for nonnegative support).  lognormal: m_k = (1 + V)^C(k,2).
-    deterministic-one ignores the variance and is the exact unit mass.
-    """
-    if kind not in SEED_KINDS:
-        raise UsageError(f"unknown seed kind {kind!r}; choose from {SEED_KINDS}")
-    if kind == "deterministic-one":
-        return [1.0] * (k_max + 1)
-    if variance < 0:
-        raise DomainError("seed variance must be >= 0")
-    if kind == "lognormal":
-        return [(1.0 + variance) ** math.comb(k, 2) for k in range(k_max + 1)]
-    if variance > 1.0:
-        raise DomainError(
-            f"two-point seed needs variance <= 1 for nonnegative support, got {variance}"
-        )
-    sigma = math.sqrt(variance)
-    return [
-        0.5 * ((1.0 + sigma) ** k + (1.0 - sigma) ** k) for k in range(k_max + 1)
-    ]
+def law_se(moments, k: int, count: int) -> float:
+    """sqrt(Var X^k / count) from exact raw moments of X; inf once E[X^2k] is."""
+    var = moments[2 * k] - moments[k] ** 2 if math.isfinite(moments[2 * k]) else math.inf
+    return math.sqrt(max(var, 0.0) / count)
 
 
 def raw_to_centered(raw) -> list:
@@ -436,51 +486,40 @@ def moment_table(
 ) -> MomentTable:
     """Iterate the moment map from a matched seed up through an r-grid.
 
-    All grid points must lie in one residue class mod 1 (they share the
-    orbit).  ``depth`` counts iterations below the smallest grid point; by
-    default it matches the variance orbit's converged seed depth.
+    Each residue class r mod 1 of the grid runs its own ladder, seeded
+    ``depth`` iterations below its smallest point; by default at the
+    variance orbit's converged seed depth there.  Rows come back in grid
+    order; a row holding an order beyond double range, or above
+    ``_FLOAT_CAP``, is nan.
     """
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
     if r_values.size == 0:
         raise UsageError("empty r grid")
-    fracs = r_values - np.floor(r_values)
-    if not np.allclose(fracs, fracs[0], atol=1e-12):
-        raise UsageError("moment_table grid must lie in a single residue class mod 1")
-    order = np.argsort(r_values)
-    r_sorted = r_values[order]
-    r_min = float(r_sorted[0])
-    if depth is None:
-        depth = profile.orbit_depth(r_min)
-    if depth < 1:
+    if depth is not None and depth < 1:
         raise UsageError("depth must be >= 1")
-
-    base = r_min - depth
-    moments = seed_raw_moments(seed_kind, profile.evaluate_R(base), k_max)
+    seed = SeedSpec(seed_kind)
+    classes = {}
+    for pos, rv in enumerate(r_values.tolist()):
+        classes.setdefault(round(rv - math.floor(rv), 12), []).append(pos)
     raw_rows = np.full((r_values.size, k_max + 1), np.nan)
-    targets = {}
-    for pos, rv in enumerate(r_sorted):
-        targets.setdefault(int(round(rv - base)), []).append(pos)
-    step = 0
-    last = max(targets)
-    overflowed = False
-    variance = moments[2] - 1.0 if k_max >= 2 else None
-    while step < last and not overflowed:
-        try:
+    for positions in classes.values():
+        r_min = float(r_values[positions].min())
+        base = r_min - (profile.orbit_depth(r_min) if depth is None else depth)
+        targets = {}
+        for pos in positions:
+            targets.setdefault(int(round(r_values[pos] - base)), []).append(pos)
+        moments = seed.raw_moments(profile.evaluate_R(base), k_max)
+        variance = moments[2] - 1.0 if k_max >= 2 else None
+        for step in range(1, max(targets) + 1):
             moments = moment_recursion_step(profile.b, moments)
             if variance is not None:
                 # same map for the k = 2 channel in cancellation-free form:
                 # m_2' - 1 = psi_b(m_2 - 1) exactly
-                variance = psi(profile.b, variance)
+                variance = psi(profile.b, variance) if moments[2] <= _FLOAT_CAP else math.inf
                 moments[2] = 1.0 + variance
-        except OverflowError:
-            overflowed = True
-            break
-        step += 1
-        if any(not math.isfinite(m) or m > _FLOAT_CAP for m in moments):
-            overflowed = True
-            break
-        if step in targets:
-            for pos in targets[step]:
+            if not all(math.isfinite(m) and m <= _FLOAT_CAP for m in moments):
+                break  # this row and every later one stay nan
+            for pos in targets.get(step, ()):
                 raw_rows[pos] = moments
 
     centered_rows = np.array(
@@ -489,5 +528,4 @@ def moment_table(
             for row in raw_rows
         ]
     )
-    inverse = np.argsort(order)
-    return MomentTable(r_values, raw_rows[inverse], centered_rows[inverse])
+    return MomentTable(r_values, raw_rows, centered_rows)

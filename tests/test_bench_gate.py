@@ -1,14 +1,18 @@
-"""The benchmark's exact-tables workload, run through the benchmark's own gate.
+"""The benchmark's workloads, run through the benchmark's own gates.
 
-``perfbench/run.py`` compares the workload's tables with its stored
-reference at 1e-12 relative.  Running the same commands and the same gate
-here makes a change of arithmetic route that moves a table cell fail in the
-test suite rather than only in the benchmark.
+``perfbench/run.py`` compares the exact-tables workload's tables with its
+stored reference at 1e-12 relative, and checks the population snapshot and
+the chaos totals of the other two.  Running the same gates here, on the
+exact-tables commands and on small population and chaos runs, makes a change
+that moves a table cell or breaks those outputs fail in the test suite
+rather than only in the benchmark.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from diamondgmc.cli import main
 
@@ -38,3 +42,22 @@ def test_exact_tables_pass_the_bench_gate(tmp_path, monkeypatch, capsys):
         problems, _ = bench.gate(workload, argv, out, status, captured.out + captured.err)
         assert problems == []
         assert bench.check_tables(argv, out) == []
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("population", ["simulate", "--b", "2", "--r", "-6", "--depth", "20",
+                        "--size", "40000", "--seed", "7", "--n", "1"]),
+        ("chaos", ["gmc", "--check", "conditional", "--r", "0", "--a", "1", "--n", "1",
+                   "--realizations", "20", "--draws", "50", "--seed", "7"]),
+    ],
+)
+def test_small_runs_pass_the_bench_gate(name, argv, tmp_path, monkeypatch, capsys):
+    # the population and chaos workloads' commands at small sizes, through their gates
+    bench = load_bench(monkeypatch)
+    out = tmp_path / argv[0]
+    status = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    problems, _ = bench.gate(bench.WORKLOADS[name], argv, out, status, captured.out + captured.err)
+    assert problems == []

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diamondgmc.errors import UsageError
+from diamondgmc.errors import DomainError, UsageError
 from diamondgmc.cascade import (
     POPULATION_BLOCK,
     MassPopulation,
@@ -74,7 +74,7 @@ class TestSeedSpec:
 
     def test_two_point_variance_cap(self):
         rng = substream(2, 0)
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError):
             SeedSpec("two-point").draw(rng, 10, 1.5)
 
     def test_lognormal_moments(self):

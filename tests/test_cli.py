@@ -133,6 +133,15 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         ["simulate", "--chunks", "0"] + _SMALL_SIM,
         ["simulate", "--chunks", "-1"] + _SMALL_SIM,
         ["simulate", "--threads", "-3"] + _SMALL_SIM,
+        # the seed is checked where every stream is keyed, the size before any draw
+        ["simulate", "--seed", "-3"] + _SMALL_SIM,
+        ["gmc", "--check", "shift", "--seed", "-3"],
+        ["simulate", "--size", "-5", "--n", "0"],
+        # R far above its overflow level, and an orbit beyond its level budget
+        ["correlation", "--r", "1e6", "--n", "2"],
+        ["gmc", "--check", "shift", "--r", "2000"],
+        ["rfunc", "--grid", "1e300:1:1e300"],
+        ["rfunc", "--grid=-1000000,-1"],
         # the population size is budgeted before any seed is drawn
         ["simulate", "--r", "0", "--depth", "24", "--size", "100000000000"],
         ["gmc", "--check", "conditional", "--draws", "0"],
@@ -141,6 +150,7 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         ["gmc", "--check", "conditional", "--realizations", "0"],
         # each chaos draw block is budgeted before it is allocated
         ["gmc", "--check", "shift", "--n", "40"],
+        ["gmc", "--check", "kahane", "--n", "40"],
         ["gmc", "--check", "kahane", "--n", "1", "--draws", "10000000000000"],
         ["gmc", "--check", "strong-disorder", "--n", "2", "--draws", "100000"],
         # and so is the conditional run's (realizations, draws) totals block
@@ -163,6 +173,7 @@ def test_usage_errors_exit_one(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # a rejected run leaves no --out directory
 
 
 def test_help_exits_zero(capsys):

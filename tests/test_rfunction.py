@@ -11,9 +11,10 @@ from _oracles import (
     orbit_by_mpmath,
 )
 from diamondgmc import cli, rfunction
-from diamondgmc.errors import ConvergenceError, DomainError, RangeError, UsageError
+from diamondgmc.errors import BudgetError, ConvergenceError, DomainError, RangeError, UsageError
 from diamondgmc.rfunction import (
     MomentTable,
+    SeedSpec,
     VarianceProfile,
     asymptotic_expansion,
     eta,
@@ -22,7 +23,6 @@ from diamondgmc.rfunction import (
     moment_table,
     psi,
     raw_to_centered,
-    seed_raw_moments,
 )
 
 
@@ -117,6 +117,18 @@ class TestEvaluateR:
             prof = VarianceProfile(2)
             R = prof.evaluate_R(r)
             assert abs(R * (-r) / kappa_sq(2) - 1.0) <= 1.1 * eta(2) * math.log(-r) / (-r)
+
+    def test_far_above_overflow_raises_range_error(self):
+        # the series seed would land at a positive level, where it is undefined
+        for r in (2000.0, 1e6, 1e300):
+            with pytest.raises(RangeError, match="above r = 9"):
+                VarianceProfile(2).evaluate_R(r)
+
+    def test_orbit_level_budget(self):
+        profile = VarianceProfile(2)
+        profile.evaluate_R(-1e6)
+        with pytest.raises(BudgetError):
+            profile.evaluate_R(-1.0)  # checked before the orbit is extended
 
     def test_overflow_guard(self, profile3):
         with pytest.raises(RangeError):
@@ -258,11 +270,18 @@ class TestMomentRecursion:
         # the binomial fold over branches against the sum over all
         # compositions of k into b parts, up to the order budget
         for kind, variance in (("two-point", 0.3), ("lognormal", 0.05)):
-            moments = seed_raw_moments(kind, variance, 16)
+            moments = SeedSpec(kind).raw_moments(variance, 16)
             got = moment_recursion_step(b, moments)
             want = moment_step_by_compositions(b, moments)
             assert got[0] == 1.0
             assert np.max(np.abs(np.array(got) / np.array(want) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_overflow_reads_inf_above_exact_orders(self, b):
+        # the top order leaves double range; no order below it reads it
+        out = moment_recursion_step(b, [1.0, 1.0, 2.0, 1e300])
+        assert out[3] == math.inf
+        assert out[:3] == moment_recursion_step(b, [1.0, 1.0, 2.0])
 
     def test_budget(self):
         with pytest.raises(UsageError):
@@ -274,7 +293,7 @@ class TestMomentRecursion:
 class TestSeedMoments:
     def test_two_point_matches_mean_and_variance(self):
         V = 0.0831
-        m = seed_raw_moments("two-point", V, 4)
+        m = SeedSpec("two-point").raw_moments(V, 4)
         assert m[0] == 1.0 and m[1] == 1.0
         assert m[2] == pytest.approx(1.0 + V, abs=1e-15)
         centered = raw_to_centered(m)
@@ -282,15 +301,15 @@ class TestSeedMoments:
 
     def test_lognormal_moments(self):
         V = 0.25
-        m = seed_raw_moments("lognormal", V, 4)
+        m = SeedSpec("lognormal").raw_moments(V, 4)
         assert m[2] == pytest.approx(1.0 + V, abs=1e-15)
         assert m[3] == pytest.approx((1.0 + V) ** 3, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(UsageError):
-            seed_raw_moments("bogus", 0.1, 4)
+            SeedSpec("bogus")
         with pytest.raises(DomainError):
-            seed_raw_moments("two-point", 1.5, 4)
+            SeedSpec("two-point").raw_moments(1.5, 4)
 
 
 class TestMomentTable:
@@ -334,6 +353,14 @@ class TestMomentTable:
         assert np.all(np.isfinite(table.raw[0]))
         assert np.all(np.isnan(table.raw[1]))
 
-    def test_mixed_residue_grid_rejected(self, profile2):
-        with pytest.raises(UsageError):
-            moment_table(profile2, [-1.0, -0.5], k_max=4)
+    def test_mixed_residue_grid_matches_each_class(self):
+        # each residue class runs its own ladder; rows come back in grid order
+        grid = [0.5, -3.0, -1.25, 2.0, -3.0, -7.5, 8.0]
+        for b in (2, 3):
+            profile = VarianceProfile(b)
+            table = moment_table(profile, grid, k_max=6)
+            for residue in (0.0, 0.5, 0.75):
+                pos = [i for i, r in enumerate(grid) if r % 1 == residue]
+                alone = moment_table(profile, [grid[i] for i in pos], k_max=6)
+                assert table.raw[pos].tobytes() == alone.raw.tobytes()
+                assert table.centered[pos].tobytes() == alone.centered.tobytes()
