@@ -89,6 +89,12 @@ POPULATION_BLOCK = 1 << 15
 POPULATION_MAGIC = b"DGMCPOP1"
 
 
+def worker_count(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: min(tasks, usable CPUs), at least 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(tasks, cpus or 1))
+
+
 def substream(master_seed: int, *key) -> np.random.Generator:
     """Counter-based generator for the given (master seed, key...) address."""
     if master_seed < 0:
@@ -294,8 +300,7 @@ def simulate_mass_trajectory(
             detail=detail,
         )
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(chunks, cpus or 1)
+    workers = worker_count(chunks)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for iteration in range(1, depth + 1):
             streams = [

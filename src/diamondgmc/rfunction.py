@@ -81,7 +81,9 @@ PRECISION_DPS = 40
 # is probed higher: above, the orbit runs into its overflow and reports it.
 TOP_PROBE = 16
 # Levels of one orbit, checked before it is extended: a level holds about
-# 135 bytes and takes about 11 us, so 2^18 levels take 3 s and 35 MiB.
+# 135 bytes and takes about 11 us, so 2^18 levels take 3 s and 35 MiB.  The
+# moment ladder of one residue class (about 10 us a step) is held to the same
+# number of steps, checked before its first step.
 ORBIT_LEVEL_BUDGET = 1 << 18
 
 
@@ -488,9 +490,10 @@ def moment_table(
 
     Each residue class r mod 1 of the grid runs its own ladder, seeded
     ``depth`` iterations below its smallest point; by default at the
-    variance orbit's converged seed depth there.  Rows come back in grid
-    order; a row holding an order beyond double range, or above
-    ``_FLOAT_CAP``, is nan.
+    variance orbit's converged seed depth there.  A class whose ladder needs
+    more than ``ORBIT_LEVEL_BUDGET`` steps raises ``BudgetError`` before it
+    runs.  Rows come back in grid order; a row holding an order beyond
+    double range, or above ``_FLOAT_CAP``, is nan.
     """
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
     if r_values.size == 0:
@@ -508,9 +511,15 @@ def moment_table(
         targets = {}
         for pos in positions:
             targets.setdefault(int(round(r_values[pos] - base)), []).append(pos)
+        steps = max(targets)
+        if steps > ORBIT_LEVEL_BUDGET:
+            raise BudgetError(
+                f"moment ladder from r = {base} to {base + steps} needs {steps} steps, "
+                f"above the budget of {ORBIT_LEVEL_BUDGET}"
+            )
         moments = seed.raw_moments(profile.evaluate_R(base), k_max)
         variance = moments[2] - 1.0 if k_max >= 2 else None
-        for step in range(1, max(targets) + 1):
+        for step in range(1, steps + 1):
             moments = moment_recursion_step(profile.b, moments)
             if variance is not None:
                 # same map for the k = 2 channel in cancellation-free form:

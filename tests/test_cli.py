@@ -40,9 +40,8 @@ def test_cli_import_loads_no_scipy_or_mpmath():
     assert proc.stdout.strip() == "[]"
 
 
-def test_ks_diagnostics_run_without_scipy(tmp_path):
-    # the conditional run's KS diagnostic, with scipy made unimportable in the
-    # child process
+def test_conditional_runs_without_scipy(tmp_path):
+    # the conditional run, with scipy made unimportable in the child process
     env = dict(os.environ, PYTHONPATH=str(Path(diamondgmc.__file__).resolve().parents[1]))
     code = (
         "import sys\n"
@@ -61,8 +60,7 @@ def test_ks_diagnostics_run_without_scipy(tmp_path):
     statuses = [line for line in proc.stdout.splitlines() if line.startswith("status ")]
     assert statuses == ["status 2", "status []"]
     diag = read_manifest(tmp_path / "gmc_conditional_report.json")["diagnostics"]
-    assert 0.0 <= diag["ks_statistic"] <= 1.0
-    assert 0.0 <= diag["ks_pvalue"] <= 1.0
+    assert not [k for k in diag if k.startswith("ks_") or k == "direct_moments_large"]
 
 
 class TestConfig:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from _oracles import (
     index_ordered_paths,
     upsilon_combine,
 )
+from diamondgmc import cascade, gmc
 from diamondgmc.errors import DomainError, UsageError
 from diamondgmc.cascade import (
     SeedSpec,
@@ -407,8 +409,64 @@ class TestExperiments:
         by_name = {c.name: c for c in report.checks}
         assert by_name["second-moment-vs-1+R"].verdict == "pass"
         assert by_name["conditional-second-moment-layer"].verdict == "pass"
-        assert 0.0 <= report.diagnostics["ks_statistic"] <= 1.0
-        assert 0.0 <= report.diagnostics["ks_pvalue"] <= 1.0
+
+    @pytest.mark.parametrize("workers", [None, 4])  # usable CPUs; more threads than cores
+    def test_threaded_runs_match_serial_bit_for_bit(self, profile2, monkeypatch, workers):
+        # every array a per-reference task writes, read from the task's closure
+        written = []
+        for_each = gmc._for_each
+
+        def recording(task, count):
+            for_each(task, count)
+            cells = (c.cell_contents for c in task.__closure__)
+            written.append({
+                name: value for name, value in zip(task.__code__.co_freevars, cells)
+                if isinstance(value, np.ndarray) and name != "refs"
+            })
+
+        def run(worker_count):
+            monkeypatch.setattr(gmc, "worker_count", worker_count)
+            conditional_gmc_experiment(
+                profile2, -6.0, 1.0, 2, 24, realizations=40, draws=400,
+                master_seed=7, pop_size=20_000,
+            )
+            strong_disorder_bound(
+                profile2, [1.0, 4.0], 2, 24, realizations=20, draws=200,
+                master_seed=8, pop_size=20_000,
+            )
+
+        monkeypatch.setattr(gmc, "_for_each", recording)
+        run(lambda tasks: 1)
+        serial, written[:] = list(written), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run(cascade.worker_count if workers is None else lambda tasks: min(tasks, workers))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [sorted(w) for w in serial] == [
+            ["totals"],
+            ["half", "half_se", "log_bounds", "ref_totals", "t_pos_fraction", "theta_totals"],
+        ]
+        assert [sorted(w) for w in written] == [sorted(w) for w in serial]
+        for one, threaded in zip(serial, written):
+            for name in one:
+                assert np.array_equal(one[name], threaded[name]), name
+
+    def test_conditional_simulates_only_the_leaf_pool(self, profile2, monkeypatch):
+        calls = []
+        trajectory = cascade.simulate_mass_trajectory
+
+        def counting(b, r, seed_spec, depth, size, *args, **kwargs):
+            calls.append((r, depth, size))
+            return trajectory(b, r, seed_spec, depth, size, *args, **kwargs)
+
+        monkeypatch.setattr(cascade, "simulate_mass_trajectory", counting)
+        conditional_gmc_experiment(
+            profile2, -6.0, 1.0, 2, 24, realizations=10, draws=20,
+            master_seed=9, pop_size=20_000,
+        )
+        assert calls == [(-8.0, 22, 20_000)]  # leaf level r - n, depth - n steps
 
     def test_strong_disorder_small(self, profile2):
         report = strong_disorder_bound(

@@ -353,6 +353,16 @@ class TestMomentTable:
         assert np.all(np.isfinite(table.raw[0]))
         assert np.all(np.isnan(table.raw[1]))
 
+    def test_ladder_budget_checked_before_any_step(self, monkeypatch):
+        def stepped(*args):
+            raise AssertionError("the ladder ran a step")
+
+        monkeypatch.setattr(rfunction, "moment_recursion_step", stepped)
+        with pytest.raises(BudgetError, match="needs 1002047 steps"):
+            moment_table(VarianceProfile(2), [-1e6, -1.0])
+        with pytest.raises(BudgetError, match=f"above the budget of {rfunction.ORBIT_LEVEL_BUDGET}"):
+            moment_table(VarianceProfile(2), [-1.0], depth=rfunction.ORBIT_LEVEL_BUDGET + 1)
+
     def test_mixed_residue_grid_matches_each_class(self):
         # each residue class runs its own ladder; rows come back in grid order
         grid = [0.5, -3.0, -1.25, 2.0, -3.0, -7.5, 8.0]
