@@ -53,8 +53,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 
 import numpy as np
@@ -95,6 +94,22 @@ def worker_count(tasks: int) -> int:
     return max(1, min(tasks, cpus or 1))
 
 
+def for_each(task, count: int):
+    """Run ``task(i)`` for i = 0..count-1 on ``worker_count(count)`` threads.
+
+    A plain loop at one worker.  numpy releases the interpreter lock in the
+    draws, ``take``, ``exp`` and the tree reductions; each task writes only
+    its own rows from its own substream, so the thread count changes no byte.
+    """
+    workers = worker_count(count)
+    if workers == 1:
+        for i in range(count):
+            task(i)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(task, range(count)))  # list() re-raises a task's error
+
+
 def substream(master_seed: int, *key) -> np.random.Generator:
     """Counter-based generator for the given (master seed, key...) address."""
     if master_seed < 0:
@@ -118,20 +133,10 @@ class Provenance:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "b": self.b,
-            "r": self.r,
-            "base_level": self.base_level,
-            "depth": self.depth,
-            "size": self.size,
-            "seed_kind": self.seed_kind,
-            "seed_variance": self.seed_variance,
-            "master_seed": self.master_seed,
-            "chunks": self.chunks,
-            "overflow_count": self.overflow_count,
-        }
-        if self.detail:
-            out["detail"] = dict(self.detail)
+        """The fields by name; ``detail`` only when it holds anything."""
+        out = asdict(self)
+        if not self.detail:
+            del out["detail"]
         return out
 
 
@@ -170,15 +175,14 @@ def _chunk_sizes(total: int, chunks: int):
     return sizes
 
 
-def population_step(masses: np.ndarray, b: int, streams, pool=None) -> np.ndarray:
+def population_step(masses: np.ndarray, b: int, streams) -> np.ndarray:
     """One population-dynamics step by resampling with replacement, unnormalized.
 
     Output chunk ``c`` (sizes from ``_chunk_sizes``) draws the b^2 factors
     of each entry from ``streams[c]``, one factor (i, j) at a time in C
     order, in blocks of ``POPULATION_BLOCK`` entries, which consumes the
     stream exactly as one (b, b, size) draw would; the product over j and
-    the sum over i run in place.  An executor ``pool`` runs the chunks
-    concurrently without changing the result.
+    the sum over i run in place.  The chunks run through ``for_each``.
     """
     if masses.size < b * b:
         raise UsageError(f"population size {masses.size} is below b^2 = {b * b}")
@@ -205,11 +209,7 @@ def population_step(masses: np.ndarray, b: int, streams, pool=None) -> np.ndarra
                 total += term
         total /= b
 
-    if pool:
-        list(pool.map(chunk, range(len(sizes))))  # list() re-raises a chunk's error
-    else:
-        for c in range(len(sizes)):
-            chunk(c)
+    for_each(chunk, len(sizes))
     return out
 
 
@@ -300,22 +300,18 @@ def simulate_mass_trajectory(
             detail=detail,
         )
 
-    workers = worker_count(chunks)
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for iteration in range(1, depth + 1):
-            streams = [
-                substream(master_seed, _REALM_EVOLVE, iteration, c) for c in range(chunks)
-            ]
-            # rebinding first frees the input population before renormalizing allocates
-            masses = population_step(masses, b, streams, pool)
-            masses, pre_mean, pre_se = _renormalize(masses)
-            pre_means.append(pre_mean)
-            pre_ses.append(pre_se)
-            if math.isfinite(pre_mean) and pre_mean > 0:
-                norm_log += math.log(pre_mean)
-            if iteration in offsets:
-                level = offsets[iteration]
-                out[level] = MassPopulation(level, masses, provenance(level, True))
+    for iteration in range(1, depth + 1):
+        streams = [substream(master_seed, _REALM_EVOLVE, iteration, c) for c in range(chunks)]
+        # rebinding first frees the input population before renormalizing allocates
+        masses = population_step(masses, b, streams)
+        masses, pre_mean, pre_se = _renormalize(masses)
+        pre_means.append(pre_mean)
+        pre_ses.append(pre_se)
+        if math.isfinite(pre_mean) and pre_mean > 0:
+            norm_log += math.log(pre_mean)
+        if iteration in offsets:
+            level = offsets[iteration]
+            out[level] = MassPopulation(level, masses, provenance(level, True))
 
     out[r] = MassPopulation(r, masses, provenance(r, False))
     return out
@@ -512,17 +508,5 @@ def read_population(path) -> MassPopulation:
         raise UsageError(
             f"{path}: expected {header['size']} masses, found {data.size}"
         )
-    prov = Provenance(
-        b=header["b"],
-        r=header["r"],
-        base_level=header["base_level"],
-        depth=header["depth"],
-        size=header["size"],
-        seed_kind=header["seed_kind"],
-        seed_variance=header["seed_variance"],
-        master_seed=header["master_seed"],
-        chunks=header["chunks"],
-        overflow_count=header["overflow_count"],
-        detail=header.get("detail", {}),
-    )
+    prov = Provenance(**{f.name: header[f.name] for f in fields(Provenance) if f.name in header})
     return MassPopulation(header["r"], data.copy(), prov)

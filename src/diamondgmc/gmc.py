@@ -19,7 +19,10 @@ the same tree, at O(b^(2n)) cost per draw:
   sum exp(K(p, q)) M(p) M(q), and theta = M . K M = lam Q_2'(1);
 * edge marginals m_e, the mass of the cylinders through e, from one upward
   and one downward pass; t(p) = (K M)(p) = lam sum_{e in p} m_e and
-  theta = lam sum_e m_e^2, a second route to theta.
+  theta = lam sum_e m_e^2, a second route to theta;
+* the Cameron-Martin law of the total under a shift phi of the gaussians:
+  reweighting T(g) by exp(<g, phi> - |phi|^2/2) gives E[T(g + phi)], the
+  total of the leaves l exp(sqrt(lam) phi).
 
 Two edge-weight modes are exposed.  exact-discrete,
 lam = log[(1 + R(r + a - n)) / (1 + R(r - n))] (the change-of-parameter
@@ -39,8 +42,6 @@ this exactly, as its weight-decomposition audit on the leaf tree.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,15 +49,15 @@ from .cascade import (
     AUDIT_CELL_BUDGET,
     check_audit_budget,
     default_leaf_population,
+    for_each,
     horner,
     overlap_moments,
     sample_measure_batch,
     substream,
     tree_total,
-    worker_count,
 )
 from .correlation import rn_log_kernel
-from .errors import BudgetError, DomainError, RangeError, UsageError
+from .errors import BudgetError, DomainError, UsageError
 from .rfunction import (
     SeedSpec, VarianceProfile, _or_inf, kappa_sq, law_se, moment_recursion_step, moment_table,
 )
@@ -95,22 +96,6 @@ def _edge_factors(lam: float, g: np.ndarray) -> np.ndarray:
     return np.exp(g, out=g)
 
 
-def _for_each(task, count: int):
-    """Run ``task(i)`` for i = 0..count-1 on ``worker_count(count)`` threads.
-
-    A plain loop at one worker.  numpy releases the interpreter lock in the
-    gaussian draws, ``exp`` and the tree reductions; each task writes only
-    its own rows from its own substream, so the thread count changes no byte.
-    """
-    workers = worker_count(count)
-    if workers == 1:
-        for i in range(count):
-            task(i)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(task, range(count)))  # list() re-raises a task's error
-
-
 def chaos_totals(
     leaves, b: int, lam: float, rng: np.random.Generator, draws: int
 ) -> np.ndarray:
@@ -124,63 +109,29 @@ def chaos_totals(
     return tree_total(weights, b)
 
 
-@dataclass
-class GmcRealization:
-    """One chaos reweighting of reference leaf masses (edge order)."""
+def shift_law(leaves, b: int, lam: float, phi, rng: np.random.Generator, draws: int) -> tuple:
+    """The Cameron-Martin law E[T(g + phi)] = E[T(g) exp(<g, phi> - |phi|^2/2)].
 
-    leaves: np.ndarray
-    b: int
-    edge_weight: float
-    gaussian: np.ndarray
-    weights: np.ndarray  # chaos leaf weights
-
-
-def sample_gmc(leaves, b: int, lam: float, rng: np.random.Generator) -> GmcRealization:
-    """Draw one standard normal per edge and form the reweighted leaves."""
+    T is the chaos total over ``leaves``.  The left side is exact, the tree
+    total of l exp(sqrt(lam) phi); the right side is sampled over ``draws``
+    gaussian blocks.  Returns (exact left side, right-side sample, law SE
+    of the sample's mean); the law SE comes from
+    E[(T exp(<g, phi> - |phi|^2/2))^2] = exp(|phi|^2) Q_2(l exp(2 sqrt(lam) phi); e^lam).
+    """
     leaves = np.asarray(leaves, dtype=float)
-    edges = b * b
-    while edges < leaves.size:
-        edges *= b * b
-    if leaves.ndim != 1 or edges != leaves.size:
-        raise UsageError(
-            f"reference has shape {leaves.shape}; leaves of a generation-n tree "
-            f"number (b^2)^n for b = {b}"
-        )
-    if lam < 0:
-        raise DomainError(f"per-edge weight must be >= 0, got {lam}")
-    g = rng.standard_normal(leaves.size)
-    weights = leaves * _edge_factors(lam, g.copy())
-    if not np.all(np.isfinite(weights)):
-        raise RangeError("chaos weights leave double precision range")
-    return GmcRealization(leaves, b, lam, g, weights)
-
-
-def shift_field(realization: GmcRealization, phi) -> GmcRealization:
-    """Rebuild the realization from the shifted field g + phi.
-
-    Deterministic contract: the leaf weights of the result equal the original
-    ones multiplied by exp(sqrt(lam) phi) exactly (up to rounding), so every
-    cylinder weight is multiplied by exp(sqrt(lam) sum_{e in p} phi_e).
-    """
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != realization.gaussian.shape:
-        raise UsageError(
-            f"shift has length {phi.size}, expected {realization.gaussian.size} edges"
-        )
-    g = realization.gaussian + phi
-    weights = realization.leaves * _edge_factors(realization.edge_weight, g.copy())
-    return GmcRealization(realization.leaves, realization.b, realization.edge_weight, g, weights)
-
-
-def cameron_martin_density(phi, g) -> float:
-    """<g, phi> - ||phi||^2 / 2, the log of the shifted-field likelihood ratio at g.
-
-    Returned in log form: with one Gaussian per edge the ratio itself
-    underflows to 0 from a few thousand edges on.
-    """
-    phi = np.asarray(phi, dtype=float)
-    g = np.asarray(g, dtype=float)
-    return float(g @ phi) - 0.5 * float(phi @ phi)
+    g = rng.standard_normal((leaves.size, draws))
+    norm_sq = float(phi @ phi)
+    density = np.exp(phi @ g - 0.5 * norm_sq)  # read before g becomes the edge factors
+    weights = _edge_factors(lam, g)
+    weights *= leaves[:, None]
+    tilt = np.exp(math.sqrt(lam) * phi)
+    target = float(tree_total(leaves * tilt, b))
+    second = math.exp(norm_sq) * float(
+        horner(overlap_moments(leaves * tilt**2, b, 2)[2], math.exp(lam))
+    )
+    law_se = math.sqrt(max(second - target**2, 0.0) / draws)
+    return target, tree_total(weights, b) * density, law_se
 
 
 def _sibling_products(x: np.ndarray) -> np.ndarray:
@@ -272,7 +223,7 @@ def conditional_gmc_experiment(
       its edge weights are this run's kernel, so one renormalization step
       of the level-n chaos reproduces it from level n - 1 exactly.
 
-    The references' chaos blocks run on up to one thread each (``_for_each``).
+    The references' chaos blocks run on up to one thread each (``for_each``).
     """
     seed_spec = seed_spec or SeedSpec()
     b = profile.b
@@ -297,7 +248,7 @@ def conditional_gmc_experiment(
     def block(i):
         totals[i] = chaos_totals(refs[i], b, lam, substream(master_seed, _REALM_GMC, i), draws)
 
-    _for_each(block, realizations)
+    for_each(block, realizations)
     # E[T^2 | ref] = Q_2(e^lam) and E[T^4 | ref] = Q_4(e^lam) give the exact
     # SE of each sample second moment; at zero coupling only rounding is
     # left of it, which the floor stands in for
@@ -426,7 +377,7 @@ def strong_disorder_bound(
     bound with the field shifted by -sqrt(r) t.  The experiment checks the
     bound per realization, in log space, and the strict decay of the pooled
     half moment across the grid.  The realizations run on up to one thread
-    each (``_for_each``).
+    each (``for_each``).
     """
     seed_spec = seed_spec or SeedSpec()
     r_grid = [float(x) for x in r_grid]
@@ -462,7 +413,7 @@ def strong_disorder_bound(
             roots = np.sqrt(chaos_totals(leaves, b, rr * lam1, rng, draws))
             half[k, i], half_se[k, i] = mean_se(roots)
 
-    _for_each(realization, realizations)
+    for_each(realization, realizations)
     # theta = lam sum_d d S_d from the pair class sums S_d = Q_2[d], a route
     # independent of the edge marginals
     pair_sums = overlap_moments(refs.T, b, 2)[2]

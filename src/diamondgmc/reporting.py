@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,15 +35,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "target": self.target,
-            "estimate": self.estimate,
-            "se": self.se,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def exact_check(name: str, deviation: float, tol: float, detail: str = "") -> CheckResult:

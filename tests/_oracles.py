@@ -311,7 +311,7 @@ def write_csv_by_rows(path, header, rows):
             writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
 
 
-def population_step_one_shot(masses: np.ndarray, b: int, streams, pool=None) -> np.ndarray:
+def population_step_one_shot(masses: np.ndarray, b: int, streams) -> np.ndarray:
     """Population step with each chunk's factors gathered as one (b, b, size) array."""
     sizes = _chunk_sizes(masses.size, len(streams))
 
@@ -319,8 +319,7 @@ def population_step_one_shot(masses: np.ndarray, b: int, streams, pool=None) -> 
         idx = streams[c].integers(0, masses.size, size=(b, b, sizes[c]))
         return masses[idx].prod(axis=1).sum(axis=0) / b
 
-    chunks = range(len(sizes))
-    return np.concatenate(list(pool.map(chunk, chunks)) if pool else [chunk(c) for c in chunks])
+    return np.concatenate([chunk(c) for c in range(len(sizes))])
 
 
 def upsilon_combine(sub_vectors: np.ndarray) -> np.ndarray:

@@ -18,11 +18,10 @@ import pytest
 from _oracles import (
     assemble,
     brute_pair_histogram,
-    incidence_matrix,
     index_ordered_paths,
     upsilon_pair_matrix,
 )
-from test_gmc import kahane
+from test_gmc import kahane, readme_shift_law
 from diamondgmc.cascade import (
     SeedSpec,
     default_leaf_population,
@@ -41,12 +40,11 @@ from diamondgmc.correlation import (
     upsilon_total_mass,
 )
 from diamondgmc.errors import RangeError
+from diamondgmc.reporting import se_check
 from diamondgmc.gmc import (
     conditional_gmc_experiment,
     edge_weight,
     renormalization_weight_audit,
-    sample_gmc,
-    shift_field,
     strong_disorder_bound,
 )
 from diamondgmc.lattice import (
@@ -232,18 +230,18 @@ def test_criterion_06_measure_level_correlations(profile2, params2):
                 f"(max z {z.max():.2f}, r={r:g})", time.time() - start, 120.0)
 
 
-def test_criterion_07_gmc_identities(profile2, params2):
+def test_criterion_07_gmc_identities(profile2):
     start = time.time()
     lam = edge_weight(profile2, 0.0, 1.0, 2, "exact-discrete")
-    rng = substream(7001, 3, 0)
     uniform = np.ones(16)  # leaves of the uniform cylinder measure
-    real = sample_gmc(uniform, 2, lam, rng)
-    phi = rng.standard_normal(16)
-    shifted = shift_field(real, phi)
-    inc = incidence_matrix(params2, 2, index_ordered_paths(params2, 2))
-    direct = assemble(real.weights, 2, 2) * np.exp(math.sqrt(lam) * inc @ phi)
-    shift_dev = float(np.max(np.abs(assemble(shifted.weights, 2, 2) - direct) / direct))
-    assert shift_dev <= 1e-12
+    # the Cameron-Martin law holds, and fails with the density's sign flipped
+    target, _, _ = readme_shift_law(profile2, 7001, 1.0)
+    law_checks = []
+    for sign, verdict in ((1.0, "pass"), (-1.0, "fail")):
+        _, sample, law = readme_shift_law(profile2, 7001, sign)
+        est, se = sample.mean(), sample.std(ddof=1) / math.sqrt(sample.size)
+        law_checks.append(se_check("cameron-martin-law", target, est, se, 4.0, floor=law))
+        assert law_checks[-1].verdict == verdict
 
     draws = 100_000
     g = substream(7002, 3, 0).standard_normal((16, draws))
@@ -262,9 +260,10 @@ def test_criterion_07_gmc_identities(profile2, params2):
         assert kahane_z[-1] <= 4.0
 
     assert kahane(np.ones(4), 2, math.log(2.0), 2) == pytest.approx(2.5, abs=1e-12)
-    announce(7, f"shift covariance {shift_dev:.1e}; conditional means max z "
-                f"{mean_z:.2f}; Kahane z {['%.2f' % z for z in kahane_z]}; "
-                "hand value 2.5 exact", time.time() - start, 60.0)
+    announce(7, f"Cameron-Martin law {law_checks[0].detail}, sign-flipped "
+                f"{law_checks[1].detail}; conditional means max z {mean_z:.2f}; "
+                f"Kahane z {['%.2f' % z for z in kahane_z]}; hand value 2.5 exact",
+             time.time() - start, 60.0)
 
 
 def test_criterion_08_composition_law(profile2):
@@ -377,5 +376,10 @@ def test_criterion_12_reproducibility(tmp_path):
     report_bytes = (gout / "gmc_kahane_report.json").read_bytes()
     assert main(gmc_args) == 0
     assert (gout / "gmc_kahane_report.json").read_bytes() == report_bytes
+    shift_args = ["gmc", "--check", "shift", "--draws", "2000", "--out", str(gout)]
+    assert main(shift_args) == 0
+    report_bytes = (gout / "gmc_shift_report.json").read_bytes()
+    assert main(shift_args) == 0
+    assert (gout / "gmc_shift_report.json").read_bytes() == report_bytes
     announce(12, "population, summary CSV and report JSON byte-identical on rerun "
                  "(fixed config, seed, chunk count)", time.time() - start, 60.0)

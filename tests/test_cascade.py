@@ -1,11 +1,11 @@
 import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from diamondgmc import cascade
 from diamondgmc.errors import DomainError, UsageError
 from diamondgmc.cascade import (
     POPULATION_BLOCK,
@@ -100,45 +100,42 @@ class TestEvolvePopulation:
             simulate_mass_law(2, -24.0, SeedSpec(), 24, 3, 5, profile=profile2)
 
     @staticmethod
-    def assert_one_shot_draws(pop, b, chunks, seed):
+    def assert_one_shot_draws(pop, b, chunks, seed, monkeypatch):
         expected = population_step_one_shot(
             pop, b, [substream(seed, pop.size, c) for c in range(chunks)]
         )
-        got = population_step(pop, b, [substream(seed, pop.size, c) for c in range(chunks)])
-        assert got.tobytes() == expected.tobytes()
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = population_step(
-                pop, b, [substream(seed, pop.size, c) for c in range(chunks)], pool
-            )
-        assert threaded.tobytes() == expected.tobytes()
+        for threads in (1, 2):  # the chunks one after another, then concurrently
+            monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, threads))
+            got = population_step(pop, b, [substream(seed, pop.size, c) for c in range(chunks)])
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("b", [2, 3, 4])
     @pytest.mark.parametrize("chunks", [1, 3, 5])
-    def test_keeps_the_one_shot_draws(self, b, chunks):
+    def test_keeps_the_one_shot_draws(self, b, chunks, monkeypatch):
         # 1001 and 4099 are not multiples of 3 or 5: the chunks differ in size
         masses = substream(22, b).lognormal(sigma=0.5, size=4099)
         for size in (b * b + 1, 1001, 4099):
-            self.assert_one_shot_draws(masses[:size], b, chunks, 23)
+            self.assert_one_shot_draws(masses[:size], b, chunks, 23, monkeypatch)
 
     @pytest.mark.parametrize("b", [2, 3])
     @pytest.mark.parametrize("chunks", [1, 3])
-    def test_block_edges_keep_the_one_shot_draws(self, b, chunks):
+    def test_block_edges_keep_the_one_shot_draws(self, b, chunks, monkeypatch):
         # every chunk ends one entry short of, at, or past a block edge
         edges = (POPULATION_BLOCK - 1, POPULATION_BLOCK, POPULATION_BLOCK + 1,
                  2 * POPULATION_BLOCK + 17)
         masses = substream(24, b).lognormal(sigma=0.5, size=chunks * edges[-1])
         for edge in edges:
-            self.assert_one_shot_draws(masses[: chunks * edge], b, chunks, 25)
+            self.assert_one_shot_draws(masses[: chunks * edge], b, chunks, 25, monkeypatch)
 
     @pytest.mark.parametrize("b", [2, 3])
     @pytest.mark.parametrize("chunks", [1, 3])
-    def test_leaves_its_input_unchanged(self, b, chunks):
+    def test_leaves_its_input_unchanged(self, b, chunks, monkeypatch):
         # the trajectory keeps its snapshots without a copy, so no step may write its input
         masses = substream(26, b).lognormal(sigma=0.5, size=2 * POPULATION_BLOCK + 17)
         before = masses.tobytes()
-        population_step(masses, b, [substream(27, c) for c in range(chunks)])
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            population_step(masses, b, [substream(27, c) for c in range(chunks)], pool)
+        for threads in (1, 2):
+            monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, threads))
+            population_step(masses, b, [substream(27, c) for c in range(chunks)])
         assert masses.tobytes() == before
 
     def test_peak_memory_is_three_arrays_and_a_few_blocks(self, profile2):
@@ -206,17 +203,18 @@ class TestSimulateMassLaw:
         vb, sb = b.central_moments_se(2)[2]
         assert abs(va - vb) <= 4 * math.hypot(sa, sb)
 
-    def test_reproducibility_and_chunk_contract(self, profile2):
+    def test_reproducibility_and_chunk_contract(self, profile2, monkeypatch):
         kwargs = dict(profile=profile2)
         one = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs)
         two = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs)
         assert np.array_equal(one.masses, two.masses)
         # the chunks of a step run concurrently or one after another, to the same bytes
         masses = substream(42, 7).lognormal(sigma=0.5, size=10_001)
+        monkeypatch.setattr(cascade, "worker_count", lambda tasks: 1)
         serial = population_step(masses, 2, [substream(42, 8, c) for c in range(4)])
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            pooled = population_step(masses, 2, [substream(42, 8, c) for c in range(4)], pool)
-        assert serial.tobytes() == pooled.tobytes()
+        monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, 4))
+        threaded = population_step(masses, 2, [substream(42, 8, c) for c in range(4)])
+        assert serial.tobytes() == threaded.tobytes()
         other_chunks = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=2, **kwargs)
         assert not np.array_equal(one.masses, other_chunks.masses)
 

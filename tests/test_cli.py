@@ -140,6 +140,10 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         ["gmc", "--check", "shift", "--r", "2000"],
         ["rfunc", "--grid", "1e300:1:1e300"],
         ["rfunc", "--grid=-1000000,-1"],
+        # a grid's point count is checked before its list is built: an
+        # infinite count, and one above the budget of 2^18 points
+        ["rfunc", "--grid", "0:5e-324:1"],
+        ["rfunc", "--grid", "0:1:262144"],
         # the population size is budgeted before any seed is drawn
         ["simulate", "--r", "0", "--depth", "24", "--size", "100000000000"],
         ["gmc", "--check", "conditional", "--draws", "0"],
@@ -255,6 +259,16 @@ class TestRfuncCommand:
         kappa = {c["name"]: c for c in manifest["checks"]}["kappa-sq-eta-closed-forms"]
         assert kappa["verdict"] == "pass"
         assert kappa["estimate"] == 1.0  # kappa^2(3) = 2/2 exactly
+
+    def test_kappa_check_reads_the_derived_coefficient(self, tmp_path):
+        # at b = 8 the rounded kappa^2 eta misses the rounded L/t^2 coefficient
+        # of the expansion by one ulp; the check compares them, not the closed forms
+        assert main(["rfunc", "--b", "8", "--grid", "0:1:0", "--out", str(tmp_path),
+                     "--allow-flagged"]) == 0
+        manifest = read_manifest(tmp_path / "rfunc_manifest.json")
+        kappa = {c["name"]: c for c in manifest["checks"]}["kappa-sq-eta-closed-forms"]
+        assert kappa["verdict"] == "pass"
+        assert "L/t^2 coefficient = 0.12244897959183673" in kappa["detail"]
 
     def test_flagged_rows_exit_code(self, tmp_path):
         # overflow rows in the moment columns are flagged; without
@@ -488,32 +502,25 @@ class TestSimulateCommand:
 
 class TestGmcCommand:
     def test_shift_check_exact(self, tmp_path):
+        # one law row against its exact target, with a law SE under 10% of the estimate
         status = main(
             ["gmc", "--check", "shift", "--b", "2", "--r", "0", "--a", "1",
-             "--n", "2", "--seed", "5", "--out", str(tmp_path)]
+             "--n", "2", "--out", str(tmp_path)]
         )
         assert status == 0
         report = read_manifest(tmp_path / "gmc_shift_report.json")
-        assert {c["name"] for c in report["checks"]} == {
-            "shift-covariance", "cameron-martin-density",
-        }
+        (check,) = report["checks"]
+        assert check["name"] == "cameron-martin-law" and check["verdict"] == "pass"
+        assert report["diagnostics"]["law_se"] < 0.1 * check["estimate"]
 
-    def test_shift_check_log_density_at_n6(self, tmp_path, capsys):
-        # 4096 edges: the density itself underflows to 0, its log does not
-        status = main(
-            ["gmc", "--check", "shift", "--b", "2", "--r", "0", "--a", "1",
-             "--n", "6", "--out", str(tmp_path)]
-        )
-        assert status == 0
-        report = read_manifest(tmp_path / "gmc_shift_report.json")
-        assert all(c["verdict"] == "pass" for c in report["checks"])
-        # at n = 7 one ulp of the log density exceeds the 1e-12 bound
-        status = main(
-            ["gmc", "--check", "shift", "--b", "2", "--r", "0", "--a", "1",
-             "--n", "7", "--out", str(tmp_path)]
-        )
-        assert status == 1
-        assert "error:" in capsys.readouterr().err
+    def test_shift_check_budget(self, tmp_path, capsys):
+        # 1000 draws of 4^5 edge gaussians fit the budget of 2^20 cells, 4^6 do not
+        for n, status in ((5, 0), (6, 1)):
+            assert main(
+                ["gmc", "--check", "shift", "--b", "2", "--r", "0", "--a", "1",
+                 "--n", str(n), "--out", str(tmp_path)]
+            ) == status
+        assert "error: chaos draw block at generation 6" in capsys.readouterr().err
 
     def test_kahane_check(self, tmp_path):
         status = main(

@@ -28,3 +28,12 @@ def test_runtime_imports_are_the_declared_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         declared = tomllib.load(fh)["project"]["dependencies"]
     assert third_party == {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in declared}
+
+
+def test_only_cascade_starts_threads():
+    # one thread fan-out, ``cascade.for_each``, serves every threaded loop
+    importers = {
+        path.stem for path in (ROOT / "src" / "diamondgmc").glob("*.py")
+        if "concurrent" in _top_level_imports(path)
+    }
+    assert importers == {"cascade"}

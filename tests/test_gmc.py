@@ -28,7 +28,7 @@ from diamondgmc.cascade import (
     tree_total,
 )
 from diamondgmc.gmc import (
-    cameron_martin_density,
+    _REALM_GMC,
     chaos_moment_ladder,
     chaos_totals,
     conditional_gmc_experiment,
@@ -36,11 +36,11 @@ from diamondgmc.gmc import (
     edge_marginals,
     half_moment_log_bounds,
     renormalization_weight_audit,
-    sample_gmc,
-    shift_field,
+    shift_law,
     strong_disorder_bound,
 )
 from diamondgmc.lattice import LatticeParams, path_count_int
+from diamondgmc.reporting import mean_se, se_check
 from diamondgmc.rfunction import kappa_sq, moment_table
 
 
@@ -63,6 +63,17 @@ def theta_from_pair_sums(leaves, b, lam):
 def kahane(leaves, b, lam, m):
     """Exact E[T^m] of the chaos total: the overlap polynomial Q_m at z = exp(lam)."""
     return float(horner(overlap_moments(leaves, b, m)[m], math.exp(lam)))
+
+
+def readme_shift_law(profile2, seed, sign):
+    """``shift_law`` as ``gmc --check shift`` runs it at the README settings (b 2,
+    r 0, a 1, n 2, 1000 draws): phi = m / (2 |m|) along the edge marginals m,
+    times ``sign``."""
+    lam = edge_weight(profile2, 0.0, 1.0, 2, "exact-discrete")
+    uniform = np.ones(16)
+    marginals = edge_marginals(uniform, 2)
+    phi = sign * 0.5 * marginals / np.linalg.norm(marginals)
+    return shift_law(uniform, 2, lam, phi, substream(seed, _REALM_GMC, 0), 1000)
 
 
 def cylinder_weights(leaves, lam, g, b, n):
@@ -129,8 +140,8 @@ class TestBuildKernel:
 class TestSampleGmc:
     def test_zero_kernel_returns_reference(self):
         leaves = substream(0, 8).lognormal(size=16)
-        real = sample_gmc(leaves, 2, 0.0, substream(0, 9))
-        assert np.array_equal(real.weights, leaves)
+        totals = chaos_totals(leaves, 2, 0.0, substream(0, 9), 5)
+        assert np.array_equal(totals, np.full(5, tree_total(leaves, 2)))
 
     def test_conditional_means(self, lam2):
         draws = 100_000
@@ -151,36 +162,54 @@ class TestSampleGmc:
         assert np.max(np.abs(emp - target) / se) <= 4.0
 
     def test_weights_nonnegative_finite(self, lam2):
-        real = sample_gmc(np.ones(16), 2, lam2, substream(3, 9))
-        assert np.all(real.weights >= 0) and np.all(np.isfinite(real.weights))
-
-    def test_reference_shape_checked(self, lam2):
-        with pytest.raises(UsageError):
-            sample_gmc(np.ones(5), 2, lam2, substream(4, 9))
+        factors = gmc._edge_factors(lam2, substream(3, 9).standard_normal((16, 1000)))
+        assert np.all(factors >= 0) and np.all(np.isfinite(factors))
+        totals = chaos_totals(np.ones(16), 2, lam2, substream(4, 9), 1000)
+        assert np.all(totals >= 0) and np.all(np.isfinite(totals))
 
 
 class TestShiftField:
+    """The Cameron-Martin law E[T(g + phi)] = E[T(g) exp(<g, phi> - |phi|^2/2)]."""
+
     def test_zero_shift_identity(self, lam2):
-        real = sample_gmc(np.ones(16), 2, lam2, substream(5, 9))
-        shifted = shift_field(real, np.zeros(16))
-        assert np.array_equal(shifted.weights, real.weights)
+        # at phi = 0 the density is 1: the sample is the chaos totals of the same draws
+        leaves = substream(5, 8).lognormal(size=16)
+        target, sample, _ = shift_law(leaves, 2, lam2, np.zeros(16), substream(5, 9), 50)
+        assert target == tree_total(leaves, 2)
+        assert np.array_equal(sample, chaos_totals(leaves, 2, lam2, substream(5, 9), 50))
 
-    def test_shift_covariance_exact(self, params2, lam2):
-        # cylinder weights pick up exp(sqrt(lam) * sum_{e in p} phi_e)
-        rng = substream(6, 9)
-        real = sample_gmc(np.ones(16), 2, lam2, rng)
-        phi = rng.standard_normal(16)
-        shifted = shift_field(real, phi)
+    def test_shift_covariance_exact(self, params2, kernel2, lam2):
+        # E[T(g + phi)]: each cylinder's mean weight picks up exp(sqrt(lam) sum_{e in p} phi_e);
+        # the law SE's second moment is exp(|phi|^2) sum_pq w_p w_q exp(K(p, q)) with
+        # w = M exp(2 sqrt(lam) sum_{e in p} phi_e)
+        kernel, _ = kernel2
+        leaves = substream(6, 8).lognormal(size=16)
+        phi = substream(6, 9).standard_normal(16)
+        draws = 7
+        target, _, law = shift_law(leaves, 2, lam2, phi, substream(6, 10), draws)
         inc = incidence_matrix(params2, 2, index_ordered_paths(params2, 2))
-        direct = assemble(real.weights, 2, 2) * np.exp(math.sqrt(lam2) * inc @ phi)
-        assert np.max(np.abs(assemble(shifted.weights, 2, 2) - direct) / direct) <= 1e-12
+        shift = math.sqrt(lam2) * inc @ phi
+        reference = assemble(leaves, 2, 2)
+        assert target == pytest.approx(reference @ np.exp(shift), rel=1e-12)
+        weighted = reference * np.exp(2 * shift)
+        second = math.exp(phi @ phi) * (weighted @ np.exp(kernel) @ weighted)
+        assert law**2 * draws + target**2 == pytest.approx(second, rel=1e-12)
 
-    def test_cameron_martin_density_is_likelihood_ratio(self):
-        rng = substream(7, 9)
-        g = rng.standard_normal(16)
-        phi = rng.standard_normal(16)
-        log_ratio = -0.5 * float(((g - phi) ** 2).sum()) + 0.5 * float((g**2).sum())
-        assert cameron_martin_density(phi, g) == pytest.approx(log_ratio, abs=1e-12)
+    def test_cameron_martin_density_is_likelihood_ratio(self, profile2):
+        for seed in range(1, 21):
+            target, sample, law = readme_shift_law(profile2, seed, 1.0)
+            check = se_check("cameron-martin-law", target, *mean_se(sample), 4.0, floor=law)
+            assert check.verdict == "pass", (seed, check.detail)
+            assert law < 0.1 * target
+
+    def test_flipped_density_sign_fails(self, profile2):
+        # the estimate at -phi, read against the target at +phi, reweights the
+        # same gaussians by the density with the sign of <g, phi> flipped
+        for seed in range(1, 21):
+            target, _, _ = readme_shift_law(profile2, seed, 1.0)
+            _, flipped, law = readme_shift_law(profile2, seed, -1.0)
+            check = se_check("cameron-martin-law", target, *mean_se(flipped), 4.0, floor=law)
+            assert check.verdict == "fail", (seed, check.detail)
 
 
 class TestKahane:
@@ -271,13 +300,14 @@ class TestDenseEquivalence:
     def test_shift_covariance(self, b, n, setup):
         lam, leaves, reference, _, factor = setup
         rng = substream(52, b, n)
-        real = sample_gmc(leaves, b, lam, rng)
+        g = rng.standard_normal(leaves.size)
         phi = rng.standard_normal(leaves.size)
-        shifted = shift_field(real, phi)
-        assert self.close(assemble(real.weights, b, n), dense_chaos(factor, reference, real.gaussian))
-        assert self.close(
-            assemble(shifted.weights, b, n), dense_chaos(factor, reference, real.gaussian + phi)
-        )
+        chaos = leaves * gmc._edge_factors(lam, g.copy())
+        assert self.close(assemble(chaos, b, n), dense_chaos(factor, reference, g))
+        # the field shifted by phi is the chaos over the leaves l exp(sqrt(lam) phi),
+        # the exact side of the Cameron-Martin law
+        shifted = chaos * np.exp(math.sqrt(lam) * phi)
+        assert self.close(assemble(shifted, b, n), dense_chaos(factor, reference, g + phi))
 
 
 class TestCompositionStructure:
@@ -414,7 +444,7 @@ class TestExperiments:
     def test_threaded_runs_match_serial_bit_for_bit(self, profile2, monkeypatch, workers):
         # every array a per-reference task writes, read from the task's closure
         written = []
-        for_each = gmc._for_each
+        for_each, usable = gmc.for_each, cascade.worker_count
 
         def recording(task, count):
             for_each(task, count)
@@ -425,7 +455,7 @@ class TestExperiments:
             })
 
         def run(worker_count):
-            monkeypatch.setattr(gmc, "worker_count", worker_count)
+            monkeypatch.setattr(cascade, "worker_count", worker_count)
             conditional_gmc_experiment(
                 profile2, -6.0, 1.0, 2, 24, realizations=40, draws=400,
                 master_seed=7, pop_size=20_000,
@@ -435,13 +465,13 @@ class TestExperiments:
                 master_seed=8, pop_size=20_000,
             )
 
-        monkeypatch.setattr(gmc, "_for_each", recording)
+        monkeypatch.setattr(gmc, "for_each", recording)
         run(lambda tasks: 1)
         serial, written[:] = list(written), []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            run(cascade.worker_count if workers is None else lambda tasks: min(tasks, workers))
+            run(usable if workers is None else lambda tasks: min(tasks, workers))
         finally:
             sys.setswitchinterval(interval)
         assert [sorted(w) for w in serial] == [
