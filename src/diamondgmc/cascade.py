@@ -408,11 +408,13 @@ def overlap_moments(leaves: np.ndarray, b: int, m: int) -> list:
 
 def horner(coeffs: np.ndarray, z: float) -> np.ndarray:
     """Polynomial with coefficients along the first axis at z; for z >= 1 and
-    nonnegative coefficients no partial sum exceeds the result.  (Importing
+    nonnegative coefficients no partial sum exceeds the result, and a result
+    beyond double range reads inf, without a warning.  (Importing
     numpy.polynomial for this would add to every command's start.)"""
     value = np.zeros(coeffs.shape[1:])
-    for row in coeffs[::-1]:
-        value = value * z + row
+    with np.errstate(over="ignore"):
+        for row in coeffs[::-1]:
+            value = value * z + row
     return value
 
 

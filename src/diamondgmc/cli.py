@@ -39,16 +39,14 @@ from .correlation import (
     correlation_table,
     histogram_mass,
     kernel_marginal_identity_check,
-    lebesgue_decomposition_weights,
     marginal_check,
     pair_count_histogram,
+    rho_total,
     rn_log_kernel,
-    upsilon_total_mass,
 )
 from .errors import BudgetError, ConvergenceError, DomainError, RangeError, UsageError
 from .gmc import (
     _REALM_GMC,
-    KERNEL_MODES,
     chaos_totals,
     conditional_gmc_experiment,
     edge_marginals,
@@ -101,7 +99,6 @@ class RunConfig:
     size: int = 1_000_000
     seed: int = 12345
     seed_spec: str = _setting("two-point", SEED_KINDS)
-    mode: str = _setting("exact-discrete", KERNEL_MODES)
     grid: str = ""
     out: str = "."
     chunks: int = 1
@@ -121,7 +118,7 @@ COMMAND_SETTINGS = {
         "allow_flagged",
     },
     "gmc": {
-        "b", "r", "a", "n", "depth", "seed", "seed_spec", "mode", "check", "realizations",
+        "b", "r", "a", "n", "depth", "seed", "seed_spec", "check", "realizations",
         "draws", "grid", "allow_flagged",
     },
     "fixed-point": {"b", "s"},
@@ -284,7 +281,7 @@ def cmd_rfunc(run: _Run) -> int:
 
     rows = []
     values = []  # (r, R) in grid order, where R is representable
-    flagged_rows = 0
+    flagged_rows = 0  # rows with a nan entry or an R beyond range, each counted once
     psi_resid_max = 0.0
     for rv, raw, cen in zip(grid, table.raw, table.centered):
         try:
@@ -294,8 +291,7 @@ def cmd_rfunc(run: _Run) -> int:
             rows.append([rv] + [math.nan] * (2 * k_max - 1))
             continue
         values.append((rv, R))
-        if np.any(~np.isfinite(raw)):
-            flagged_rows += 1
+        flagged = bool(np.any(~np.isfinite(raw)))
         row = [rv, R, Rp]
         row.extend(float(raw[k]) for k in range(2, k_max + 1))
         row.extend(float(cen[k]) for k in range(3, k_max + 1))
@@ -305,7 +301,8 @@ def cmd_rfunc(run: _Run) -> int:
             resid = abs(psi(cfg.b, R) - R_next) / max(1.0, abs(R_next))
             psi_resid_max = max(psi_resid_max, resid)
         except (RangeError, ConvergenceError):
-            flagged_rows += 1
+            flagged = True
+        flagged_rows += flagged
     ascending = sorted(values)
     monotone = all(R0 < R1 for (r0, R0), (r1, R1) in zip(ascending, ascending[1:]) if r0 < r1)
 
@@ -321,14 +318,14 @@ def cmd_rfunc(run: _Run) -> int:
     # rounded coefficient by an ulp at some b (8, 10, 11, ...), hence 1e-15
     # relative rather than equality
     derived = float(asymptotic_expansion(cfg.b, SEED_ORDER)[(2, 1)])
-    closed = profile.kappa_sq * profile.eta
+    k2, eta_b = kappa_sq(cfg.b), eta(cfg.b)
     run.report.add(
         CheckResult(
             "kappa-sq-eta-closed-forms",
-            "pass" if math.isclose(derived, closed, rel_tol=1e-15) else "fail",
-            estimate=profile.kappa_sq,
+            "pass" if math.isclose(derived, k2 * eta_b, rel_tol=1e-15) else "fail",
+            estimate=k2,
             tolerance="L/t^2 coefficient of the expansion = kappa^2 eta, 1e-15 relative",
-            detail=f"kappa^2 = {profile.kappa_sq:.17g}, eta = {profile.eta:.17g}, "
+            detail=f"kappa^2 = {k2:.17g}, eta = {eta_b:.17g}, "
             f"L/t^2 coefficient = {derived:.17g}",
         )
     )
@@ -344,8 +341,8 @@ def cmd_rfunc(run: _Run) -> int:
     )
     for rv, R in values:
         if rv <= -1000.0:
-            lhs = abs(R * (-rv) / kappa_sq(cfg.b) - 1.0)
-            rhs = 1.1 * eta(cfg.b) * math.log(-rv) / (-rv)
+            lhs = abs(R * (-rv) / k2 - 1.0)
+            rhs = 1.1 * eta_b * math.log(-rv) / (-rv)
             run.report.add(
                 CheckResult(
                     f"asymptotic-sandwich(r={rv:g})",
@@ -388,7 +385,7 @@ def cmd_correlation(run: _Run) -> int:
 
     target = 1.0 + profile.evaluate_R(cfg.r)
     masses = [
-        upsilon_total_mass(correlation_table(profile, cfg.r, n))
+        histogram_mass(correlation_table(profile, cfg.r, n))
         for n in range(1, n_max + 1)
     ]
     # relative: 1 + R(r) grows without bound in r, and its rounding with it
@@ -406,8 +403,7 @@ def cmd_correlation(run: _Run) -> int:
     )
 
     table3 = correlation_table(profile, cfg.r, 3)
-    rho_total = lebesgue_decomposition_weights(table3).rho_total()
-    run.report.add(exact_check("rho-total(n=3)", rho_total - 1.0, 1e-9))
+    run.report.add(exact_check("rho-total(n=3)", rho_total(table3) - 1.0, 1e-9))
 
     check_rows = []
     n_rn = min(n_max, 8)
@@ -454,6 +450,10 @@ def cmd_simulate(run: _Run) -> int:
         if cfg.realizations < 2:
             raise UsageError("the measure audits need --realizations >= 2")
         check_audit_budget(cfg.b, cfg.n, cfg.realizations)
+    # the law the run draws, whose mu4 gives the variance's exact SE: the
+    # ladder from the trajectory's own base level r - depth, whose step
+    # budget refuses a too-deep run before any population step
+    law = moment_table(profile, [cfg.r], k_max=4, seed_kind=cfg.seed_spec, depth=cfg.depth)
     trajectory = simulate_mass_trajectory(
         cfg.b, cfg.r, seed_spec, cfg.depth, cfg.size, cfg.seed,
         snapshot_levels=() if leaf_r is None else (leaf_r,),
@@ -499,10 +499,8 @@ def cmd_simulate(run: _Run) -> int:
             detail=f"{len(drift)} of {len(pre_means)} steps drifted",
         )
     )
-    # the sample variance's exact SE is sqrt((mu4 - R^2) / size), mu4 taken
-    # from the law the run drew (its seed, depth steps); at r near 0 mu4 comes
-    # from tail events no feasible population holds
-    law = moment_table(profile, [cfg.r], k_max=4, seed_kind=cfg.seed_spec, depth=cfg.depth)
+    # the sample variance's exact SE is sqrt((mu4 - R^2) / size); at r near 0
+    # mu4 comes from tail events no feasible population holds
     run.report.add(se_check("variance-vs-R", target_var, *moments[2], 4.0,
                             floor=law_se(law.centered[0], 2, pop.size)))
     if pop.provenance.overflow_count:
@@ -547,13 +545,10 @@ def cmd_gmc(run: _Run) -> int:
         raise UsageError(f"gmc --check {cfg.check} needs --draws >= 2")
     if cfg.check in ("conditional", "strong-disorder") and cfg.realizations < 2:
         raise UsageError(f"gmc --check {cfg.check} needs --realizations >= 2")
-    # its exact targets hold for the exact-discrete edge weight only
-    if cfg.check == "conditional" and cfg.mode != "exact-discrete":
-        raise UsageError(f"gmc --check {cfg.check} needs --mode exact-discrete")
 
     if cfg.check in ("shift", "kahane"):
         check_audit_budget(cfg.b, cfg.n, cfg.draws, "chaos draw block", "draws")
-        lam = edge_weight(profile, cfg.r, cfg.a, cfg.n, cfg.mode)
+        lam = edge_weight(profile, cfg.r, cfg.a, cfg.n)
         uniform = np.ones((cfg.b * cfg.b) ** cfg.n)  # leaves of the uniform measure
     if cfg.check == "shift":
         # a flipped density sign moves the mean at first order by sum_e m_e phi_e,

@@ -202,11 +202,6 @@ def histogram_mass(table: CorrelationTable, tilt: float = 0.0) -> float:
     return _conditional_mass(table, tilt, 1)
 
 
-def upsilon_total_mass(table: CorrelationTable) -> float:
-    """Total correlation mass; equals 1 + R(r) for every generation n."""
-    return histogram_mass(table)
-
-
 def marginal_check(table: CorrelationTable) -> float:
     """Sum of correlation weights over all q against any one fixed path p.
 
@@ -229,39 +224,23 @@ def rn_log_kernel(profile: VarianceProfile, r: float, a: float, n: int, N: int) 
     return N * lam
 
 
-@dataclass(frozen=True)
-class LebesgueWeights:
-    """Split of the correlation measure into product and singular-candidate parts.
+def rho_total(table: CorrelationTable) -> float:
+    """Total of the rho part of the Lebesgue split of the correlation measure.
 
-    The product part puts 1/|Gamma_n|^2 on every pair; the rho part puts
+    The product part puts 1/|Gamma_n|^2 on every pair; rho puts
     [(1 + R(r-n))^N - 1] / (R(r) |Gamma_n|^2), vanishing exactly when N = 0
-    and totalling one.
+    and totalling one.  Summed in log space over H_n(k) = |Gamma_n| c_n(k).
     """
-
-    table: CorrelationTable
-    R_r: float
-
-    def rho_log_weight(self, N: int) -> float:
-        if N == 0:
-            return -math.inf
-        lw = math.log(math.expm1(N * self.table.log1p_R_shifted))
-        return lw - math.log(self.R_r) - 2.0 * self.table.log_gamma
-
-    def rho_total(self) -> float:
-        # over pairs, H_n(k) = |Gamma_n| c_n(k)
-        terms = [
-            math.log(c) + self.table.log_gamma + self.rho_log_weight(k)
-            for k, c in self.table.conditional
-            if k > 0
-        ]
-        return math.exp(_logsumexp(terms))
-
-
-def lebesgue_decomposition_weights(table: CorrelationTable) -> LebesgueWeights:
     R_r = table.profile.evaluate_R(table.r)
     if R_r <= 0:
         raise UsageError("Lebesgue split requires R(r) > 0")
-    return LebesgueWeights(table, R_r)
+    terms = []
+    for k, c in table.conditional:
+        if k > 0:
+            log_rho = (math.log(math.expm1(k * table.log1p_R_shifted)) - math.log(R_r)
+                       - 2.0 * table.log_gamma)
+            terms.append(math.log(c) + table.log_gamma + log_rho)
+    return math.exp(_logsumexp(terms))
 
 
 def kernel_marginal_identity_check(profile: VarianceProfile, r: float, n: int):

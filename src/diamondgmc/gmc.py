@@ -24,13 +24,13 @@ the same tree, at O(b^(2n)) cost per draw:
   reweighting T(g) by exp(<g, phi> - |phi|^2/2) gives E[T(g + phi)], the
   total of the leaves l exp(sqrt(lam) phi).
 
-Two edge-weight modes are exposed.  exact-discrete,
+The edge weight is the exact-discrete one,
 lam = log[(1 + R(r + a - n)) / (1 + R(r - n))] (the change-of-parameter
-kernel ``correlation.rn_log_kernel`` at one shared edge), makes every finite-n
-correlation identity exact: reweighting the generation-n correlation measure
-at parameter r by exp(K) gives the one at r + a.  asymptotic,
-lam = a * kappa^2 / n^2, matches the limiting intersection kernel and is
-used for the strong-disorder bound.  The exact-discrete weight depends only
+kernel ``correlation.rn_log_kernel`` at one shared edge), which makes every
+finite-n correlation identity exact: reweighting the generation-n correlation
+measure at parameter r by exp(K) gives the one at r + a.  Only the
+strong-disorder bound uses another, the unit-coupling weight kappa^2 / n^2
+of the limiting intersection kernel.  The exact-discrete weight depends only
 on (r - n, a), so the level-n chaos at r and the level-(n-1) chaos at r - 1
 share one edge weight.  Over b^2 blocks of sub-leaves the level-n chaos
 total is therefore (1/b) sum_i prod_j of the block chaos totals, the
@@ -51,6 +51,7 @@ from .cascade import (
     default_leaf_population,
     for_each,
     horner,
+    leaf_level,
     overlap_moments,
     sample_measure_batch,
     substream,
@@ -71,22 +72,17 @@ from .reporting import (
     se_check,
 )
 
-KERNEL_MODES = ("exact-discrete", "asymptotic")
-
 # Stream realm for chaos gaussians (cascade uses 0..2).
 _REALM_GMC = 3
 
 
-def edge_weight(profile: VarianceProfile, r: float, a: float, n: int, mode: str) -> float:
-    if mode not in KERNEL_MODES:
-        raise UsageError(f"unknown kernel mode {mode!r}; choose from {KERNEL_MODES}")
+def edge_weight(profile: VarianceProfile, r: float, a: float, n: int) -> float:
+    """The exact-discrete chaos edge weight of the (r, a, n) kernel."""
     if a < 0:
         raise DomainError("kernel coupling requires a >= 0")
     if n < 1:
         raise UsageError("kernel needs generation >= 1")
-    if mode == "exact-discrete":
-        return rn_log_kernel(profile, r, a, n, 1)
-    return a * kappa_sq(profile.b) / n**2
+    return rn_log_kernel(profile, r, a, n, 1)
 
 
 def _edge_factors(lam: float, g: np.ndarray) -> np.ndarray:
@@ -130,8 +126,7 @@ def shift_law(leaves, b: int, lam: float, phi, rng: np.random.Generator, draws: 
     second = math.exp(norm_sq) * float(
         horner(overlap_moments(leaves * tilt**2, b, 2)[2], math.exp(lam))
     )
-    law_se = math.sqrt(max(second - target**2, 0.0) / draws)
-    return target, tree_total(weights, b) * density, law_se
+    return target, tree_total(weights, b) * density, law_se([1.0, target, second], 1, draws)
 
 
 def _sibling_products(x: np.ndarray) -> np.ndarray:
@@ -158,15 +153,14 @@ def edge_marginals(leaves, b: int) -> np.ndarray:
     return outside * levels[0]
 
 
-def half_moment_log_bounds(leaves, b: int, lam: float, r_grid) -> np.ndarray:
+def half_moment_log_bounds(leaves, marginals, theta: float, b: int, lam: float, r_grid):
     """Log of the half-moment bound (sum_p exp(-sqrt(r) t(p)) M0(p))^(1/2) exp(theta/2).
 
-    The sum is the tree total of l exp(-sqrt(r) lam m); in log space the
-    bound stays finite where exp(theta/2) leaves double range.
+    ``marginals`` are the leaves' edge marginals m and ``theta`` is
+    lam |m|^2.  The sum is the tree total of l exp(-sqrt(r) lam m); in log
+    space the bound stays finite where exp(theta/2) leaves double range.
     """
     leaves = np.asarray(leaves, dtype=float)
-    marginals = edge_marginals(leaves, b)
-    theta = lam * float(marginals @ marginals)
     sums = [
         float(tree_total(leaves * np.exp(-math.sqrt(r) * lam * marginals), b))
         for r in r_grid
@@ -227,7 +221,7 @@ def conditional_gmc_experiment(
     """
     seed_spec = seed_spec or SeedSpec()
     b = profile.b
-    lam = edge_weight(profile, r, a, n, "exact-discrete")
+    lam = edge_weight(profile, r, a, n)
     # the exact moments below hold every reference's overlap polynomials at
     # once, and each reference's chaos totals one (edges, draws) block
     check_audit_budget(b, n, realizations)
@@ -238,6 +232,10 @@ def conditional_gmc_experiment(
             f"totals block needs {realizations} x {draws} = {count} cells, "
             f"above the budget of {AUDIT_CELL_BUDGET}"
         )
+    # the law's leaf moments, at the pool's own base level r - depth; the
+    # ladder's step budget refuses a too-deep run before the pool is drawn
+    law_leaves = moment_table(profile, [leaf_level(r, n, depth)], 4, seed_spec.kind,
+                              depth - n).raw[0]
     leaf = default_leaf_population(
         b, r, n, depth, seed_spec, master_seed, pop_size=pop_size, profile=profile
     )
@@ -260,7 +258,6 @@ def conditional_gmc_experiment(
 
     pooled = {k: mean_se((totals**k).mean(axis=1)) for k in (1, 2, 3)}  # cluster-robust
     pool_ladder = chaos_moment_ladder(b, [np.mean(leaf.masses**k) for k in range(7)], lam, n)
-    law_leaves = moment_table(profile, [r - n], 4, seed_spec.kind, depth - n).raw[0]
     law_ladder = chaos_moment_ladder(b, law_leaves, lam, n)
 
     report = ExperimentReport(
@@ -341,8 +338,8 @@ def renormalization_weight_audit(
     if n < 2:
         raise UsageError("the composite construction needs n >= 2")
     b = profile.b
-    lam_full = edge_weight(profile, r + 1, a, n, "exact-discrete")
-    lam_sub = edge_weight(profile, r, a, n - 1, "exact-discrete")
+    lam_full = edge_weight(profile, r + 1, a, n)
+    lam_sub = edge_weight(profile, r, a, n - 1)
     rng = substream(master_seed, _REALM_GMC, 0)
     g = rng.standard_normal((b * b) ** n)
     leaves = rng.lognormal(mean=0.0, sigma=0.5, size=g.size)
@@ -383,8 +380,10 @@ def strong_disorder_bound(
     r_grid = [float(x) for x in r_grid]
     if any(x <= 0 for x in r_grid):
         raise UsageError("strong-disorder grid must be positive")
+    if n < 1:
+        raise UsageError("kernel needs generation >= 1")
     b = profile.b
-    lam1 = edge_weight(profile, 0.0, 1.0, n, "asymptotic")
+    lam1 = kappa_sq(b) / n**2
     check_audit_budget(b, n, realizations)
     check_audit_budget(b, n, draws, "chaos draw block", "draws")
     leaf = default_leaf_population(
@@ -407,7 +406,9 @@ def strong_disorder_bound(
         # t(p) = lam1 * sum_{e in p} m_e vanishes only on paths whose edges all
         # have m_e = 0; their mass is the tree total of l * 1{m = 0}
         t_pos_fraction[i] = 1.0 - tree_total(leaves * (marginals <= 0), b) / ref_totals[i]
-        log_bounds[:, i] = half_moment_log_bounds(leaves, b, lam1, r_grid)
+        log_bounds[:, i] = half_moment_log_bounds(
+            leaves, marginals, theta_totals[i], b, lam1, r_grid
+        )
         for k, rr in enumerate(r_grid):
             rng = substream(master_seed, _REALM_GMC, i * len(r_grid) + k)
             roots = np.sqrt(chaos_totals(leaves, b, rr * lam1, rng, draws))

@@ -102,39 +102,6 @@ def se_check(
     )
 
 
-def kolmogorov_sf(t: float) -> float:
-    """Survival function of the Kolmogorov distribution, P(K > t).
-
-    The alternating series 2 sum_{k>=1} (-1)^(k-1) exp(-2 k^2 t^2), clipped
-    to [0, 1].  Below t = 0.15 it is 1 to double precision (1 - P is under
-    1e-17 there), and from there 100 terms reach below exp(-450).
-    """
-    if t < 0.15:
-        return 1.0
-    k = np.arange(1, 101)
-    series = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * t) ** 2))
-    return float(min(max(series, 0.0), 1.0))
-
-
-def ks_two_sample(x, y) -> tuple:
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
-
-    D = max |F_x - F_y| over the pooled sample, with both empirical CDFs
-    taken by ``searchsorted(side="right")`` and subtracted as floats (the
-    arithmetic of scipy's ``ks_2samp`` in asymptotic mode, so D agrees with
-    it to the bit there).  The p-value is ``kolmogorov_sf`` at
-    sqrt(n_x n_y / (n_x + n_y)) D, the large-sample law of the statistic.
-    """
-    x = np.sort(np.ravel(x))
-    y = np.sort(np.ravel(y))
-    nx, ny = x.size, y.size
-    pooled = np.concatenate([x, y])
-    gap = np.searchsorted(x, pooled, side="right") / nx
-    gap -= np.searchsorted(y, pooled, side="right") / ny
-    d = float(np.max(np.abs(gap, out=gap)))
-    return d, kolmogorov_sf(math.sqrt(nx * ny / (nx + ny)) * d)
-
-
 @dataclass
 class ExperimentReport:
     name: str

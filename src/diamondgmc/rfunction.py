@@ -261,14 +261,6 @@ class VarianceProfile:
         if self.b < 2:
             raise UsageError("b must be >= 2")
 
-    @property
-    def kappa_sq(self) -> float:
-        return kappa_sq(self.b)
-
-    @property
-    def eta(self) -> float:
-        return eta(self.b)
-
     # -- orbit machinery ----------------------------------------------------
 
     def _build_orbit(self, xi, probe_floor):

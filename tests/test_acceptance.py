@@ -32,12 +32,12 @@ from diamondgmc.cascade import (
 from diamondgmc.cli import main
 from diamondgmc.correlation import (
     correlation_table,
+    histogram_mass,
     kernel_marginal_identity_check,
-    lebesgue_decomposition_weights,
     marginal_check,
     pair_count_histogram,
+    rho_total,
     rn_log_kernel,
-    upsilon_total_mass,
 )
 from diamondgmc.errors import RangeError
 from diamondgmc.reporting import se_check
@@ -119,7 +119,7 @@ def test_criterion_04_upsilon_consistency(profile2, params2):
     start = time.time()
     target = 1.0 + profile2.evaluate_R(0.0)
     masses = [
-        upsilon_total_mass(correlation_table(profile2, 0.0, n)) for n in range(1, 11)
+        histogram_mass(correlation_table(profile2, 0.0, n)) for n in range(1, 11)
     ]
     spread = max(abs(m - target) for m in masses)
     assert spread < 1e-9
@@ -129,10 +129,8 @@ def test_criterion_04_upsilon_consistency(profile2, params2):
     marg_dev = abs(marginal_check(table2) - closed)
     assert marg_dev < 1e-12
 
-    rho_total = lebesgue_decomposition_weights(
-        correlation_table(profile2, 0.0, 3)
-    ).rho_total()
-    assert abs(rho_total - 1.0) <= 1e-9
+    rho = rho_total(correlation_table(profile2, 0.0, 3))
+    assert abs(rho - 1.0) <= 1e-9
 
     table8 = correlation_table(profile2, 0.0, 8)
     terms = [
@@ -150,7 +148,7 @@ def test_criterion_04_upsilon_consistency(profile2, params2):
         worst_rel = max(worst_rel, abs(math.expm1(log_lhs - log_rhs)))
     assert worst_rel < 1e-8
     announce(4, f"total-mass spread {spread:.1e}; marginal dev {marg_dev:.1e}; "
-                f"rho total 1{rho_total - 1:+.1e}; RN exactness {rn_gap:.1e}; "
+                f"rho total 1{rho - 1:+.1e}; RN exactness {rn_gap:.1e}; "
                 f"kernel-marginal rel {worst_rel:.1e}", time.time() - start, 10.0)
 
 
@@ -232,7 +230,7 @@ def test_criterion_06_measure_level_correlations(profile2, params2):
 
 def test_criterion_07_gmc_identities(profile2):
     start = time.time()
-    lam = edge_weight(profile2, 0.0, 1.0, 2, "exact-discrete")
+    lam = edge_weight(profile2, 0.0, 1.0, 2)
     uniform = np.ones(16)  # leaves of the uniform cylinder measure
     # the Cameron-Martin law holds, and fails with the density's sign flipped
     target, _, _ = readme_shift_law(profile2, 7001, 1.0)

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diamondgmc
-from diamondgmc import cascade, correlation
+from diamondgmc import cascade, cli, correlation
 from diamondgmc.cli import COMMAND_SETTINGS, RunConfig, main, parse_config_file, parse_grid
 from diamondgmc.correlation import pair_count_histogram
 from diamondgmc.errors import UsageError
@@ -159,6 +160,8 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         ["gmc", "--check", "conditional", "--r", "-4", "--a", "0", "--n", "1",
          "--realizations", "65536", "--draws", "65536"],
         ["gmc", "--check", "foo"],
+        # each law keeps the one edge weight it is stated for: no --mode flag
+        ["gmc", "--check", "conditional", "--mode", "asymptotic"],
         ["gmc", "--n", "abc"],
         [],
     ],
@@ -215,6 +218,29 @@ def test_undeclared_flag_exits_one(command, name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unrecognized arguments" in err
     assert not list(tmp_path.iterdir())  # no manifest, no output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--depth", "300000", "--size", "16", "--n", "0"],
+        ["gmc", "--check", "conditional", "--depth", "300000", "--n", "1",
+         "--realizations", "2", "--draws", "2"],
+    ],
+    ids=["simulate", "gmc-conditional"],
+)
+def test_too_deep_run_refused_before_any_population(args, tmp_path, capsys, monkeypatch):
+    # the exact law ladder runs first, and its step budget refuses the depth
+    def no_population(*args, **kwargs):
+        raise AssertionError("a population ran before the ladder's budget check")
+
+    monkeypatch.setattr(cascade, "simulate_mass_trajectory", no_population)
+    monkeypatch.setattr(cli, "simulate_mass_trajectory", no_population)
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: moment ladder from r = -300000.0")
+    assert "above the budget of 262144" in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestFixedPointCommand:
@@ -292,6 +318,13 @@ class TestRfuncCommand:
         width = len(rows[0])
         assert all(len(row) == width for row in rows)
         assert rows[-1][1] == "nan"  # R(8) not representable for b = 3
+
+    def test_overflow_rows_counts_each_row_once(self, tmp_path):
+        # row 9 has nan moments, and its psi residual reads R(10), beyond range
+        status = main(["rfunc", "--grid", "8,9", "--allow-flagged", "--out", str(tmp_path)])
+        assert status == 0
+        manifest = read_manifest(tmp_path / "rfunc_manifest.json")
+        assert {c["name"]: c for c in manifest["checks"]}["overflow-rows"]["estimate"] == 2.0
 
     def test_deep_grid_sandwich_rows(self, tmp_path):
         status = main(
@@ -529,6 +562,18 @@ class TestGmcCommand:
         )
         assert status == 0
 
+    def test_kahane_overflow_reads_flagged_without_warning(self, tmp_path):
+        # at r = 8 both Kahane moments leave double range: inf, read flagged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(
+                ["gmc", "--check", "kahane", "--r", "8", "--a", "1", "--n", "1",
+                 "--out", str(tmp_path)]
+            )
+        assert status == 2
+        report = read_manifest(tmp_path / "gmc_kahane_report.json")
+        assert [c["verdict"] for c in report["checks"]] == ["flagged", "flagged"]
+
     def test_conditional_layer_flagged_at_strong_coupling(self, tmp_path):
         # at r = 3 the exact SEs of the per-reference second moments dwarf
         # the quadratic forms (pooled relative SE ~ 4e5): the layer reads
@@ -563,18 +608,6 @@ class TestGmcCommand:
             assert ("weight-decomposition-audit" in checks) == (n != "1")
             assert {name for name, c in checks.items() if c["verdict"] == "flagged"} == pooled
             assert all("law SE" in checks[name]["detail"] for name in pooled)
-
-    @pytest.mark.parametrize("check", ["conditional"])
-    def test_asymptotic_mode_rejected(self, check, tmp_path, capsys):
-        # the check's exact targets need the exact-discrete edge weight
-        status = main(
-            ["gmc", "--check", check, "--mode", "asymptotic", "--r", "-4", "--a", "1",
-             "--n", "2", "--realizations", "20", "--draws", "50", "--out", str(tmp_path)]
-        )
-        assert status == 1
-        err = capsys.readouterr().err
-        assert f"error: gmc --check {check} needs --mode exact-discrete" in err
-        assert not (tmp_path / f"gmc_{check}_report.json").exists()
 
     @pytest.mark.parametrize("check", ["conditional", "strong-disorder"])
     def test_reference_budget_checked_before_any_population(

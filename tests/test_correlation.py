@@ -21,11 +21,10 @@ from diamondgmc.correlation import (
     correlation_table,
     histogram_mass,
     kernel_marginal_identity_check,
-    lebesgue_decomposition_weights,
     marginal_check,
     pair_count_histogram,
+    rho_total,
     rn_log_kernel,
-    upsilon_total_mass,
 )
 from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.rfunction import VarianceProfile, kappa_sq, psi
@@ -118,25 +117,25 @@ class TestUpsilonTotalMass:
         table = correlation_table(profile2, 0.0, 1)
         R_shift = profile2.evaluate_R(-1.0)
         explicit = 0.25 * (2.0 + 2.0 * (1.0 + R_shift) ** 2)
-        assert upsilon_total_mass(table) == pytest.approx(explicit, abs=1e-12)
+        assert histogram_mass(table) == pytest.approx(explicit, abs=1e-12)
         assert explicit == pytest.approx(1.0 + psi(2, R_shift), abs=1e-12)
 
     def test_weak_disorder_limit(self, profile2):
         table = correlation_table(profile2, -1e4, 3)
-        assert upsilon_total_mass(table) == pytest.approx(1.0, abs=1e-3)
+        assert histogram_mass(table) == pytest.approx(1.0, abs=1e-3)
         assert math.exp(table.log_weight(0)) == pytest.approx(1.0 / 128**2, rel=1e-12)
 
     def test_generation_consistency(self, profile2):
         target = 1.0 + profile2.evaluate_R(0.0)
         masses = [
-            upsilon_total_mass(correlation_table(profile2, 0.0, n))
+            histogram_mass(correlation_table(profile2, 0.0, n))
             for n in range(1, 11)
         ]
         assert max(abs(m - target) for m in masses) < 1e-9
 
     def test_n2_vs_n5(self, profile2):
-        m2 = upsilon_total_mass(correlation_table(profile2, 0.0, 2))
-        m5 = upsilon_total_mass(correlation_table(profile2, 0.0, 5))
+        m2 = histogram_mass(correlation_table(profile2, 0.0, 2))
+        m5 = histogram_mass(correlation_table(profile2, 0.0, 5))
         assert abs(m2 - m5) < 1e-9
 
 
@@ -216,17 +215,13 @@ class TestRnKernel:
 
 
 class TestLebesgue:
-    def test_rho_vanishes_off_intersections(self, profile2):
-        leb = lebesgue_decomposition_weights(correlation_table(profile2, 0.0, 3))
-        assert leb.rho_log_weight(0) == -math.inf
-
     def test_rho_total_is_one(self, profile2):
-        leb = lebesgue_decomposition_weights(correlation_table(profile2, 0.0, 3))
-        assert leb.rho_total() == pytest.approx(1.0, abs=1e-9)
+        assert rho_total(correlation_table(profile2, 0.0, 3)) == pytest.approx(1.0, abs=1e-9)
 
     def test_diagonal_dominates(self, profile2):
-        leb = lebesgue_decomposition_weights(correlation_table(profile2, 0.0, 3))
-        weights = [leb.rho_log_weight(N) for N in (1, 2, 4, 8)]
+        # rho's weight (1 + R(r - n))^N - 1 grows with the shared-edge count N
+        table = correlation_table(profile2, 0.0, 3)
+        weights = [math.expm1(N * table.log1p_R_shifted) for N in (1, 2, 4, 8)]
         assert all(b > a for a, b in zip(weights, weights[1:]))
 
     def test_product_part_is_uniform(self, profile2):
@@ -266,7 +261,7 @@ class TestTernaryLattice:
     def test_total_mass_and_marginals(self, profile3):
         target = 1.0 + profile3.evaluate_R(0.0)
         masses = [
-            upsilon_total_mass(correlation_table(profile3, 0.0, n))
+            histogram_mass(correlation_table(profile3, 0.0, n))
             for n in range(1, 7)
         ]
         assert max(abs(m - target) for m in masses) < 1e-9
@@ -276,8 +271,7 @@ class TestTernaryLattice:
     def test_kernel_marginal_and_rho(self, profile3):
         log_lhs, log_rhs = kernel_marginal_identity_check(profile3, 0.0, 4)
         assert abs(math.expm1(log_lhs - log_rhs)) <= 1e-8
-        leb = lebesgue_decomposition_weights(correlation_table(profile3, 0.0, 3))
-        assert leb.rho_total() == pytest.approx(1.0, abs=1e-9)
+        assert rho_total(correlation_table(profile3, 0.0, 3)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPairMatrix:

@@ -37,3 +37,27 @@ def test_only_cascade_starts_threads():
         if "concurrent" in _top_level_imports(path)
     }
     assert importers == {"cascade"}
+
+
+# Public names that only code outside src/ calls, with the reason each stays.
+_CALLED_FROM_OUTSIDE = {
+    "cascade.read_population": "the benchmark gate, perfbench/run.py, reads population.bin through it",
+}
+
+
+def test_every_public_function_and_class_is_called():
+    # a name counts as used when a top-level statement other than its own
+    # definition, in any module of the package, reads it
+    defined, used = {}, set()
+    for path in (ROOT / "src" / "diamondgmc").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not owner.startswith("_"):
+                defined[f"{path.stem}.{owner}"] = owner
+            used |= {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+            } - {owner}
+    uncalled = {qual for qual, name in defined.items() if name not in used}
+    assert uncalled == set(_CALLED_FROM_OUTSIDE)

@@ -46,7 +46,7 @@ from diamondgmc.rfunction import kappa_sq, moment_table
 
 @pytest.fixture(scope="module")
 def lam2(profile2):
-    return edge_weight(profile2, 0.0, 1.0, 2, "exact-discrete")
+    return edge_weight(profile2, 0.0, 1.0, 2)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def readme_shift_law(profile2, seed, sign):
     """``shift_law`` as ``gmc --check shift`` runs it at the README settings (b 2,
     r 0, a 1, n 2, 1000 draws): phi = m / (2 |m|) along the edge marginals m,
     times ``sign``."""
-    lam = edge_weight(profile2, 0.0, 1.0, 2, "exact-discrete")
+    lam = edge_weight(profile2, 0.0, 1.0, 2)
     uniform = np.ones(16)
     marginals = edge_marginals(uniform, 2)
     phi = sign * 0.5 * marginals / np.linalg.norm(marginals)
@@ -85,7 +85,7 @@ class TestBuildKernel:
     """The dense oracle kernel is lam * N_n, factored through edge incidence."""
 
     def test_zero_coupling_gives_zero_matrix(self, profile2, params2):
-        lam = edge_weight(profile2, 0.0, 0.0, 2, "exact-discrete")
+        lam = edge_weight(profile2, 0.0, 0.0, 2)
         kernel, factor = dense_kernel(params2, 2, lam)
         assert np.all(kernel == 0.0)
         assert np.all(factor == 0.0)
@@ -96,7 +96,7 @@ class TestBuildKernel:
         assert np.allclose(kernel, lam * np.array([[2.0, 0.0], [0.0, 2.0]]))
 
     def test_gram_reproduces_kernel(self, profile2, params2):
-        lam = edge_weight(profile2, 0.0, 1.0, 3, "exact-discrete")
+        lam = edge_weight(profile2, 0.0, 1.0, 3)
         kernel, factor = dense_kernel(params2, 3, lam)
         assert np.max(np.abs(factor @ factor.T - kernel)) <= 1e-12
         paths = index_ordered_paths(params2, 3)
@@ -107,7 +107,7 @@ class TestBuildKernel:
             )
 
     def test_positive_semidefinite(self, profile2, params2):
-        lam = edge_weight(profile2, 0.0, 1.0, 3, "exact-discrete")
+        lam = edge_weight(profile2, 0.0, 1.0, 3)
         kernel, _ = dense_kernel(params2, 3, lam)
         min_eig = np.linalg.eigvalsh(kernel).min()
         assert min_eig >= -1e-10 * kernel.diagonal().max()
@@ -119,22 +119,20 @@ class TestBuildKernel:
         assert np.max(np.abs(L @ L.T - kernel)) <= 1e-10
 
     def test_diagonal_is_row_maximum(self, profile2, params2):
-        lam = edge_weight(profile2, 0.0, 1.0, 3, "exact-discrete")
+        lam = edge_weight(profile2, 0.0, 1.0, 3)
         kernel, _ = dense_kernel(params2, 3, lam)
         assert np.all(np.argmax(kernel, axis=1) == np.arange(kernel.shape[0]))
 
     def test_asymptotic_mode_weight(self, profile2):
-        assert edge_weight(profile2, 0.0, 2.0, 4, "asymptotic") == pytest.approx(
-            2.0 * kappa_sq(2) / 16.0
+        # the strong-disorder bound alone uses the unit-coupling weight kappa^2 / n^2
+        report = strong_disorder_bound(
+            profile2, [1.0], 4, 24, realizations=2, draws=2, master_seed=1, pop_size=1000
         )
+        assert report.diagnostics["kernel_edge_weight"] == kappa_sq(2) / 16.0
 
     def test_negative_coupling_rejected(self, profile2):
         with pytest.raises(DomainError):
-            edge_weight(profile2, 0.0, -0.5, 2, "exact-discrete")
-
-    def test_mode_validation(self, profile2):
-        with pytest.raises(UsageError):
-            edge_weight(profile2, 0.0, 1.0, 2, "continuum")
+            edge_weight(profile2, 0.0, -0.5, 2)
 
 
 class TestSampleGmc:
@@ -295,7 +293,11 @@ class TestDenseEquivalence:
         want = [
             0.5 * math.log(np.exp(-math.sqrt(r) * t) @ reference) + 0.5 * theta for r in grid
         ]
-        assert self.close(half_moment_log_bounds(leaves, b, lam, grid), want)
+        marginals = edge_marginals(leaves, b)
+        bounds = half_moment_log_bounds(
+            leaves, marginals, lam * marginals @ marginals, b, lam, grid
+        )
+        assert self.close(bounds, want)
 
     def test_shift_covariance(self, b, n, setup):
         lam, leaves, reference, _, factor = setup
@@ -315,9 +317,9 @@ class TestCompositionStructure:
         # chaos at coupling a then a' over the result matches coupling a + a'
         # in second moments (uniform reference, n = 2)
         ones = np.ones(16)
-        lam1 = edge_weight(profile2, 0.0, 1.0, 2, "exact-discrete")
-        lam2 = edge_weight(profile2, 1.0, 0.5, 2, "exact-discrete")
-        lam12 = edge_weight(profile2, 0.0, 1.5, 2, "exact-discrete")
+        lam1 = edge_weight(profile2, 0.0, 1.0, 2)
+        lam2 = edge_weight(profile2, 1.0, 0.5, 2)
+        lam12 = edge_weight(profile2, 0.0, 1.5, 2)
         draws = 120_000
         rng = substream(9, 9)
         w1 = ones[:, None] * np.exp(
@@ -343,8 +345,8 @@ class TestCompositionStructure:
         # products): the single-level weights at (r + 1, a, n) equal the
         # composite of the block chaoses at (r, a, n - 1)
         b, r, a = 2, 0.0, 1.0
-        lam_full = edge_weight(profile2, r + 1, a, n, "exact-discrete")
-        lam_sub = edge_weight(profile2, r, a, n - 1, "exact-discrete")
+        lam_full = edge_weight(profile2, r + 1, a, n)
+        lam_sub = edge_weight(profile2, r, a, n - 1)
         rng = substream(97, n)
         g = rng.standard_normal((b * b) ** n)
         subs = rng.lognormal(sigma=0.5, size=(b, b, path_count_int(LatticeParams(b, b), n - 1)))
@@ -407,7 +409,7 @@ class TestChaosMomentLadder:
         profile = {2: profile2, 3: profile3}[b]
         worst = 0.0
         for r, a, n in itertools.product([-6.0, -2.5, 0.0, 1.0], [0.0, 0.5, 1.0, 2.0], range(1, 6)):
-            lam = edge_weight(profile, r, a, n, "exact-discrete")
+            lam = edge_weight(profile, r, a, n)
             leaf = moment_table(profile, [r - n], 4, "two-point", 24 - n).raw[0]
             target = 1.0 + profile.evaluate_R(r + a)
             worst = max(worst, abs(chaos_moment_ladder(b, leaf, lam, n)[2] - target) / target)
@@ -421,7 +423,7 @@ class TestChaosMomentLadder:
 
 class TestExperiments:
     def test_conditional_zero_coupling_totals_equal_reference(self, profile2):
-        lam = edge_weight(profile2, -6.0, 0.0, 2, "exact-discrete")
+        lam = edge_weight(profile2, -6.0, 0.0, 2)
         leaf = default_leaf_population(
             2, -6.0, 2, 24, SeedSpec(), 31, pop_size=100_000, profile=profile2
         )
@@ -514,7 +516,7 @@ class TestExperiments:
 
 class TestTernaryLattice:
     def test_kahane_agreement_b3(self, profile3):
-        lam = edge_weight(profile3, -6.0, 1.0, 2, "exact-discrete")
+        lam = edge_weight(profile3, -6.0, 1.0, 2)
         ones = np.ones(81)
         totals = chaos_totals(ones, 3, lam, substream(7, 3, 0), 50_000)
         for m in (2, 3):
@@ -530,7 +532,7 @@ class TestTernaryLattice:
 class TestThetaSummary:
     def test_contraction_audit(self, profile2):
         # theta from the edge marginals and from the pair class sums agree
-        lam = edge_weight(profile2, 0.0, 1.0, 2, "asymptotic")
+        lam = kappa_sq(2) / 2**2
         leaves = substream(11, 9).lognormal(size=16)
         marginals = edge_marginals(leaves, 2)
         theta = lam * marginals @ marginals
@@ -545,7 +547,7 @@ class TestThetaSummary:
         from diamondgmc.correlation import correlation_table, pair_count_histogram
 
         r, n = -6.0, 2
-        lam = edge_weight(profile2, r, 1.0, n, "asymptotic")
+        lam = kappa_sq(2) / n**2
         table = correlation_table(profile2, r, n)
         expected = lam * sum(
             k * c * math.exp(table.log_weight(k))
@@ -564,7 +566,10 @@ class TestThetaSummary:
         # one path of mass 18, theta = 2 * 4 * 18^2 = 2592 and exp(theta/2)
         # overflows; the log bound is 0.5 * (log 36 - 72 sqrt(r) + theta)
         leaves = np.full(4, 6.0)
-        bounds = half_moment_log_bounds(leaves, 2, 2.0, [1.0, 4.0])
+        marginals = edge_marginals(leaves, 2)
+        bounds = half_moment_log_bounds(
+            leaves, marginals, 2.0 * marginals @ marginals, 2, 2.0, [1.0, 4.0]
+        )
         want = [0.5 * (math.log(36.0) - 72.0 * math.sqrt(r) + 2592.0) for r in (1.0, 4.0)]
         assert np.all(np.isfinite(bounds))
         assert bounds == pytest.approx(want, rel=1e-14)

@@ -18,7 +18,6 @@ from _oracles import (
     shared_edge_matrix,
 )
 from diamondgmc.errors import BudgetError, DomainError, UsageError
-from diamondgmc.gmc import edge_weight
 from diamondgmc.lattice import (
     LatticeParams,
     decision_count,
@@ -26,6 +25,7 @@ from diamondgmc.lattice import (
     intersection_hausdorff_dim,
     path_count_int,
 )
+from diamondgmc.rfunction import kappa_sq
 
 
 def random_path(params, n, rng):
@@ -172,19 +172,19 @@ class TestKernelEstimate:
     """kappa^2 N_n / n^2, the finite-generation intersection kernel, is the
     asymptotic edge weight times the shared-edge count."""
 
-    def test_diagonal_value(self, profile2, params2):
+    def test_diagonal_value(self, params2):
         p = np.array([1, 2, 1])
-        lam = edge_weight(profile2, 0.0, 1.0, 2, "asymptotic")
+        lam = kappa_sq(2) / 2**2
         assert lam * brute_shared_edges(params2, 2, p, p) == pytest.approx(2.0)
 
-    def test_disjoint_is_zero(self, profile2, params2):
-        lam = edge_weight(profile2, 0.0, 1.0, 2, "asymptotic")
+    def test_disjoint_is_zero(self, params2):
+        lam = kappa_sq(2) / 2**2
         assert lam * brute_shared_edges(params2, 2, [1, 1, 1], [2, 1, 1]) == 0.0
 
-    def test_two_shared_edges_at_n3(self, profile2, params2):
+    def test_two_shared_edges_at_n3(self, params2):
         N = shared_edge_matrix(params2, 3, index_ordered_paths(params2, 3))[0, 1:]
         assert np.any(N == 2)
-        lam = edge_weight(profile2, 0.0, 1.0, 3, "asymptotic")
+        lam = kappa_sq(2) / 3**2
         assert lam * N[np.argmax(N == 2)] == pytest.approx(4.0 / 9.0)
 
 

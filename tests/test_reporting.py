@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from _oracles import write_csv_by_rows
 from diamondgmc.reporting import (
@@ -11,8 +10,6 @@ from diamondgmc.reporting import (
     ExperimentReport,
     exact_check,
     format_float,
-    kolmogorov_sf,
-    ks_two_sample,
     se_check,
     write_csv,
     write_json,
@@ -58,48 +55,6 @@ class TestChecks:
             c = se_check("m", target=target, estimate=1.02, se=0.01, multiplier=4.0, floor=0.1)
             assert c.verdict == verdict
             assert "law SE" not in c.detail
-
-
-def tied_samples(rng, n1, n2, levels):
-    """Two integer-valued samples on ``levels`` points, the second shifted."""
-    x = rng.integers(0, levels, n1).astype(float)
-    y = (rng.integers(0, levels, n2) + 1).astype(float)
-    return x, y
-
-
-class TestKolmogorovSmirnov:
-    # scipy, a test-only dependency, is the reference
-    @pytest.mark.parametrize("n1,n2,levels", [(10_001, 23_457, 7), (40_000, 12_345, 300),
-                                              (15_000, 150, 40)])
-    def test_statistic_matches_scipy_asymptotic_mode(self, n1, n2, levels):
-        # above 10 000 points scipy keeps its float difference of the CDFs
-        x, y = tied_samples(np.random.default_rng(n1 + n2), n1, n2, levels)
-        d, _ = ks_two_sample(x, y)
-        assert d == stats.ks_2samp(x, y).statistic
-        assert ks_two_sample(y, x)[0] == d
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_statistic_near_scipy_exact_mode(self, seed):
-        # below it scipy recomputes D as h / lcm(n1, n2); the float route may
-        # differ by the rounding of CDF values in [0, 1], at most 2^-52
-        rng = np.random.default_rng(seed)
-        n1, n2 = (int(v) for v in rng.integers(5, 3000, 2))
-        x, y = tied_samples(rng, n1, n2, int(rng.integers(2, 200)))
-        d, _ = ks_two_sample(x, y)
-        assert abs(d - stats.ks_2samp(x, y).statistic) <= 2.0**-52
-
-    def test_pvalue_matches_kolmogorov_distribution(self):
-        t = np.concatenate([np.linspace(0.25, 25.0, 2000), np.geomspace(0.25, 25.0, 500)])
-        ours = np.array([kolmogorov_sf(v) for v in t])
-        np.testing.assert_allclose(ours, stats.kstwobign.sf(t), rtol=1e-12, atol=0.0)
-
-    def test_pvalue_is_the_series_at_the_scaled_statistic(self):
-        x, y = tied_samples(np.random.default_rng(3), 400, 900, 60)
-        d, p = ks_two_sample(x, y)
-        assert p == kolmogorov_sf(math.sqrt(400 * 900 / 1300) * d)
-        assert ks_two_sample(x, x) == (0.0, 1.0)
-        assert kolmogorov_sf(0.0) == 1.0
-        assert 0.0 < kolmogorov_sf(1.0) < 1.0
 
 
 class TestReport:
