@@ -317,22 +317,6 @@ def simulate_mass_trajectory(
     return out
 
 
-def simulate_mass_law(
-    b: int,
-    r: float,
-    seed_spec: SeedSpec,
-    depth: int,
-    size: int,
-    master_seed: int,
-    chunks: int = 1,
-    profile: "VarianceProfile | None" = None,
-) -> MassPopulation:
-    """Population of total masses at r (see :func:`simulate_mass_trajectory`)."""
-    return simulate_mass_trajectory(
-        b, r, seed_spec, depth, size, master_seed, chunks=chunks, profile=profile
-    )[r]
-
-
 def fractional_moment(pop: MassPopulation, theta: float):
     """Sample mean and standard error of mass^theta."""
     if not (0.0 < theta <= 1.0):
@@ -439,23 +423,6 @@ def leaf_level(r: float, n: int, depth: int) -> float:
     if depth < n + 1:
         raise UsageError(f"depth {depth} must exceed the generation {n}")
     return r - n
-
-
-def default_leaf_population(
-    b: int,
-    r: float,
-    n: int,
-    depth: int,
-    seed_spec: SeedSpec,
-    master_seed: int,
-    pop_size: int = 1_000_000,
-    profile: "VarianceProfile | None" = None,
-) -> MassPopulation:
-    """Population at the leaf level r - n used to draw measure-sample leaves."""
-    return simulate_mass_law(
-        b, leaf_level(r, n, depth), seed_spec, depth - n, pop_size, master_seed,
-        profile=profile,
-    )
 
 
 def sample_measure_batch(

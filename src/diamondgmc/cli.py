@@ -2,10 +2,11 @@
 
 Commands: rfunc, correlation, simulate, gmc, fixed-point.  ``RunConfig``
 declares every setting once; ``COMMAND_SETTINGS`` names the ones each command
-reads, and only those are its flags and config-file keys.  Configuration is
-a flat key = value text file; command-line flags override file keys; the
-merged settings of the command are what the manifest records.  Every command
-writes exactly one JSON manifest (config snapshot, per-check verdicts, wall
+reads, and only those are its flags and config-file keys; a ``gmc`` run reads
+only those of its check (``GMC_CHECK_SETTINGS``).  Configuration is a flat
+key = value text file; command-line flags override file keys; the merged
+settings the run reads are what the manifest records.  Every command writes
+exactly one JSON manifest (config snapshot, per-check verdicts, wall
 clock) next to its data files; data files are byte-reproducible for a fixed
 (config, seed, chunk count).
 """
@@ -26,32 +27,27 @@ from . import __version__
 from .cascade import (
     check_audit_budget,
     fractional_moment,
-    horner,
     leaf_level,
     overlap_moments,
     sample_measure_batch,
     simulate_mass_trajectory,
-    substream,
     tree_total,
     write_population,
 )
 from .correlation import (
     correlation_table,
+    edge_weight,
     histogram_mass,
     kernel_marginal_identity_check,
     marginal_check,
     pair_count_histogram,
     rho_total,
-    rn_log_kernel,
 )
 from .errors import BudgetError, ConvergenceError, DomainError, RangeError, UsageError
 from .gmc import (
-    _REALM_GMC,
-    chaos_totals,
     conditional_gmc_experiment,
-    edge_marginals,
-    edge_weight,
-    shift_law,
+    kahane_experiment,
+    shift_experiment,
     strong_disorder_bound,
 )
 from .lattice import (
@@ -75,7 +71,15 @@ from .rfunction import (
     eta, kappa_sq, law_se, moment_table, psi,
 )
 
-GMC_CHECKS = ("shift", "kahane", "conditional", "strong-disorder")
+# the settings each ``gmc --check`` reads besides ``out``; the unit-coupling
+# edge weight of strong-disorder reads no r or a
+_CHAOS = {"b", "n", "seed", "draws", "check", "allow_flagged"}
+GMC_CHECK_SETTINGS = {
+    "shift": _CHAOS | {"r", "a"},
+    "kahane": _CHAOS | {"r", "a"},
+    "conditional": _CHAOS | {"r", "a", "depth", "seed_spec", "realizations"},
+    "strong-disorder": _CHAOS | {"depth", "seed_spec", "realizations", "grid"},
+}
 
 
 def _setting(default, choices=None):
@@ -103,7 +107,7 @@ class RunConfig:
     out: str = "."
     chunks: int = 1
     allow_flagged: bool = False
-    check: str = _setting("conditional", GMC_CHECKS)
+    check: str = _setting("conditional", tuple(GMC_CHECK_SETTINGS))
     realizations: int = 1000
     draws: int = 1000
     kmax: int = 6
@@ -117,17 +121,19 @@ COMMAND_SETTINGS = {
         "b", "r", "depth", "size", "seed", "seed_spec", "n", "realizations", "chunks",
         "allow_flagged",
     },
-    "gmc": {
-        "b", "r", "a", "n", "depth", "seed", "seed_spec", "check", "realizations",
-        "draws", "grid", "allow_flagged",
-    },
+    "gmc": set().union(*GMC_CHECK_SETTINGS.values()),
     "fixed-point": {"b", "s"},
 }
 
 
-def _settings(command: str) -> list:
-    """The fields of ``RunConfig`` that ``command`` reads, in declaration order."""
-    return [f for f in fields(RunConfig) if f.name in COMMAND_SETTINGS[command] | {"out"}]
+def _settings(names) -> list:
+    """The fields of ``RunConfig`` in ``names``, and ``out``, in declaration order."""
+    return [f for f in fields(RunConfig) if f.name in names | {"out"}]
+
+
+def _reads(command: str, cfg: RunConfig) -> set:
+    """The settings a run of ``command`` reads: for ``gmc``, those of its check."""
+    return GMC_CHECK_SETTINGS[cfg.check] if command == "gmc" else COMMAND_SETTINGS[command]
 
 
 def _flag(f) -> str:
@@ -164,7 +170,7 @@ def _number(kind, raw: str, what: str):
 def parse_config_file(path, command: str) -> dict:
     """The settings of ``command`` in a flat ``key = value`` file; other keys are errors."""
     out = {}
-    known = {f.name: f for f in _settings(command)}
+    known = {f.name: f for f in _settings(COMMAND_SETTINGS[command])}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -211,17 +217,18 @@ def parse_grid(text: str):
 
 
 def _merge_config(args) -> RunConfig:
-    """Defaults, then the config file's keys, then the flags given."""
-    cfg = RunConfig()
-    if args.config:
-        for key, value in parse_config_file(args.config, args.command).items():
-            setattr(cfg, key, value)
-    for f in _settings(args.command):
+    """Defaults, then the config file's keys, then the flags given; a setting
+    given that the run does not read is an error."""
+    given = parse_config_file(args.config, args.command) if args.config else {}
+    for f in _settings(COMMAND_SETTINGS[args.command]):
         value = getattr(args, f.name)
-        if isinstance(value, str):
-            value = _coerce(f, value, _flag(f))
         if value is not None:
-            setattr(cfg, f.name, value)
+            given[f.name] = _coerce(f, value, _flag(f)) if isinstance(value, str) else value
+    cfg = RunConfig(**given)
+    reads = _reads(args.command, cfg) | {"out"}
+    unread = [_flag(f) for f in fields(RunConfig) if f.name in given and f.name not in reads]
+    if unread:  # only a gmc check reads less than its command
+        raise UsageError(f"gmc --check {cfg.check} does not read {', '.join(unread)}")
     return cfg
 
 
@@ -258,7 +265,10 @@ class _Run:
             "tool": "diamondgmc",
             "version": __version__,
             "command": self.command,
-            "config": {f.name: getattr(self.cfg, f.name) for f in _settings(self.command)},
+            "config": {
+                f.name: getattr(self.cfg, f.name)
+                for f in _settings(_reads(self.command, self.cfg))
+            },
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "wall_clock_seconds": time.time() - self.started,
             "checks": [c.to_dict() for c in self.report.checks],
@@ -408,7 +418,7 @@ def cmd_correlation(run: _Run) -> int:
     check_rows = []
     n_rn = min(n_max, 8)
     tbl = correlation_table(profile, cfg.r, n_rn)
-    rn_mass = histogram_mass(tbl, rn_log_kernel(profile, cfg.r, cfg.a, n_rn, 1))
+    rn_mass = histogram_mass(tbl, edge_weight(profile, cfg.r, cfg.a, n_rn))
     rn_target = 1.0 + profile.evaluate_R(cfg.r + cfg.a)
     run.report.add(
         exact_check(f"rn-exactness(n={n_rn})", (rn_mass - rn_target) / rn_target, 1e-12,
@@ -537,51 +547,28 @@ def cmd_simulate(run: _Run) -> int:
 def cmd_gmc(run: _Run) -> int:
     cfg = run.cfg
     profile = VarianceProfile(cfg.b)
-    seed_spec = SeedSpec(cfg.seed_spec)
 
     # the statistical checks' SEs need two draws, and two realizations where
     # they read them
     if cfg.draws < 2:
         raise UsageError(f"gmc --check {cfg.check} needs --draws >= 2")
-    if cfg.check in ("conditional", "strong-disorder") and cfg.realizations < 2:
+    if "realizations" in GMC_CHECK_SETTINGS[cfg.check] and cfg.realizations < 2:
         raise UsageError(f"gmc --check {cfg.check} needs --realizations >= 2")
 
-    if cfg.check in ("shift", "kahane"):
-        check_audit_budget(cfg.b, cfg.n, cfg.draws, "chaos draw block", "draws")
-        lam = edge_weight(profile, cfg.r, cfg.a, cfg.n)
-        uniform = np.ones((cfg.b * cfg.b) ** cfg.n)  # leaves of the uniform measure
     if cfg.check == "shift":
-        # a flipped density sign moves the mean at first order by sum_e m_e phi_e,
-        # so phi points along the edge marginals m; the density's variance,
-        # exp(|phi|^2) - 1, is 0.28 at |phi| = 1/2 (law SE near 5% of the
-        # target at 1000 draws) and 1.7 at |phi| = 1
-        marginals = edge_marginals(uniform, cfg.b)
-        phi = 0.5 * marginals / np.linalg.norm(marginals)
-        rng = substream(cfg.seed, _REALM_GMC, 0)
-        target, sample, law = shift_law(uniform, cfg.b, lam, phi, rng, cfg.draws)
-        report = ExperimentReport("shift", diagnostics={"law_se": law}, provenance={"n": cfg.n})
-        report.add(se_check("cameron-martin-law", target, *mean_se(sample), 4.0,
-                            detail=f"law SE {law:.3g}", floor=law))
+        report = shift_experiment(profile, cfg.r, cfg.a, cfg.n, cfg.draws, cfg.seed)
     elif cfg.check == "kahane":
-        rng = substream(cfg.seed, _REALM_GMC, 1)
-        totals = chaos_totals(uniform, cfg.b, lam, rng, cfg.draws)
-        report = ExperimentReport("kahane", provenance={"n": cfg.n})
-        report.arrays["totals"] = totals
-        overlap = overlap_moments(uniform, cfg.b, 3)
-        for m in (2, 3):
-            formula = float(horner(overlap[m], math.exp(lam)))
-            est, se = mean_se(totals**m)
-            report.add(se_check(f"kahane-m{m}", formula, est, se, 4.0))
+        report = kahane_experiment(profile, cfg.r, cfg.a, cfg.n, cfg.draws, cfg.seed)
     elif cfg.check == "conditional":
         report = conditional_gmc_experiment(
             profile, cfg.r, cfg.a, cfg.n, cfg.depth,
-            cfg.realizations, cfg.draws, cfg.seed, seed_spec,
+            cfg.realizations, cfg.draws, cfg.seed, SeedSpec(cfg.seed_spec),
         )
-    else:  # strong-disorder; the coercion of --check admits only GMC_CHECKS
+    else:  # strong-disorder; the coercion of --check admits only these four
         grid = parse_grid(cfg.grid or "1,4,9,16")
         report = strong_disorder_bound(
             profile, grid, cfg.n, cfg.depth,
-            cfg.realizations, cfg.draws, cfg.seed, seed_spec,
+            cfg.realizations, cfg.draws, cfg.seed, SeedSpec(cfg.seed_spec),
         )
     run.extend(report)
     write_json(run.path(f"gmc_{cfg.check}_report.json"), report.to_dict())
@@ -644,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value file")
-        for f in _settings(name):
+        for f in _settings(COMMAND_SETTINGS[name]):
             if type(f.default) is bool:
                 p.add_argument(_flag(f), action="store_const", const=True)
             else:

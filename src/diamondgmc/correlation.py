@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .errors import BudgetError, UsageError
+from .errors import BudgetError, DomainError, UsageError
 from .lattice import LatticeParams, decision_count, path_count_int
 from .rfunction import VarianceProfile
 
@@ -48,6 +48,7 @@ from .rfunction import VarianceProfile
 HISTOGRAM_EDGE_BUDGET = 8192
 _MASS_LOG_WINDOW = 80.0
 _MASS_COUNT_BITS = 112
+_MASS_CONTEXT = decimal.Context(30, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _slot_width(total: int, b: int) -> int:
@@ -121,14 +122,6 @@ def conditional_pair_histogram(b: int, n: int):
     return tuple(sorted(conv.items()))
 
 
-def _logsumexp(terms) -> float:
-    terms = [t for t in terms if t != -math.inf]
-    if not terms:
-        return -math.inf
-    peak = max(terms)
-    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
-
-
 @dataclass(frozen=True)
 class CorrelationTable:
     """Correlation-measure weights at parameter r over generation-n cylinder pairs.
@@ -165,8 +158,8 @@ def correlation_table(profile: VarianceProfile, r: float, n: int) -> Correlation
     )
 
 
-def _conditional_mass(table: CorrelationTable, tilt: float, paths: int) -> float:
-    """sum_k c_n(k) ((1 + R(r - n)) e^tilt)^k / |Gamma_n|^paths.
+def _conditional_mass(table: CorrelationTable, tilt: float, paths: int) -> decimal.Decimal:
+    """sum_k c_n(k) ((1 + R(r - n)) e^tilt)^k / |Gamma_n|^paths, to 30 digits.
 
     Summed in 30-digit ``decimal`` from the table's float R(r - n).  In
     doubles each log-space term log c_k + k log(1 + R) - paths log|Gamma_n|
@@ -183,14 +176,14 @@ def _conditional_mass(table: CorrelationTable, tilt: float, paths: int) -> float
     step_f = math.log1p(table.R_shifted) + tilt
     logs = [math.log(c) + k * step_f for k, c in counts]
     floor = max(logs) - _MASS_LOG_WINDOW
-    with decimal.localcontext(decimal.Context(30, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)):
+    with decimal.localcontext(_MASS_CONTEXT):
         x = ((1 + D(table.R_shifted)).ln() + D(tilt)).exp()
         total = D(0)
         for (k, c), log in zip(counts, logs):
             if log >= floor:
                 s = max(0, c.bit_length() - _MASS_COUNT_BITS)
                 total += D(c >> s) * D(2) ** s * x**k
-        return float(total / D(b) ** (decision_count(b, table.n) * paths))
+        return total / D(b) ** (decision_count(b, table.n) * paths)
 
 
 def histogram_mass(table: CorrelationTable, tilt: float = 0.0) -> float:
@@ -199,7 +192,7 @@ def histogram_mass(table: CorrelationTable, tilt: float = 0.0) -> float:
     sum_k H_n(k) ((1 + R(r - n)) e^tilt)^k / |Gamma_n|^2, formed as the sum
     over c_n divided by |Gamma_n| once.
     """
-    return _conditional_mass(table, tilt, 1)
+    return float(_conditional_mass(table, tilt, 1))
 
 
 def marginal_check(table: CorrelationTable) -> float:
@@ -207,21 +200,21 @@ def marginal_check(table: CorrelationTable) -> float:
 
     Contract: equals (1 + R(r))/|Gamma_n|.
     """
-    return _conditional_mass(table, 0.0, 2)
+    return float(_conditional_mass(table, 0.0, 2))
 
 
-def rn_log_kernel(profile: VarianceProfile, r: float, a: float, n: int, N: int) -> float:
-    """Exact discrete log change-of-parameter kernel between tables at r+a and r.
+def edge_weight(profile: VarianceProfile, r: float, a: float, n: int) -> float:
+    """Exact-discrete chaos edge weight: the log change-of-parameter kernel per shared edge.
 
-    K_n^{r,a}(N) = N log[(1 + R(r + a - n)) / (1 + R(r - n))]; for fixed N it
-    approaches a kappa^2 N / n^2 as n grows.
+    lam = log[(1 + R(r + a - n)) / (1 + R(r - n))]; the kernel between the
+    generation-n tables at r + a and r is K_n^{r,a}(N) = N lam, and for
+    fixed N it approaches a kappa^2 N / n^2 as n grows.
     """
     if a < 0:
-        raise UsageError("rn_log_kernel requires a >= 0")
-    lam = math.log1p(profile.evaluate_R(r + a - n)) - math.log1p(
-        profile.evaluate_R(r - n)
-    )
-    return N * lam
+        raise DomainError("kernel coupling requires a >= 0")
+    if n < 1:
+        raise UsageError("kernel needs generation >= 1")
+    return math.log1p(profile.evaluate_R(r + a - n)) - math.log1p(profile.evaluate_R(r - n))
 
 
 def rho_total(table: CorrelationTable) -> float:
@@ -229,18 +222,15 @@ def rho_total(table: CorrelationTable) -> float:
 
     The product part puts 1/|Gamma_n|^2 on every pair; rho puts
     [(1 + R(r-n))^N - 1] / (R(r) |Gamma_n|^2), vanishing exactly when N = 0
-    and totalling one.  Summed in log space over H_n(k) = |Gamma_n| c_n(k).
+    and totalling one.  Its total is (S / |Gamma_n| - 1) / R(r) for the
+    30-digit sum S = sum_k c_n(k) (1 + R(r - n))^k of ``histogram_mass``,
+    with the 1 taken off before rounding to double.
     """
     R_r = table.profile.evaluate_R(table.r)
     if R_r <= 0:
         raise UsageError("Lebesgue split requires R(r) > 0")
-    terms = []
-    for k, c in table.conditional:
-        if k > 0:
-            log_rho = (math.log(math.expm1(k * table.log1p_R_shifted)) - math.log(R_r)
-                       - 2.0 * table.log_gamma)
-            terms.append(math.log(c) + table.log_gamma + log_rho)
-    return math.exp(_logsumexp(terms))
+    with decimal.localcontext(_MASS_CONTEXT):
+        return float((_conditional_mass(table, 0.0, 1) - 1) / decimal.Decimal(R_r))
 
 
 def kernel_marginal_identity_check(profile: VarianceProfile, r: float, n: int):
@@ -260,7 +250,9 @@ def kernel_marginal_identity_check(profile: VarianceProfile, r: float, n: int):
         for k, c in conditional_pair_histogram(profile.b, n)
         if k > 0
     ]
-    log_lhs = math.log(Rp_shift) + _logsumexp(terms) - 2.0 * log_gamma
+    peak = max(terms)  # every term is finite, and k = 1 always has one
+    log_sum = peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+    log_lhs = math.log(Rp_shift) + log_sum - 2.0 * log_gamma
     log_rhs = math.log(profile.evaluate_R_prime(r)) - log_gamma
     return log_lhs, log_rhs
 

@@ -25,8 +25,8 @@ the same tree, at O(b^(2n)) cost per draw:
   total of the leaves l exp(sqrt(lam) phi).
 
 The edge weight is the exact-discrete one,
-lam = log[(1 + R(r + a - n)) / (1 + R(r - n))] (the change-of-parameter
-kernel ``correlation.rn_log_kernel`` at one shared edge), which makes every
+lam = log[(1 + R(r + a - n)) / (1 + R(r - n))] (``correlation.edge_weight``,
+the change-of-parameter kernel per shared edge), which makes every
 finite-n correlation identity exact: reweighting the generation-n correlation
 measure at parameter r by exp(K) gives the one at r + a.  Only the
 strong-disorder bound uses another, the unit-coupling weight kappa^2 / n^2
@@ -48,19 +48,20 @@ import numpy as np
 from .cascade import (
     AUDIT_CELL_BUDGET,
     check_audit_budget,
-    default_leaf_population,
     for_each,
     horner,
     leaf_level,
     overlap_moments,
     sample_measure_batch,
+    simulate_mass_trajectory,
     substream,
     tree_total,
 )
-from .correlation import rn_log_kernel
-from .errors import BudgetError, DomainError, UsageError
+from .correlation import edge_weight
+from .errors import BudgetError, UsageError
 from .rfunction import (
-    SeedSpec, VarianceProfile, _or_inf, kappa_sq, law_se, moment_recursion_step, moment_table,
+    ORBIT_LEVEL_BUDGET, SeedSpec, VarianceProfile, kappa_sq, law_se, moment_recursion_step,
+    moment_table, or_inf,
 )
 from .reporting import (
     SEEDING_BIAS_NOTE,
@@ -76,13 +77,13 @@ from .reporting import (
 _REALM_GMC = 3
 
 
-def edge_weight(profile: VarianceProfile, r: float, a: float, n: int) -> float:
-    """The exact-discrete chaos edge weight of the (r, a, n) kernel."""
-    if a < 0:
-        raise DomainError("kernel coupling requires a >= 0")
-    if n < 1:
-        raise UsageError("kernel needs generation >= 1")
-    return rn_log_kernel(profile, r, a, n, 1)
+def _check_cells(block: str, rows: int, cols: int):
+    """Raise ``BudgetError`` if a (rows, cols) block exceeds ``AUDIT_CELL_BUDGET`` cells."""
+    if rows * cols > AUDIT_CELL_BUDGET:
+        raise BudgetError(
+            f"{block} needs {rows} x {cols} = {rows * cols} cells, "
+            f"above the budget of {AUDIT_CELL_BUDGET}"
+        )
 
 
 def _edge_factors(lam: float, g: np.ndarray) -> np.ndarray:
@@ -175,12 +176,55 @@ def chaos_moment_ladder(b: int, leaf_moments, lam: float, n: int) -> list:
     edge factor's exp(lam C(k,2)), to the root; m_0 = 1 is not read.  Moments
     from one that leaves double range, or enters as nan, upward read inf.
     """
-    moments = [1.0] + [float(m) * _or_inf(math.exp, lam * math.comb(k, 2))
+    moments = [1.0] + [float(m) * or_inf(math.exp, lam * math.comb(k, 2))
                        for k, m in enumerate(leaf_moments[1:], start=1)]
     for _ in range(n):
         moments = moment_recursion_step(b, moments)
     top = next((k for k, m in enumerate(moments) if not math.isfinite(m)), len(moments))
     return moments[:top] + [math.inf] * (len(moments) - top)
+
+
+def _uniform_reference(profile: VarianceProfile, r: float, a: float, n: int, draws: int):
+    """(edge weight, leaves) of the uniform reference at (r, a, n), its
+    (edges, draws) gaussian block checked against the budget first."""
+    b = profile.b
+    check_audit_budget(b, n, draws, "chaos draw block", "draws")
+    return edge_weight(profile, r, a, n), np.ones((b * b) ** n)
+
+
+def shift_experiment(
+    profile: VarianceProfile, r: float, a: float, n: int, draws: int, master_seed: int
+) -> ExperimentReport:
+    """``shift_law`` over the uniform reference, with phi = m / (2 |m|) along
+    the edge marginals m: a flipped density sign moves the mean at first
+    order by sum_e m_e phi_e.  The density's variance, exp(|phi|^2) - 1, is
+    0.28 at |phi| = 1/2 (law SE near 5% of the target at 1000 draws)."""
+    lam, uniform = _uniform_reference(profile, r, a, n, draws)
+    marginals = edge_marginals(uniform, profile.b)
+    phi = 0.5 * marginals / np.linalg.norm(marginals)
+    rng = substream(master_seed, _REALM_GMC, 0)
+    target, sample, law = shift_law(uniform, profile.b, lam, phi, rng, draws)
+    report = ExperimentReport("shift", diagnostics={"law_se": law}, provenance={"n": n})
+    report.add(se_check("cameron-martin-law", target, *mean_se(sample), 4.0,
+                        detail=f"law SE {law:.3g}", floor=law))
+    return report
+
+
+def kahane_experiment(
+    profile: VarianceProfile, r: float, a: float, n: int, draws: int, master_seed: int
+) -> ExperimentReport:
+    """Sampled E[T^m], m = 2, 3, of the chaos total over the uniform reference
+    against Kahane's exact Q_m(e^lam)."""
+    lam, uniform = _uniform_reference(profile, r, a, n, draws)
+    totals = chaos_totals(uniform, profile.b, lam, substream(master_seed, _REALM_GMC, 1), draws)
+    report = ExperimentReport("kahane", provenance={"n": n})
+    report.arrays["totals"] = totals
+    overlap = overlap_moments(uniform, profile.b, 3)
+    for m in (2, 3):
+        formula = float(horner(overlap[m], math.exp(lam)))
+        est, se = mean_se(totals**m)
+        report.add(se_check(f"kahane-m{m}", formula, est, se, 4.0))
+    return report
 
 
 def conditional_gmc_experiment(
@@ -226,19 +270,15 @@ def conditional_gmc_experiment(
     # once, and each reference's chaos totals one (edges, draws) block
     check_audit_budget(b, n, realizations)
     check_audit_budget(b, n, draws, "chaos draw block", "draws")
+    _check_cells("totals block", realizations, draws)
     count = realizations * draws
-    if count > AUDIT_CELL_BUDGET:
-        raise BudgetError(
-            f"totals block needs {realizations} x {draws} = {count} cells, "
-            f"above the budget of {AUDIT_CELL_BUDGET}"
-        )
     # the law's leaf moments, at the pool's own base level r - depth; the
     # ladder's step budget refuses a too-deep run before the pool is drawn
-    law_leaves = moment_table(profile, [leaf_level(r, n, depth)], 4, seed_spec.kind,
-                              depth - n).raw[0]
-    leaf = default_leaf_population(
-        b, r, n, depth, seed_spec, master_seed, pop_size=pop_size, profile=profile
-    )
+    leaf_r = leaf_level(r, n, depth)
+    law_leaves = moment_table(profile, [leaf_r], 4, seed_spec.kind, depth - n).raw[0]
+    leaf = simulate_mass_trajectory(
+        b, leaf_r, seed_spec, depth - n, pop_size, master_seed, profile=profile
+    )[leaf_r]
     refs = sample_measure_batch(b, r, n, realizations, leaf, master_seed)
 
     totals = np.empty((realizations, draws))
@@ -373,8 +413,11 @@ def strong_disorder_bound(
     kernel K1: this is the finite-dimensional Cameron-Martin/Cauchy-Schwarz
     bound with the field shifted by -sqrt(r) t.  The experiment checks the
     bound per realization, in log space, and the strict decay of the pooled
-    half moment across the grid.  The realizations run on up to one thread
-    each (``for_each``).
+    half moment across the grid.  The references' leaves, each chaos draw
+    block and the (grid, realizations) half-moment arrays must fit
+    ``AUDIT_CELL_BUDGET``, and the leaf pool's depth - n steps
+    ``ORBIT_LEVEL_BUDGET``, checked before the pool is drawn.  The
+    realizations run on up to one thread each (``for_each``).
     """
     seed_spec = seed_spec or SeedSpec()
     r_grid = [float(x) for x in r_grid]
@@ -386,9 +429,18 @@ def strong_disorder_bound(
     lam1 = kappa_sq(b) / n**2
     check_audit_budget(b, n, realizations)
     check_audit_budget(b, n, draws, "chaos draw block", "draws")
-    leaf = default_leaf_population(
-        b, 0.0, n, depth, seed_spec, master_seed, pop_size=pop_size, profile=profile
-    )
+    _check_cells("half-moment block", len(r_grid), realizations)
+    # the moment ladder's step budget, which refuses the conditional run's
+    # too-deep pool, holds this pool's trajectory too
+    leaf_r = leaf_level(0.0, n, depth)
+    if depth - n > ORBIT_LEVEL_BUDGET:
+        raise BudgetError(
+            f"leaf pool trajectory from r = {-float(depth)} to {leaf_r} needs {depth - n} "
+            f"steps, above the budget of {ORBIT_LEVEL_BUDGET}"
+        )
+    leaf = simulate_mass_trajectory(
+        b, leaf_r, seed_spec, depth - n, pop_size, master_seed, profile=profile
+    )[leaf_r]
     refs = sample_measure_batch(b, 0.0, n, realizations, leaf, master_seed)
 
     half = np.empty((len(r_grid), realizations))

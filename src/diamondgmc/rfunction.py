@@ -65,7 +65,7 @@ _FOLD_TERMS = [
     for k in range(MOMENT_ORDER_BUDGET + 1)
 ]
 
-SEED_KINDS = ("deterministic-one", "lognormal", "two-point")
+SEED_KINDS = ("lognormal", "two-point")
 
 # The R evaluator seeds its orbit SEED_DEPTH levels below the target with the
 # asymptotic series through 1/t^SEED_ORDER and doubles the depth, up to
@@ -364,7 +364,7 @@ class VarianceProfile:
 # -- moment ladder ------------------------------------------------------------
 
 
-def _or_inf(fn, *args) -> float:
+def or_inf(fn, *args) -> float:
     """fn(*args), or inf where the value leaves double range (float ``**`` and
     ``math.exp`` raise there)."""
     try:
@@ -380,7 +380,6 @@ class SeedSpec:
     two-point: mass 1/2 at 1 +- sqrt(V); matches mean 1, variance V and has
     third central moment zero (needs V <= 1 for nonnegative support).
     lognormal: mean-one lognormal of variance V, m_k = (1 + V)^C(k,2).
-    deterministic-one: the exact fixed point (V ignored).
     """
 
     kind: str = "two-point"
@@ -390,7 +389,7 @@ class SeedSpec:
             raise UsageError(f"unknown seed kind {self.kind!r}; choose from {SEED_KINDS}")
 
     def _check_variance(self, variance: float):
-        if self.kind != "deterministic-one" and variance < 0:
+        if variance < 0:
             raise DomainError("seed variance must be >= 0")
         if self.kind == "two-point" and variance > 1.0:
             raise DomainError(
@@ -400,8 +399,6 @@ class SeedSpec:
     def draw(self, rng: np.random.Generator, size: int, variance: float) -> np.ndarray:
         """``size`` independent draws of the law."""
         self._check_variance(variance)
-        if self.kind == "deterministic-one":
-            return np.ones(size)
         if self.kind == "lognormal":
             sigma_sq = math.log1p(variance)
             return rng.lognormal(mean=-0.5 * sigma_sq, sigma=math.sqrt(sigma_sq), size=size)
@@ -411,10 +408,8 @@ class SeedSpec:
     def raw_moments(self, variance: float, k_max: int) -> list:
         """Raw moments m_0..m_K of the law; an order beyond double range reads inf."""
         self._check_variance(variance)
-        if self.kind == "deterministic-one":
-            return [1.0] * (k_max + 1)
         if self.kind == "lognormal":
-            return [_or_inf(pow, 1.0 + variance, math.comb(k, 2)) for k in range(k_max + 1)]
+            return [or_inf(pow, 1.0 + variance, math.comb(k, 2)) for k in range(k_max + 1)]
         sigma = math.sqrt(variance)
         return [0.5 * ((1.0 + sigma) ** k + (1.0 - sigma) ** k) for k in range(k_max + 1)]
 
@@ -434,7 +429,7 @@ def moment_recursion_step(b: int, moments) -> list:
     k_max = len(moments) - 1
     if k_max > MOMENT_ORDER_BUDGET:
         raise UsageError(f"moment order {k_max} exceeds the budget {MOMENT_ORDER_BUDGET}")
-    branch = [_or_inf(pow, m, b) for m in moments]
+    branch = [or_inf(pow, m, b) for m in moments]
     acc = branch
     for _ in range(1, b):
         acc = [
@@ -484,12 +479,15 @@ def moment_table(
     ``depth`` iterations below its smallest point; by default at the
     variance orbit's converged seed depth there.  A class whose ladder needs
     more than ``ORBIT_LEVEL_BUDGET`` steps raises ``BudgetError`` before it
-    runs.  Rows come back in grid order; a row holding an order beyond
-    double range, or above ``_FLOAT_CAP``, is nan.
+    runs.  ``k_max`` lies in 2..``MOMENT_ORDER_BUDGET``.  Rows come back in
+    grid order; a row holding an order beyond double range, or above
+    ``_FLOAT_CAP``, is nan.
     """
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
     if r_values.size == 0:
         raise UsageError("empty r grid")
+    if not 2 <= k_max <= MOMENT_ORDER_BUDGET:
+        raise UsageError(f"moment order k_max must lie in 2..{MOMENT_ORDER_BUDGET}, got {k_max}")
     if depth is not None and depth < 1:
         raise UsageError("depth must be >= 1")
     seed = SeedSpec(seed_kind)
@@ -510,14 +508,13 @@ def moment_table(
                 f"above the budget of {ORBIT_LEVEL_BUDGET}"
             )
         moments = seed.raw_moments(profile.evaluate_R(base), k_max)
-        variance = moments[2] - 1.0 if k_max >= 2 else None
+        variance = moments[2] - 1.0
         for step in range(1, steps + 1):
             moments = moment_recursion_step(profile.b, moments)
-            if variance is not None:
-                # same map for the k = 2 channel in cancellation-free form:
-                # m_2' - 1 = psi_b(m_2 - 1) exactly
-                variance = psi(profile.b, variance) if moments[2] <= _FLOAT_CAP else math.inf
-                moments[2] = 1.0 + variance
+            # same map for the k = 2 channel in cancellation-free form:
+            # m_2' - 1 = psi_b(m_2 - 1) exactly
+            variance = psi(profile.b, variance) if moments[2] <= _FLOAT_CAP else math.inf
+            moments[2] = 1.0 + variance
             if not all(math.isfinite(m) and m <= _FLOAT_CAP for m in moments):
                 break  # this row and every later one stay nan
             for pos in targets.get(step, ()):

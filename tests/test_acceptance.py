@@ -24,7 +24,6 @@ from _oracles import (
 from test_gmc import kahane, readme_shift_law
 from diamondgmc.cascade import (
     SeedSpec,
-    default_leaf_population,
     sample_measure_batch,
     simulate_mass_trajectory,
     substream,
@@ -32,18 +31,17 @@ from diamondgmc.cascade import (
 from diamondgmc.cli import main
 from diamondgmc.correlation import (
     correlation_table,
+    edge_weight,
     histogram_mass,
     kernel_marginal_identity_check,
     marginal_check,
     pair_count_histogram,
     rho_total,
-    rn_log_kernel,
 )
 from diamondgmc.errors import RangeError
 from diamondgmc.reporting import se_check
 from diamondgmc.gmc import (
     conditional_gmc_experiment,
-    edge_weight,
     renormalization_weight_audit,
     strong_disorder_bound,
 )
@@ -134,7 +132,7 @@ def test_criterion_04_upsilon_consistency(profile2, params2):
 
     table8 = correlation_table(profile2, 0.0, 8)
     terms = [
-        math.log(c) + table8.log_weight(k) + rn_log_kernel(profile2, 0.0, 1.0, 8, k)
+        math.log(c) + table8.log_weight(k) + k * edge_weight(profile2, 0.0, 1.0, 8)
         for k, c in pair_count_histogram(params2, 8).counts
     ]
     peak = max(terms)
@@ -214,9 +212,9 @@ def test_criterion_05_cascade_law_matching(profile2):
 def test_criterion_06_measure_level_correlations(profile2, params2):
     start = time.time()
     r, n, count = -6.0, 2, 10_000
-    leaf = default_leaf_population(
-        2, r, n, 24, SeedSpec(), 7, pop_size=4_000_000, profile=profile2
-    )
+    leaf = simulate_mass_trajectory(
+        2, r - n, SeedSpec(), 24 - n, 4_000_000, 7, profile=profile2
+    )[r - n]
     batch = assemble(sample_measure_batch(2, r, n, count, leaf, 7), 2, n)
     support = index_ordered_paths(params2, n)
     target = upsilon_pair_matrix(correlation_table(profile2, r, n), support)

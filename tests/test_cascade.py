@@ -12,7 +12,6 @@ from diamondgmc.cascade import (
     MassPopulation,
     Provenance,
     SeedSpec,
-    default_leaf_population,
     fractional_moment,
     horner,
     leaf_level,
@@ -20,7 +19,6 @@ from diamondgmc.cascade import (
     population_step,
     read_population,
     sample_measure_batch,
-    simulate_mass_law,
     simulate_mass_trajectory,
     substream,
     tree_total,
@@ -48,7 +46,7 @@ from _oracles import (
 def ones_population(size=64, b=2):
     prov = Provenance(
         b=b, r=0.0, base_level=-24.0, depth=24, size=size,
-        seed_kind="deterministic-one", seed_variance=0.0,
+        seed_kind="two-point", seed_variance=0.0,
         master_seed=0, chunks=1,
     )
     return MassPopulation(0.0, np.ones(size), prov)
@@ -58,10 +56,6 @@ class TestSeedSpec:
     def test_kind_validation(self):
         with pytest.raises(UsageError):
             SeedSpec("gaussian")
-
-    def test_deterministic_one(self):
-        rng = substream(0, 0)
-        assert np.array_equal(SeedSpec("deterministic-one").draw(rng, 5, 0.3), np.ones(5))
 
     def test_two_point_support_and_moments(self):
         rng = substream(1, 0)
@@ -97,7 +91,7 @@ class TestEvolvePopulation:
         with pytest.raises(UsageError):
             population_step(np.ones(3), 2, [substream(5, 0)])
         with pytest.raises(UsageError):
-            simulate_mass_law(2, -24.0, SeedSpec(), 24, 3, 5, profile=profile2)
+            simulate_mass_trajectory(2, -24.0, SeedSpec(), 24, 3, 5, profile=profile2)
 
     @staticmethod
     def assert_one_shot_draws(pop, b, chunks, seed, monkeypatch):
@@ -144,10 +138,12 @@ class TestEvolvePopulation:
         # and the central moments the population and two arrays more
         size = 400_000
         # the profile's orbit and numpy's first-call caches are built outside the trace
-        simulate_mass_law(2, -8.0, SeedSpec(), 16, 1000, 28, profile=profile2)
+        simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 1000, 28, profile=profile2)
         tracemalloc.start()
         try:
-            pop = simulate_mass_law(2, -8.0, SeedSpec(), 16, size, 28, profile=profile2)
+            pop = simulate_mass_trajectory(
+                2, -8.0, SeedSpec(), 16, size, 28, profile=profile2
+            )[-8.0]
             step_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             pop.central_moments_se(4)
@@ -160,9 +156,9 @@ class TestEvolvePopulation:
     def test_one_step_variance_map(self, profile2):
         # at a weak-disorder level the one-step output variance matches
         # psi(v) of the input sample variance within Monte Carlo error
-        pop = simulate_mass_law(
+        pop = simulate_mass_trajectory(
             2, -8.0, SeedSpec(), 16, 1_000_000, 71, profile=profile2
-        )
+        )[-8.0]
         v_in = pop.central_moments_se(2)[2][0]
         out = replace(pop, masses=population_step(pop.masses, 2, substream(6, 0).spawn(1)))
         v_out, v_se = out.central_moments_se(2)[2]
@@ -174,7 +170,7 @@ class TestEvolvePopulation:
 class TestSimulateMassLaw:
     def test_base_level_enforced(self, profile2):
         with pytest.raises(UsageError):
-            simulate_mass_law(2, 0.0, SeedSpec(), 8, 1000, 0, profile=profile2)
+            simulate_mass_trajectory(2, 0.0, SeedSpec(), 8, 1000, 0, profile=profile2)
 
     def test_variance_tracks_R_along_trajectory(self, profile2):
         levels = [-12.0, -8.0, -6.0, -4.0]
@@ -187,7 +183,9 @@ class TestSimulateMassLaw:
             assert abs(var - profile2.evaluate_R(level)) <= 4 * se
 
     def test_mean_is_pinned_and_steps_recorded(self, profile2):
-        pop = simulate_mass_law(2, -6.0, SeedSpec(), 18, 100_000, 5, profile=profile2)
+        pop = simulate_mass_trajectory(
+            2, -6.0, SeedSpec(), 18, 100_000, 5, profile=profile2
+        )[-6.0]
         assert pop.masses.mean() == pytest.approx(1.0, abs=1e-13)
         detail = pop.provenance.detail
         assert len(detail["step_pre_means"]) == 18
@@ -197,16 +195,24 @@ class TestSimulateMassLaw:
         )
 
     def test_seed_kinds_agree_in_distribution(self, profile2):
-        a = simulate_mass_law(2, -6.0, SeedSpec("two-point"), 18, 200_000, 9, profile=profile2)
-        b = simulate_mass_law(2, -6.0, SeedSpec("lognormal"), 18, 200_000, 10, profile=profile2)
+        a = simulate_mass_trajectory(
+            2, -6.0, SeedSpec("two-point"), 18, 200_000, 9, profile=profile2
+        )[-6.0]
+        b = simulate_mass_trajectory(
+            2, -6.0, SeedSpec("lognormal"), 18, 200_000, 10, profile=profile2
+        )[-6.0]
         va, sa = a.central_moments_se(2)[2]
         vb, sb = b.central_moments_se(2)[2]
         assert abs(va - vb) <= 4 * math.hypot(sa, sb)
 
     def test_reproducibility_and_chunk_contract(self, profile2, monkeypatch):
         kwargs = dict(profile=profile2)
-        one = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs)
-        two = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs)
+        one = simulate_mass_trajectory(
+            2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs
+        )[-8.0]
+        two = simulate_mass_trajectory(
+            2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs
+        )[-8.0]
         assert np.array_equal(one.masses, two.masses)
         # the chunks of a step run concurrently or one after another, to the same bytes
         masses = substream(42, 7).lognormal(sigma=0.5, size=10_001)
@@ -215,7 +221,9 @@ class TestSimulateMassLaw:
         monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, 4))
         threaded = population_step(masses, 2, [substream(42, 8, c) for c in range(4)])
         assert serial.tobytes() == threaded.tobytes()
-        other_chunks = simulate_mass_law(2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=2, **kwargs)
+        other_chunks = simulate_mass_trajectory(
+            2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=2, **kwargs
+        )[-8.0]
         assert not np.array_equal(one.masses, other_chunks.masses)
 
 
@@ -228,9 +236,9 @@ class TestTrajectoryLeafPool:
         snapshot = simulate_mass_trajectory(
             2, r, SeedSpec(), depth, size, seed, snapshot_levels=(level,), profile=profile2
         )[level]
-        separate = default_leaf_population(
-            2, r, n, depth, SeedSpec(), seed, pop_size=size, profile=profile2
-        )
+        separate = simulate_mass_trajectory(
+            2, r - n, SeedSpec(), depth - n, size, seed, profile=profile2
+        )[r - n]
         assert snapshot.r == separate.r == r - n
         assert snapshot.masses.tobytes() == separate.masses.tobytes()
         for key in ("step_pre_means", "step_pre_ses", "norm_log"):
@@ -257,15 +265,17 @@ class TestFractionalMoment:
     def test_strong_disorder_decay(self, profile2):
         estimates = []
         for r in (0.0, 2.0, 4.0, 6.0, 8.0):
-            pop = simulate_mass_law(
+            pop = simulate_mass_trajectory(
                 2, r, SeedSpec(), 24 + int(r), 300_000, 13, profile=profile2
-            )
+            )[r]
             estimates.append(fractional_moment(pop, 0.5))
         for (e1, s1), (e2, s2) in zip(estimates, estimates[1:]):
             assert e1 - e2 > math.hypot(s1, s2)
 
     def test_theta_one_mean(self, profile2):
-        pop = simulate_mass_law(2, -4.0, SeedSpec(), 20, 200_000, 14, profile=profile2)
+        pop = simulate_mass_trajectory(
+            2, -4.0, SeedSpec(), 20, 200_000, 14, profile=profile2
+        )[-4.0]
         est, se = fractional_moment(pop, 1.0)
         assert abs(est - 1.0) <= 4 * max(se, 1e-15)
 
@@ -345,9 +355,9 @@ class TestMeasureSamples:
     def test_additivity_audit(self, profile2):
         # sum_k S_k = T^2: the class sums and the tree totals are independent
         # recursions over the same leaves
-        leaf = default_leaf_population(
-            2, -2.0, 3, 24, SeedSpec(), 15, pop_size=100_000, profile=profile2
-        )
+        leaf = simulate_mass_trajectory(
+            2, -5.0, SeedSpec(), 21, 100_000, 15, profile=profile2
+        )[-5.0]
         leaves = sample_measure_batch(2, -2.0, 3, 50, leaf, 15).T
         sums = overlap_moments(leaves, 2, 2)[2]
         squares = tree_total(leaves, 2) ** 2
@@ -355,25 +365,25 @@ class TestMeasureSamples:
         assert np.all(sums >= 0)
 
     def test_cylinder_means(self, profile2):
-        leaf = default_leaf_population(
-            2, -4.0, 2, 24, SeedSpec(), 16, pop_size=200_000, profile=profile2
-        )
+        leaf = simulate_mass_trajectory(
+            2, -6.0, SeedSpec(), 22, 200_000, 16, profile=profile2
+        )[-6.0]
         batch = assemble(sample_measure_batch(2, -4.0, 2, 4000, leaf, 16), 2, 2)
         se = batch.std(axis=0, ddof=1) / math.sqrt(batch.shape[0])
         assert np.all(np.abs(batch.mean(axis=0) - 1.0 / 8.0) <= 4 * se)
 
     def test_batch_reproducible(self, profile2):
-        leaf = default_leaf_population(
-            2, -4.0, 1, 20, SeedSpec(), 17, pop_size=50_000, profile=profile2
-        )
+        leaf = simulate_mass_trajectory(
+            2, -5.0, SeedSpec(), 19, 50_000, 17, profile=profile2
+        )[-5.0]
         one = sample_measure_batch(2, -4.0, 1, 100, leaf, 17)
         two = sample_measure_batch(2, -4.0, 1, 100, leaf, 17)
         assert np.array_equal(one, two)
 
     def test_leaf_level_checked(self, profile2):
-        leaf = default_leaf_population(
-            2, -4.0, 1, 20, SeedSpec(), 18, pop_size=50_000, profile=profile2
-        )
+        leaf = simulate_mass_trajectory(
+            2, -5.0, SeedSpec(), 19, 50_000, 18, profile=profile2
+        )[-5.0]
         with pytest.raises(UsageError):
             sample_measure_batch(2, -3.0, 1, 10, leaf, 18)
 
@@ -399,7 +409,7 @@ class TestUpsilonCombine:
 
 class TestPersistence:
     def test_roundtrip_and_byte_stability(self, tmp_path, profile2):
-        pop = simulate_mass_law(2, -8.0, SeedSpec(), 16, 5000, 21, profile=profile2)
+        pop = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 5000, 21, profile=profile2)[-8.0]
         path = tmp_path / "pop.bin"
         write_population(path, pop)
         loaded = read_population(path)

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import diamondgmc
-from diamondgmc import cascade, cli, correlation
-from diamondgmc.cli import COMMAND_SETTINGS, RunConfig, main, parse_config_file, parse_grid
+from diamondgmc import cascade, cli, correlation, gmc
+from diamondgmc.cli import (
+    COMMAND_SETTINGS, GMC_CHECK_SETTINGS, RunConfig, main, parse_config_file, parse_grid,
+)
 from diamondgmc.correlation import pair_count_histogram
 from diamondgmc.errors import UsageError
 from diamondgmc.lattice import LatticeParams
@@ -145,6 +147,14 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         # infinite count, and one above the budget of 2^18 points
         ["rfunc", "--grid", "0:5e-324:1"],
         ["rfunc", "--grid", "0:1:262144"],
+        # the moment ladder's orders run from 2 to 16; below 2 a row would not
+        # match the header
+        ["rfunc", "--kmax", "1", "--grid", "8,9,10", "--allow-flagged"],
+        ["rfunc", "--kmax", "0"],
+        ["rfunc", "--kmax", "-1"],
+        ["rfunc", "--kmax", "17"],
+        # the unit-mass seed, a fixed point of the recursion, is no seed kind
+        ["rfunc", "--seed-spec", "deterministic-one"],
         # the population size is budgeted before any seed is drawn
         ["simulate", "--r", "0", "--depth", "24", "--size", "100000000000"],
         ["gmc", "--check", "conditional", "--draws", "0"],
@@ -207,38 +217,87 @@ _UNDECLARED = [
     for command in sorted(COMMAND_SETTINGS)
     for f in dataclasses.fields(RunConfig)
     if f.name not in COMMAND_SETTINGS[command] | {"out"}
+] + [
+    (f"gmc --check {check}", name)
+    for check, names in GMC_CHECK_SETTINGS.items()
+    for name in sorted(COMMAND_SETTINGS["gmc"] - names)
 ]
 
 
 @pytest.mark.parametrize("command, name", _UNDECLARED, ids=lambda v: v)
 def test_undeclared_flag_exits_one(command, name, tmp_path, capsys):
+    # a setting the command, or its gmc check, does not read is refused as a
+    # flag and as a config key
     value = getattr(RunConfig(), name)
-    argv = [command, _flag(name)] + ([] if value is True or value is False else [str(value)])
-    assert main(argv + ["--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "unrecognized arguments" in err
-    assert not list(tmp_path.iterdir())  # no manifest, no output
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{name} = {value}\n")
+    flag = [_flag(name)] + ([] if value is True or value is False else [str(value)])
+    if command.startswith("gmc --check"):
+        messages = [f"{command} does not read {_flag(name)}"] * 2
+    else:
+        messages = ["unrecognized arguments", f"{command} reads no config key {name!r}"]
+    out = tmp_path / "out"
+    for given, message in zip((flag, ["--config", str(config)]), messages):
+        assert main(command.split() + given + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()  # no manifest, no output
 
 
 @pytest.mark.parametrize(
-    "args",
+    "check, args",
     [
-        ["simulate", "--depth", "300000", "--size", "16", "--n", "0"],
-        ["gmc", "--check", "conditional", "--depth", "300000", "--n", "1",
-         "--realizations", "2", "--draws", "2"],
+        ("shift", ["--n", "1", "--draws", "10"]),
+        ("kahane", ["--n", "1", "--draws", "10"]),
+        ("conditional", ["--r", "-4", "--n", "1", "--realizations", "2", "--draws", "2"]),
+        ("strong-disorder", ["--n", "1", "--realizations", "2", "--draws", "2", "--grid", "1,4"]),
     ],
-    ids=["simulate", "gmc-conditional"],
 )
-def test_too_deep_run_refused_before_any_population(args, tmp_path, capsys, monkeypatch):
-    # the exact law ladder runs first, and its step budget refuses the depth
+def test_gmc_check_reads_and_records_exactly_its_settings(check, args, tmp_path, monkeypatch):
+    read = set()
+
+    class Recording:
+        """The merged settings, noting the name of every one the run reads."""
+
+        def __init__(self, cfg):
+            self.cfg = cfg
+
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(self.cfg, name)
+
+    merge = cli._merge_config
+    monkeypatch.setattr(cli, "_merge_config", lambda args: Recording(merge(args)))
+    main(["gmc", "--check", check, *args, "--out", str(tmp_path)])
+    manifest = read_manifest(tmp_path / "gmc_manifest.json")
+    assert set(manifest["config"]) == read == GMC_CHECK_SETTINGS[check] | {"out"}
+
+
+_DEEP = ["--depth", "300000", "--n", "1", "--realizations", "2", "--draws", "2"]
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["simulate", "--depth", "300000", "--size", "16", "--n", "0"],
+         "error: moment ladder from r = -300000.0"),
+        (["gmc", "--check", "conditional"] + _DEEP, "error: moment ladder from r = -300000.0"),
+        (["gmc", "--check", "strong-disorder"] + _DEEP,
+         "error: leaf pool trajectory from r = -300000.0"),
+    ],
+    ids=["simulate", "gmc-conditional", "gmc-strong-disorder"],
+)
+def test_too_deep_run_refused_before_any_population(args, error, tmp_path, capsys, monkeypatch):
+    # the exact law ladder runs first, and its step budget refuses the depth;
+    # strong-disorder runs no ladder and holds its leaf pool to the same budget
     def no_population(*args, **kwargs):
         raise AssertionError("a population ran before the ladder's budget check")
 
-    monkeypatch.setattr(cascade, "simulate_mass_trajectory", no_population)
-    monkeypatch.setattr(cli, "simulate_mass_trajectory", no_population)
+    for module in (cascade, cli, gmc):
+        monkeypatch.setattr(module, "simulate_mass_trajectory", no_population)
     assert main(args + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: moment ladder from r = -300000.0")
+    assert err.startswith(error)
     assert "above the budget of 262144" in err
     assert not (tmp_path / "out").exists()
 
@@ -609,21 +668,31 @@ class TestGmcCommand:
             assert {name for name, c in checks.items() if c["verdict"] == "flagged"} == pooled
             assert all("law SE" in checks[name]["detail"] for name in pooled)
 
-    @pytest.mark.parametrize("check", ["conditional", "strong-disorder"])
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--check", "conditional", "--n", "6"],
+             "largest feasible n at 1000 realizations is 5"),
+            (["--check", "strong-disorder", "--n", "6"],
+             "largest feasible n at 1000 realizations is 5"),
+            # the (grid, realizations) half-moment arrays
+            (["--check", "strong-disorder", "--grid", "1:1:2000"],
+             "half-moment block needs 2000 x 1000 = 2000000 cells"),
+        ],
+        ids=["conditional", "strong-disorder", "strong-disorder-grid"],
+    )
     def test_reference_budget_checked_before_any_population(
-        self, check, tmp_path, capsys, monkeypatch
+        self, args, error, tmp_path, capsys, monkeypatch
     ):
         def no_population(*args, **kwargs):
             raise AssertionError("a population ran before the budget check")
 
         monkeypatch.setattr(cascade, "simulate_mass_trajectory", no_population)
-        status = main(
-            ["gmc", "--check", check, "--n", "6", "--realizations", "1000",
-             "--out", str(tmp_path)]
-        )
+        monkeypatch.setattr(gmc, "simulate_mass_trajectory", no_population)
+        status = main(["gmc", *args, "--realizations", "1000", "--out", str(tmp_path)])
         assert status == 1
         err = capsys.readouterr().err
-        assert "largest feasible n at 1000 realizations is 5" in err
+        assert error in err
         assert "Traceback" not in err
 
     def test_conditional_audit_at_n5(self, tmp_path):

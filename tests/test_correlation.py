@@ -14,17 +14,17 @@ from _oracles import (
     upsilon_pair_matrix,
 )
 from diamondgmc import correlation
-from diamondgmc.errors import BudgetError, UsageError
+from diamondgmc.errors import BudgetError, DomainError, UsageError
 from diamondgmc.correlation import (
     HISTOGRAM_EDGE_BUDGET,
     conditional_pair_histogram,
     correlation_table,
+    edge_weight,
     histogram_mass,
     kernel_marginal_identity_check,
     marginal_check,
     pair_count_histogram,
     rho_total,
-    rn_log_kernel,
 )
 from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.rfunction import VarianceProfile, kappa_sq, psi
@@ -169,14 +169,14 @@ class TestMarginal:
 
 class TestRnKernel:
     def test_zero_shift(self, profile2):
-        assert rn_log_kernel(profile2, 0.0, 0.0, 4, 7) == 0.0
+        assert 7 * edge_weight(profile2, 0.0, 0.0, 4) == 0.0
 
     def test_zero_intersections(self, profile2):
-        assert rn_log_kernel(profile2, 0.0, 1.0, 4, 0) == 0.0
+        assert 0 * edge_weight(profile2, 0.0, 1.0, 4) == 0.0
 
     def test_negative_shift_rejected(self, profile2):
-        with pytest.raises(UsageError):
-            rn_log_kernel(profile2, 0.0, -1.0, 4, 1)
+        with pytest.raises(DomainError):
+            edge_weight(profile2, 0.0, -1.0, 4)
 
     def test_exactness_identity(self, profile2):
         # sum h * w_r * exp(K) reproduces the total mass at r + a
@@ -185,7 +185,7 @@ class TestRnKernel:
             terms = [
                 math.log(c)
                 + table.log_weight(k)
-                + rn_log_kernel(profile2, 0.0, 1.0, n, k)
+                + k * edge_weight(profile2, 0.0, 1.0, n)
                 for k, c in pair_count_histogram(LatticeParams(2, 2), n).counts
             ]
             peak = max(terms)
@@ -196,10 +196,10 @@ class TestRnKernel:
 
     def test_chain_rule_exact(self, profile2):
         for N in (0, 1, 4, 16):
-            two_steps = rn_log_kernel(profile2, 0.0, 1.0, 6, N) + rn_log_kernel(
-                profile2, 1.0, 0.5, 6, N
+            two_steps = N * edge_weight(profile2, 0.0, 1.0, 6) + N * edge_weight(
+                profile2, 1.0, 0.5, 6
             )
-            one_step = rn_log_kernel(profile2, 0.0, 1.5, 6, N)
+            one_step = N * edge_weight(profile2, 0.0, 1.5, 6)
             assert abs(two_steps - one_step) <= 1e-12
 
     def test_asymptotic_rate(self, profile2):
@@ -208,7 +208,7 @@ class TestRnKernel:
         for n, band in ((64, 0.15), (256, 0.05)):
             ratio = (
                 n**2
-                * rn_log_kernel(profile2, 0.0, 1.0, n, 1)
+                * edge_weight(profile2, 0.0, 1.0, n)
                 / kappa_sq(2)
             )
             assert 1.0 < ratio < 1.0 + band

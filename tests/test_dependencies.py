@@ -61,3 +61,28 @@ def test_every_public_function_and_class_is_called():
             } - {owner}
     uncalled = {qual for qual, name in defined.items() if name not in used}
     assert uncalled == set(_CALLED_FROM_OUTSIDE)
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a name with one leading underscore stays in its module: no module of the
+    # package imports one from another, or reads one as an attribute of another
+    modules = {path.stem for path in (ROOT / "src" / "diamondgmc").glob("*.py")}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    reads = set()
+    for path in (ROOT / "src" / "diamondgmc").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "diamondgmc"):
+                reads |= {f"{path.stem}: {a.name}" for a in node.names if private(a.name)}
+                imported |= {a.asname or a.name for a in node.names if a.name in modules}
+        reads |= {
+            f"{path.stem}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in imported and private(node.attr)
+        }
+    assert reads == set()

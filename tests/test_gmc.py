@@ -20,19 +20,19 @@ from diamondgmc import cascade, gmc
 from diamondgmc.errors import DomainError, UsageError
 from diamondgmc.cascade import (
     SeedSpec,
-    default_leaf_population,
     horner,
     overlap_moments,
     sample_measure_batch,
+    simulate_mass_trajectory,
     substream,
     tree_total,
 )
+from diamondgmc.correlation import edge_weight
 from diamondgmc.gmc import (
     _REALM_GMC,
     chaos_moment_ladder,
     chaos_totals,
     conditional_gmc_experiment,
-    edge_weight,
     edge_marginals,
     half_moment_log_bounds,
     renormalization_weight_audit,
@@ -363,16 +363,16 @@ class TestCompositionStructure:
         # a = 0: combining b^2 independent references reproduces the law one
         # level up; matched-size second moments agree within 4 combined SEs
         count = 1500
-        leaf_low = default_leaf_population(
-            2, -6.0, 1, 24, SeedSpec(), 23, pop_size=300_000, profile=profile2
-        )
+        leaf_low = simulate_mass_trajectory(
+            2, -7.0, SeedSpec(), 23, 300_000, 23, profile=profile2
+        )[-7.0]
         subs = assemble(
             sample_measure_batch(2, -6.0, 1, count * 4, leaf_low, 23), 2, 1
         ).reshape(count, 2, 2, 2)
         combined_totals = upsilon_combine(subs).sum(axis=-1)
-        leaf_up = default_leaf_population(
-            2, -5.0, 2, 24, SeedSpec(), 24, pop_size=300_000, profile=profile2
-        )
+        leaf_up = simulate_mass_trajectory(
+            2, -7.0, SeedSpec(), 22, 300_000, 24, profile=profile2
+        )[-7.0]
         up_totals = tree_total(sample_measure_batch(2, -5.0, 2, count, leaf_up, 24).T, 2)
         a2, b2 = combined_totals**2, up_totals**2
         comb = math.hypot(
@@ -424,9 +424,9 @@ class TestChaosMomentLadder:
 class TestExperiments:
     def test_conditional_zero_coupling_totals_equal_reference(self, profile2):
         lam = edge_weight(profile2, -6.0, 0.0, 2)
-        leaf = default_leaf_population(
-            2, -6.0, 2, 24, SeedSpec(), 31, pop_size=100_000, profile=profile2
-        )
+        leaf = simulate_mass_trajectory(
+            2, -8.0, SeedSpec(), 22, 100_000, 31, profile=profile2
+        )[-8.0]
         refs = sample_measure_batch(2, -6.0, 2, 5, leaf, 31)
         for i in range(5):
             totals = chaos_totals(refs[i], 2, lam, substream(31, 9, i), 7)
@@ -493,7 +493,7 @@ class TestExperiments:
             calls.append((r, depth, size))
             return trajectory(b, r, seed_spec, depth, size, *args, **kwargs)
 
-        monkeypatch.setattr(cascade, "simulate_mass_trajectory", counting)
+        monkeypatch.setattr(gmc, "simulate_mass_trajectory", counting)
         conditional_gmc_experiment(
             profile2, -6.0, 1.0, 2, 24, realizations=10, draws=20,
             master_seed=9, pop_size=20_000,
@@ -553,9 +553,9 @@ class TestThetaSummary:
             k * c * math.exp(table.log_weight(k))
             for k, c in pair_count_histogram(LatticeParams(2, 2), n).counts
         )
-        leaf = default_leaf_population(
-            2, r, n, 24, SeedSpec(), 41, pop_size=400_000, profile=profile2
-        )
+        leaf = simulate_mass_trajectory(
+            2, r - n, SeedSpec(), 24 - n, 400_000, 41, profile=profile2
+        )[r - n]
         refs = sample_measure_batch(2, r, n, 4000, leaf, 41)
         thetas = theta_from_pair_sums(refs.T, 2, lam)
         se = thetas.std(ddof=1) / math.sqrt(thetas.size)

@@ -3,8 +3,9 @@ and prints no traceback and no warning.
 
 A command's status is 0 unless the README notes ``# exits N`` beside it.  Each
 runs in a fresh working directory as ``python -m diamondgmc.cli``, the module
-behind the ``diamondgmc`` script.  The README's table of each command's flags
-matches the settings the CLI declares for it.
+behind the ``diamondgmc`` script, and its manifest records exactly the settings
+the CLI declares for it (for ``gmc``, for its check).  The README's tables of
+each command's and each ``gmc`` check's flags match those declared settings.
 """
 
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import diamondgmc
-from diamondgmc.cli import COMMAND_SETTINGS
+from diamondgmc.cli import COMMAND_SETTINGS, GMC_CHECK_SETTINGS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(diamondgmc.__file__).resolve().parents[1]
@@ -66,13 +67,22 @@ def test_readme_command(argv, status, tmp_path):
     out = tmp_path / argv[argv.index("--out") + 1] if "--out" in argv else tmp_path
     manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
     assert manifest["exit_status"] == status
+    if argv[0] == "gmc":
+        declared = GMC_CHECK_SETTINGS[manifest["config"]["check"]]
+    else:
+        declared = COMMAND_SETTINGS[argv[0]]
+    assert set(manifest["config"]) == declared | {"out"}
 
 
 def test_flag_table_matches_the_declared_settings():
-    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (`--.*) \|$", README.read_text(), re.M))
+    rows = dict(re.findall(r"^\| `([a-z -]+)` \| (`--.*) \|$", README.read_text(), re.M))
+    declared = {
+        **COMMAND_SETTINGS,
+        **{f"gmc --check {check}": names for check, names in GMC_CHECK_SETTINGS.items()},
+    }
     assert {
         command: set(re.findall(r"`--([a-z-]+)`", flags)) for command, flags in rows.items()
     } == {
         command: {name.replace("_", "-") for name in names}
-        for command, names in COMMAND_SETTINGS.items()
+        for command, names in declared.items()
     }
