@@ -58,7 +58,9 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import BudgetError, UsageError
+from .errors import (
+    AUDIT_CELL_BUDGET, ORBIT_LEVEL_BUDGET, POPULATION_SIZE_BUDGET, UsageError, check_budget,
+)
 from .reporting import mean_se
 from .rfunction import SeedSpec, VarianceProfile  # SeedSpec: re-exported
 
@@ -67,22 +69,8 @@ _REALM_SEED = 0
 _REALM_EVOLVE = 1
 _REALM_LEAF = 2
 
-# Leaf cells (realizations x b^(2n)) of a batch of cylinder leaves, checked
-# before any population runs.  At 2^20 cells (b = 2, n = 5, 1000
-# realizations) the ``simulate`` audit (batch, class sums and tree totals)
-# peaks 34 MiB above import, near the 1M-entry trajectory's 37 MiB; the m = 4
-# overlap polynomials of the ``gmc`` conditional layer peak near 116 MiB
-# (about 116 bytes a cell), growing 4x per generation at b = 2.  The same
-# budget caps every chaos draw block (b^(2n) edge gaussians x draws), checked
-# before the block or any population is drawn.
-AUDIT_CELL_BUDGET = 1 << 20
 MINIMUM_BASE_LEVEL = -16.0
-
-# Entries of a population, checked before any seed is drawn: a ``simulate`` run
-# peaks about 40 bytes an entry above its import baseline (38 MiB at 1M, 159 MiB
-# at 4M), so 2^24 entries is about 0.6 GiB.  A population step holds input,
-# output and branch product, and gathers POPULATION_BLOCK entries at a time.
-POPULATION_SIZE_BUDGET = 1 << 24
+# A population step gathers POPULATION_BLOCK entries at a time.
 POPULATION_BLOCK = 1 << 15
 
 POPULATION_MAGIC = b"DGMCPOP1"
@@ -235,7 +223,8 @@ def simulate_mass_trajectory(
     """Population at r and at snapshot levels (uncopied: no step writes its input).
 
     Seeds ``size`` draws of the seed law at r0 = r - depth (enforced to lie
-    at or below the asymptotic validity level) and applies ``depth``
+    at or below the asymptotic validity level; ``size`` and ``depth`` are
+    held to their budgets before the first draw) and applies ``depth``
     population-dynamics steps with per-(iteration, chunk) streams, the
     chunks on min(chunks, usable CPUs) threads.  Returns
     {level: MassPopulation} with the final level r always present.
@@ -244,13 +233,11 @@ def simulate_mass_trajectory(
         raise UsageError("depth must be >= 1")
     if chunks < 1:
         raise UsageError(f"chunks ({chunks}) must be >= 1")
-    if size > POPULATION_SIZE_BUDGET:
-        raise BudgetError(
-            f"population size {size} is above the budget of {POPULATION_SIZE_BUDGET} entries"
-        )
+    base_level = r - depth
+    check_budget("population", size, POPULATION_SIZE_BUDGET)
+    check_budget(f"population trajectory from r = {base_level} to {r}", depth, ORBIT_LEVEL_BUDGET)
     if size < b * b:
         raise UsageError(f"population size {size} is below b^2 = {b * b}")
-    base_level = r - depth
     if base_level > MINIMUM_BASE_LEVEL:
         raise UsageError(
             f"base level r - depth = {base_level} is above {MINIMUM_BASE_LEVEL}; "
@@ -402,20 +389,16 @@ def horner(coeffs: np.ndarray, z: float) -> np.ndarray:
     return value
 
 
-def check_audit_budget(b: int, n: int, count: int, batch="leaf batch", unit="realizations"):
-    """Raise ``BudgetError`` if ``count`` rows of b^(2n) edge cells exceed the budget.
-
-    A row is one realization's leaves or one draw's edge gaussians.
-    """
-    cells = count * b ** (2 * n)
-    if cells > AUDIT_CELL_BUDGET:
-        fits = [k for k in range(n) if count * b ** (2 * k) <= AUDIT_CELL_BUDGET]
-        raise BudgetError(
-            f"{batch} at generation {n} needs {count} x {b ** (2 * n)} = {cells} "
-            f"cells, above the budget of {AUDIT_CELL_BUDGET}; "
-            + (f"largest feasible n at {count} {unit} is {fits[-1]}" if fits
-               else f"no n is feasible at {count} {unit}")
-        )
+def edge_cells(b: int, n: int, rows: int, unit: str) -> tuple:
+    """``check_budget``'s (need, budget, hint) for ``rows`` rows of b^(2n) edge
+    cells (leaves or gaussians); the hint names the largest generation below
+    ``n`` whose rows fit ``AUDIT_CELL_BUDGET``."""
+    # b^(2k) >= 4^k passes the budget before k reaches its bit length
+    top = min(n, AUDIT_CELL_BUDGET.bit_length())
+    fits = [k for k in range(top) if rows * b ** (2 * k) <= AUDIT_CELL_BUDGET]
+    hint = f"largest feasible n at {rows} {unit} is {fits[-1]}" if fits else (
+        f"no n is feasible at {rows} {unit}")
+    return rows * b ** (2 * n), AUDIT_CELL_BUDGET, hint
 
 
 def leaf_level(r: float, n: int, depth: int) -> float:

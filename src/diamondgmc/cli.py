@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .cascade import (
-    check_audit_budget,
+    edge_cells,
     fractional_moment,
     leaf_level,
     overlap_moments,
@@ -43,7 +43,9 @@ from .correlation import (
     pair_count_histogram,
     rho_total,
 )
-from .errors import BudgetError, ConvergenceError, DomainError, RangeError, UsageError
+from .errors import (
+    ORBIT_LEVEL_BUDGET, ConvergenceError, DomainError, RangeError, UsageError, check_budget,
+)
 from .gmc import (
     conditional_gmc_experiment,
     kahane_experiment,
@@ -67,8 +69,8 @@ from .reporting import (
     write_json,
 )
 from .rfunction import (
-    ORBIT_LEVEL_BUDGET, SEED_KINDS, SEED_ORDER, SeedSpec, VarianceProfile, asymptotic_expansion,
-    eta, kappa_sq, law_se, moment_table, psi,
+    SEED_KINDS, SEED_ORDER, SeedSpec, VarianceProfile, asymptotic_expansion, eta, kappa_sq,
+    law_se, moment_table, psi,
 )
 
 # the settings each ``gmc --check`` reads besides ``out``; the unit-coupling
@@ -200,15 +202,9 @@ def parse_grid(text: str):
         steps = (stop - start) / step
         if not math.isfinite(steps):
             raise UsageError(f"grid {text!r} has no finite number of points")
-        # checked before the list is built; ORBIT_LEVEL_BUDGET is the most
-        # steps one residue class's moment ladder may take, so no unit-step
-        # grid the ladder would run is refused here
+        # counted before the list is built
         count = round(steps) + 1
-        if count > ORBIT_LEVEL_BUDGET:
-            raise BudgetError(
-                f"grid {text!r} has {count:.6g} points, above the budget of "
-                f"{ORBIT_LEVEL_BUDGET}"
-            )
+        check_budget(f"grid {text!r}", count, ORBIT_LEVEL_BUDGET)
         return [start + i * step for i in range(count)]
     values = [_number(float, p, "grid") for p in text.split(",") if p.strip()]
     if not values:
@@ -351,15 +347,18 @@ def cmd_rfunc(run: _Run) -> int:
     )
     for rv, R in values:
         if rv <= -1000.0:
-            lhs = abs(R * (-rv) / k2 - 1.0)
+            ratio = R * (-rv) / k2
+            lhs = abs(ratio - 1.0)
             rhs = 1.1 * eta_b * math.log(-rv) / (-rv)
             run.report.add(
                 CheckResult(
                     f"asymptotic-sandwich(r={rv:g})",
-                    "pass" if lhs <= rhs else "fail",
+                    # four roundings of 2^-53 relative: R, kappa^2, product, quotient
+                    "pass" if lhs <= rhs + 4.01 * 2.0**-53 * ratio else "fail",
                     estimate=lhs,
                     target=rhs,
-                    tolerance="|R(-r)/kappa^2 - 1| <= 1.1 eta log(-r)/(-r)",
+                    tolerance="|R(-r)/kappa^2 - 1| <= 1.1 eta log(-r)/(-r), "
+                    "up to the left side's rounding (4 x 2^-53)",
                 )
             )
     if flagged_rows:
@@ -459,7 +458,8 @@ def cmd_simulate(run: _Run) -> int:
         leaf_r = leaf_level(cfg.r, cfg.n, cfg.depth)
         if cfg.realizations < 2:
             raise UsageError("the measure audits need --realizations >= 2")
-        check_audit_budget(cfg.b, cfg.n, cfg.realizations)
+        check_budget(f"leaf batch at generation {cfg.n}",
+                     *edge_cells(cfg.b, cfg.n, cfg.realizations, "realizations"))
     # the law the run draws, whose mu4 gives the variance's exact SE: the
     # ladder from the trajectory's own base level r - depth, whose step
     # budget refuses a too-deep run before any population step
@@ -639,18 +639,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_grid_values(argv):
-    """Allow '--grid -8:1:8' (argparse would read the value as an option)."""
+def _join_flag_values(argv):
+    """'--flag value' as '--flag=value' for every flag of the command that takes
+    a value, so '--r -1e3' or '--grid -8:1:8' reads (argparse would take the
+    value for an option)."""
+    names = COMMAND_SETTINGS.get(argv[0], set()) if argv else set()
+    takes_value = {"--config"} | {_flag(f) for f in _settings(names) if type(f.default) is not bool}
     out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--grid" and i + 1 < len(argv):
-            out.append(f"--grid={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(token)
-        i += 1
+    for token in argv:
+        if out and out[-1] in takes_value:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
     return out
 
 
@@ -658,7 +658,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_join_grid_values(list(argv)))
+        args = build_parser().parse_args(_join_flag_values(list(argv)))
         cfg = _merge_config(args)
         return _COMMANDS[args.command](_Run(args.command, cfg))
     except (UsageError, DomainError, ConvergenceError, RangeError) as exc:

@@ -36,16 +36,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .errors import BudgetError, DomainError, UsageError
+from .errors import HISTOGRAM_EDGE_BUDGET, DomainError, UsageError, check_budget
 from .lattice import LatticeParams, decision_count, path_count_int
 from .rfunction import VarianceProfile
 
-# The histograms run over N = 0..b^n, the edges of one path, and the cost of
-# a step grows with that span and with the digits of the counts: at b = 2 the
-# step to n = 12 takes about 0.2 s and the step to n = 13 about 0.9 s (peak
-# RSS 70 MiB).  One generation further, a packed slot of ``_power`` would
-# need 4933 digits, beyond the 4300 that int() reads by default.
-HISTOGRAM_EDGE_BUDGET = 8192
 _MASS_LOG_WINDOW = 80.0
 _MASS_COUNT_BITS = 112
 _MASS_CONTEXT = decimal.Context(30, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
@@ -110,11 +104,9 @@ def conditional_pair_histogram(b: int, n: int):
     feasible = 0  # the largest generation whose b^n path edges fit the budget
     while b ** (feasible + 1) <= HISTOGRAM_EDGE_BUDGET:
         feasible += 1
-    if n > feasible:
-        raise BudgetError(
-            f"generation {n} exceeds the histogram budget of {HISTOGRAM_EDGE_BUDGET} "
-            f"edges a path (b^n); largest feasible n at b = {b} is {feasible}"
-        )
+    # compared as generations n: b^n itself is astronomical at a large n
+    check_budget(f"pair histogram at b = {b} (b^n <= {HISTOGRAM_EDGE_BUDGET} path edges)", n,
+                 feasible, f"largest feasible n at b = {b} is {feasible}")
     if n == 0:
         return ((1, 1),)
     conv = _power(dict(conditional_pair_histogram(b, n - 1)), b)

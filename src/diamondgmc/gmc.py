@@ -46,8 +46,7 @@ import math
 import numpy as np
 
 from .cascade import (
-    AUDIT_CELL_BUDGET,
-    check_audit_budget,
+    edge_cells,
     for_each,
     horner,
     leaf_level,
@@ -58,10 +57,9 @@ from .cascade import (
     tree_total,
 )
 from .correlation import edge_weight
-from .errors import BudgetError, UsageError
+from .errors import AUDIT_CELL_BUDGET, UsageError, check_budget
 from .rfunction import (
-    ORBIT_LEVEL_BUDGET, SeedSpec, VarianceProfile, kappa_sq, law_se, moment_recursion_step,
-    moment_table, or_inf,
+    SeedSpec, VarianceProfile, kappa_sq, law_se, moment_recursion_step, moment_table, or_inf,
 )
 from .reporting import (
     SEEDING_BIAS_NOTE,
@@ -75,15 +73,6 @@ from .reporting import (
 
 # Stream realm for chaos gaussians (cascade uses 0..2).
 _REALM_GMC = 3
-
-
-def _check_cells(block: str, rows: int, cols: int):
-    """Raise ``BudgetError`` if a (rows, cols) block exceeds ``AUDIT_CELL_BUDGET`` cells."""
-    if rows * cols > AUDIT_CELL_BUDGET:
-        raise BudgetError(
-            f"{block} needs {rows} x {cols} = {rows * cols} cells, "
-            f"above the budget of {AUDIT_CELL_BUDGET}"
-        )
 
 
 def _edge_factors(lam: float, g: np.ndarray) -> np.ndarray:
@@ -188,7 +177,7 @@ def _uniform_reference(profile: VarianceProfile, r: float, a: float, n: int, dra
     """(edge weight, leaves) of the uniform reference at (r, a, n), its
     (edges, draws) gaussian block checked against the budget first."""
     b = profile.b
-    check_audit_budget(b, n, draws, "chaos draw block", "draws")
+    check_budget(f"chaos draw block at generation {n}", *edge_cells(b, n, draws, "draws"))
     return edge_weight(profile, r, a, n), np.ones((b * b) ** n)
 
 
@@ -268,9 +257,10 @@ def conditional_gmc_experiment(
     lam = edge_weight(profile, r, a, n)
     # the exact moments below hold every reference's overlap polynomials at
     # once, and each reference's chaos totals one (edges, draws) block
-    check_audit_budget(b, n, realizations)
-    check_audit_budget(b, n, draws, "chaos draw block", "draws")
-    _check_cells("totals block", realizations, draws)
+    check_budget(f"leaf batch at generation {n}", *edge_cells(b, n, realizations, "realizations"))
+    check_budget(f"chaos draw block at generation {n}", *edge_cells(b, n, draws, "draws"))
+    check_budget(f"totals block of {realizations} x {draws}", realizations * draws,
+                 AUDIT_CELL_BUDGET)
     count = realizations * draws
     # the law's leaf moments, at the pool's own base level r - depth; the
     # ladder's step budget refuses a too-deep run before the pool is drawn
@@ -413,31 +403,26 @@ def strong_disorder_bound(
     kernel K1: this is the finite-dimensional Cameron-Martin/Cauchy-Schwarz
     bound with the field shifted by -sqrt(r) t.  The experiment checks the
     bound per realization, in log space, and the strict decay of the pooled
-    half moment across the grid.  The references' leaves, each chaos draw
-    block and the (grid, realizations) half-moment arrays must fit
-    ``AUDIT_CELL_BUDGET``, and the leaf pool's depth - n steps
-    ``ORBIT_LEVEL_BUDGET``, checked before the pool is drawn.  The
-    realizations run on up to one thread each (``for_each``).
+    half moment across the strictly increasing grid.  The references'
+    leaves, each chaos draw block and the (grid, realizations) half-moment
+    arrays must fit ``AUDIT_CELL_BUDGET``, checked before the pool is drawn.
+    The realizations run on up to one thread each (``for_each``).
     """
     seed_spec = seed_spec or SeedSpec()
     r_grid = [float(x) for x in r_grid]
-    if any(x <= 0 for x in r_grid):
-        raise UsageError("strong-disorder grid must be positive")
+    # the decay check compares adjacent points, so it reads a strictly increasing grid
+    if any(hi <= lo for lo, hi in zip([0.0] + r_grid, r_grid)):
+        raise UsageError(f"strong-disorder grid must be positive and strictly increasing, "
+                         f"got {r_grid}")
     if n < 1:
         raise UsageError("kernel needs generation >= 1")
     b = profile.b
     lam1 = kappa_sq(b) / n**2
-    check_audit_budget(b, n, realizations)
-    check_audit_budget(b, n, draws, "chaos draw block", "draws")
-    _check_cells("half-moment block", len(r_grid), realizations)
-    # the moment ladder's step budget, which refuses the conditional run's
-    # too-deep pool, holds this pool's trajectory too
+    check_budget(f"leaf batch at generation {n}", *edge_cells(b, n, realizations, "realizations"))
+    check_budget(f"chaos draw block at generation {n}", *edge_cells(b, n, draws, "draws"))
+    check_budget(f"half-moment block of {len(r_grid)} x {realizations}",
+                 len(r_grid) * realizations, AUDIT_CELL_BUDGET)
     leaf_r = leaf_level(0.0, n, depth)
-    if depth - n > ORBIT_LEVEL_BUDGET:
-        raise BudgetError(
-            f"leaf pool trajectory from r = {-float(depth)} to {leaf_r} needs {depth - n} "
-            f"steps, above the budget of {ORBIT_LEVEL_BUDGET}"
-        )
     leaf = simulate_mass_trajectory(
         b, leaf_r, seed_spec, depth - n, pop_size, master_seed, profile=profile
     )[leaf_r]

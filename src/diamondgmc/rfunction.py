@@ -55,9 +55,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceError, DomainError, RangeError, UsageError
+from .errors import (
+    MOMENT_ORDER_BUDGET, ORBIT_LEVEL_BUDGET, PROFILE_LEVEL_BUDGET, ConvergenceError, DomainError,
+    RangeError, UsageError, check_budget,
+)
 
-MOMENT_ORDER_BUDGET = 16
 _FLOAT_CAP = 1e300
 # the terms (C(k, j), j, k - j) of the moment ladder's binomial fold, per order k
 _FOLD_TERMS = [
@@ -80,11 +82,6 @@ PRECISION_DPS = 40
 # R leaves double range above r = 9 (b = 2; lower for larger b), so no orbit
 # is probed higher: above, the orbit runs into its overflow and reports it.
 TOP_PROBE = 16
-# Levels of one orbit, checked before it is extended: a level holds about
-# 135 bytes and takes about 11 us, so 2^18 levels take 3 s and 35 MiB.  The
-# moment ladder of one residue class (about 10 us a step) is held to the same
-# number of steps, checked before its first step.
-ORBIT_LEVEL_BUDGET = 1 << 18
 
 
 def kappa_sq(b: int) -> float:
@@ -301,11 +298,10 @@ class VarianceProfile:
         if need <= 0:
             return
         levels = min(top_floor, TOP_PROBE) - orbit.base_floor + 1
-        if levels > ORBIT_LEVEL_BUDGET:
-            raise BudgetError(
-                f"R orbit from r = {orbit.xi + orbit.base_floor} to {orbit.xi + top_floor} "
-                f"needs {levels} levels, above the budget of {ORBIT_LEVEL_BUDGET}"
-            )
+        check_budget(f"R orbit from r = {orbit.xi + orbit.base_floor} to {orbit.xi + top_floor}",
+                     levels, ORBIT_LEVEL_BUDGET)
+        held = sum(len(o.values) for o in self._orbits.values() if o is not orbit)
+        check_budget(f"R orbits of the b = {self.b} profile", held + levels, PROFILE_LEVEL_BUDGET)
         b, bits, values = self.b, orbit.bits, orbit.values
         one = 1 << bits
         shift = bits * (b - 2)
@@ -427,8 +423,7 @@ def moment_recursion_step(b: int, moments) -> list:
     if not moments or moments[0] != 1.0:
         raise UsageError("moment vector must start with m_0 = 1")
     k_max = len(moments) - 1
-    if k_max > MOMENT_ORDER_BUDGET:
-        raise UsageError(f"moment order {k_max} exceeds the budget {MOMENT_ORDER_BUDGET}")
+    check_budget(f"moment ladder step of orders 0..{k_max}", k_max, MOMENT_ORDER_BUDGET)
     branch = [or_inf(pow, m, b) for m in moments]
     acc = branch
     for _ in range(1, b):
@@ -479,9 +474,10 @@ def moment_table(
     ``depth`` iterations below its smallest point; by default at the
     variance orbit's converged seed depth there.  A class whose ladder needs
     more than ``ORBIT_LEVEL_BUDGET`` steps raises ``BudgetError`` before it
-    runs.  ``k_max`` lies in 2..``MOMENT_ORDER_BUDGET``.  Rows come back in
-    grid order; a row holding an order beyond double range, or above
-    ``_FLOAT_CAP``, is nan.
+    runs, and so does a grid whose classes' orbits cannot fit
+    ``PROFILE_LEVEL_BUDGET`` levels.  ``k_max`` lies in
+    2..``MOMENT_ORDER_BUDGET``.  Rows come back in grid order; a row holding
+    an order beyond double range, or above ``_FLOAT_CAP``, is nan.
     """
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
     if r_values.size == 0:
@@ -494,6 +490,10 @@ def moment_table(
     classes = {}
     for pos, rv in enumerate(r_values.tolist()):
         classes.setdefault(round(rv - math.floor(rv), 12), []).append(pos)
+    # each class builds an orbit, and a converged one spans two seed depths
+    least = 2 * SEED_DEPTH + 1
+    check_budget(f"grid of {len(classes)} residue classes", len(classes) * least,
+                 PROFILE_LEVEL_BUDGET, f"each builds an R orbit of at least {least} levels")
     raw_rows = np.full((r_values.size, k_max + 1), np.nan)
     for positions in classes.values():
         r_min = float(r_values[positions].min())
@@ -502,13 +502,10 @@ def moment_table(
         for pos in positions:
             targets.setdefault(int(round(r_values[pos] - base)), []).append(pos)
         steps = max(targets)
-        if steps > ORBIT_LEVEL_BUDGET:
-            raise BudgetError(
-                f"moment ladder from r = {base} to {base + steps} needs {steps} steps, "
-                f"above the budget of {ORBIT_LEVEL_BUDGET}"
-            )
+        check_budget(f"moment ladder from r = {base} to {base + steps}", steps, ORBIT_LEVEL_BUDGET)
         moments = seed.raw_moments(profile.evaluate_R(base), k_max)
-        variance = moments[2] - 1.0
+        # the two-point m_2 = ((1 + s)^2 + (1 - s)^2) / 2 can round below 1
+        variance = max(moments[2] - 1.0, 0.0)
         for step in range(1, steps + 1):
             moments = moment_recursion_step(profile.b, moments)
             # same map for the k = 2 channel in cancellation-free form:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import diamondgmc
-from diamondgmc import cascade, cli, correlation, gmc
+from diamondgmc import cascade, cli, correlation, gmc, rfunction
 from diamondgmc.cli import (
     COMMAND_SETTINGS, GMC_CHECK_SETTINGS, RunConfig, main, parse_config_file, parse_grid,
 )
@@ -131,6 +131,11 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         ["rfunc", "--grid", "abc"],
         ["rfunc", "--grid", "nan:1:8"],
         ["gmc", "--check", "strong-disorder", "--grid", ","],
+        # the decay check reads a strictly increasing grid, checked before the pool
+        ["gmc", "--check", "strong-disorder", "--n", "1", "--realizations", "20",
+         "--draws", "50", "--grid", "4,1"],
+        ["gmc", "--check", "strong-disorder", "--n", "1", "--realizations", "20",
+         "--draws", "50", "--grid", "1,1"],
         ["simulate", "--chunks", "0"] + _SMALL_SIM,
         ["simulate", "--chunks", "-1"] + _SMALL_SIM,
         ["simulate", "--threads", "-3"] + _SMALL_SIM,
@@ -163,6 +168,9 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         ["gmc", "--check", "conditional", "--realizations", "0"],
         # each chaos draw block is budgeted before it is allocated
         ["gmc", "--check", "shift", "--n", "40"],
+        # a need past 4300 digits, which int() will not print, and no scan of
+        # every generation below n for the feasible one
+        ["gmc", "--check", "shift", "--n", "100000"],
         ["gmc", "--check", "kahane", "--n", "40"],
         ["gmc", "--check", "kahane", "--n", "1", "--draws", "10000000000000"],
         ["gmc", "--check", "strong-disorder", "--n", "2", "--draws", "100000"],
@@ -283,18 +291,19 @@ _DEEP = ["--depth", "300000", "--n", "1", "--realizations", "2", "--draws", "2"]
          "error: moment ladder from r = -300000.0"),
         (["gmc", "--check", "conditional"] + _DEEP, "error: moment ladder from r = -300000.0"),
         (["gmc", "--check", "strong-disorder"] + _DEEP,
-         "error: leaf pool trajectory from r = -300000.0"),
+         "error: population trajectory from r = -300000.0 to -1.0 needs 299999"),
     ],
     ids=["simulate", "gmc-conditional", "gmc-strong-disorder"],
 )
 def test_too_deep_run_refused_before_any_population(args, error, tmp_path, capsys, monkeypatch):
     # the exact law ladder runs first, and its step budget refuses the depth;
-    # strong-disorder runs no ladder and holds its leaf pool to the same budget
+    # strong-disorder runs no ladder, and its leaf pool's trajectory holds its
+    # own steps to the same budget before its first draw
     def no_population(*args, **kwargs):
-        raise AssertionError("a population ran before the ladder's budget check")
+        raise AssertionError("a population was drawn before the budget check")
 
-    for module in (cascade, cli, gmc):
-        monkeypatch.setattr(module, "simulate_mass_trajectory", no_population)
+    monkeypatch.setattr(rfunction.SeedSpec, "draw", no_population)
+    monkeypatch.setattr(cascade, "population_step", no_population)
     assert main(args + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(error)
@@ -398,6 +407,32 @@ class TestRfuncCommand:
         assert len(sandwich) == 2
         assert all(c["verdict"] == "pass" for c in sandwich)
 
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    def test_rounding_alone_fails_no_check_at_r_minus_1e17(self, b, tmp_path):
+        # R(-1e17) is about kappa^2 1e-17: the two-point seed's m_2 rounds to
+        # or below 1, and the sandwich's left side, 2-4e-16, is rounding of a
+        # ratio near 1, against a bound of 2.4-4.3e-16
+        assert main(["rfunc", "--b", str(b), "--grid=-1e17", "--out", str(tmp_path)]) == 0
+        manifest = read_manifest(tmp_path / "rfunc_manifest.json")
+        checks = {c["name"]: c for c in manifest["checks"]}
+        assert checks["asymptotic-sandwich(r=-1e+17)"]["verdict"] == "pass"
+        assert {c["verdict"] for c in checks.values()} == {"pass"}
+
+    def test_orbit_total_budget(self, tmp_path, capsys, monkeypatch):
+        # a 0.004 grid holds 1.35M orbit levels (about 13 s and 211 MiB), within the
+        # profile's total; a 0.0001 grid would hold about 53M, and its 10000
+        # residue classes are refused before any orbit is built
+        def no_orbit(*args):
+            raise AssertionError("an orbit was built before the budget check")
+
+        assert rfunction.PROFILE_LEVEL_BUDGET >= 1_354_657
+        monkeypatch.setattr(VarianceProfile, "_build_orbit", no_orbit)
+        assert main(["rfunc", "--grid", "-8:0.0001:8", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid of 10000 residue classes needs 20490000, "
+                              "above the budget of 4194304")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCorrelationCommand:
     def test_histogram_and_identities(self, tmp_path):
@@ -450,6 +485,19 @@ class TestCorrelationCommand:
         assert marginal["detail"] == "relative"
         assert {c["verdict"] for c in checks.values()} == {"pass"}
 
+    def test_negative_values_in_exponent_form(self, tmp_path):
+        # argparse takes '-1e3' for an option; every flag that takes a value
+        # reads it, split or joined
+        manifests = []
+        for given in (["--r", "-1e3"], ["--r=-1e3"]):
+            out = tmp_path / given[0]
+            assert main(["correlation", *given, "--n", "2", "--out", str(out)]) == 0
+            manifest = read_manifest(out / "correlation_manifest.json")
+            del manifest["timestamp_utc"], manifest["wall_clock_seconds"], manifest["config"]["out"]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["config"]["r"] == -1000.0
+
     def test_non_critical_rejected(self, tmp_path, capsys):
         # correlation runs on the critical lattice only: it takes no --s
         status = main(
@@ -469,7 +517,8 @@ class TestCorrelationCommand:
         )
         assert status == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: generation {n} exceeds the histogram budget")
+        assert err.startswith(f"error: pair histogram at b = {b} (b^n <= 8192 path edges) "
+                              f"needs {n}, above the budget of {n - 1}")
         assert "Traceback" not in err
 
     def test_kernel_marginal_beyond_double_range(self, tmp_path):
@@ -677,7 +726,7 @@ class TestGmcCommand:
              "largest feasible n at 1000 realizations is 5"),
             # the (grid, realizations) half-moment arrays
             (["--check", "strong-disorder", "--grid", "1:1:2000"],
-             "half-moment block needs 2000 x 1000 = 2000000 cells"),
+             "half-moment block of 2000 x 1000 needs 2000000, above the budget of 1048576"),
         ],
         ids=["conditional", "strong-disorder", "strong-disorder-grid"],
     )

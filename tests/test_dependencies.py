@@ -86,3 +86,31 @@ def test_no_module_reads_another_modules_private_name():
             and node.value.id in imported and private(node.attr)
         }
     assert reads == set()
+
+
+def test_one_budget_table_and_one_budget_check():
+    # every budget constant is assigned in the table of errors.py, and the
+    # one check there, check_budget, is the only place a BudgetError is raised
+    raises, assigned = [], set()
+    for path in (ROOT / "src" / "diamondgmc").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        # breadth first, so an inner function's name overwrites its outer one's
+        owner = {
+            id(node): func.name
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+        }
+        raises += [
+            f"{path.stem}.{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and re.match(r"BudgetError\b", ast.unparse(node.exc))
+        ]
+        assigned |= {
+            f"{path.stem}.{target.id}"
+            for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and target.id.endswith("_BUDGET")
+        }
+    assert raises == ["errors.check_budget"]
+    assert {name.split(".")[0] for name in assigned} == {"errors"}

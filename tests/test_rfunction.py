@@ -130,6 +130,15 @@ class TestEvaluateR:
         with pytest.raises(BudgetError):
             profile.evaluate_R(-1.0)  # checked before the orbit is extended
 
+    def test_profile_level_budget(self, monkeypatch):
+        # the total over a profile's orbits is checked before an orbit is built
+        monkeypatch.setattr(rfunction, "PROFILE_LEVEL_BUDGET", 3000)
+        profile = VarianceProfile(2)
+        profile.evaluate_R(-8.0)  # one converged orbit of 2049 levels
+        with pytest.raises(BudgetError, match="R orbits of the b = 2 profile needs 3074"):
+            profile.evaluate_R(-7.5)
+        assert len(profile._orbits) == 1
+
     def test_overflow_guard(self, profile3):
         with pytest.raises(RangeError):
             profile3.evaluate_R(9.0)
@@ -358,7 +367,7 @@ class TestMomentTable:
             raise AssertionError("the ladder ran a step")
 
         monkeypatch.setattr(rfunction, "moment_recursion_step", stepped)
-        with pytest.raises(BudgetError, match="needs 1002047 steps"):
+        with pytest.raises(BudgetError, match=r"to -1\.0 needs 1002047, above the budget"):
             moment_table(VarianceProfile(2), [-1e6, -1.0])
         with pytest.raises(BudgetError, match=f"above the budget of {rfunction.ORBIT_LEVEL_BUDGET}"):
             moment_table(VarianceProfile(2), [-1.0], depth=rfunction.ORBIT_LEVEL_BUDGET + 1)
