@@ -11,10 +11,17 @@ population-drawn leaves, for cylinder-level quantities.  ``population_step``
 draws the b^2 factors one at a time, in the order of one (b, b, size) draw;
 besides input and output it holds one branch product and one index block.
 
-The generation-n leaves of a measure realization at r are total masses at
-level r - n, which the trajectory to r passes through: the ``simulate``
-command takes its leaf pool from a snapshot of its own trajectory at r - n,
-so the pool has the trajectory's size and chunk streams.
+A trajectory runs as ``ISLANDS`` independent populations (islands), each
+seeded from its own stream, resampled only within itself and renormalized by
+its own mean.  Entries of one population share ancestors, so their spread
+understates the population's own error; the islands are independent
+replicas, and every population statistic takes its SE from the spread of
+its J island values.  The generation-n leaves of a measure realization at r
+are total masses at level r - n, which the trajectory to r passes through:
+the ``simulate`` command takes its leaf pool from a snapshot of its own
+trajectory at r - n, and realization i draws its leaves from island i mod J,
+so realizations grouped by island are independent and their group means
+carry the pool's own error.
 
 Leaf arrays follow the lattice edge order: leaf k of a generation-n tree is
 edge k, the base-b^2 integer whose most significant digit is the top-level
@@ -41,9 +48,9 @@ mean-one law matching the variance R(r0); seed insensitivity is part of the
 test suite rather than an assumption.
 
 Reproducibility: every stream is a Philox generator keyed by
-(master seed, realm, index, chunk), so outputs are bit-reproducible for a
-fixed chunk count; the chunks of a step run on up to one thread each, which
-changes no byte.
+(master seed, realm, index, island), so outputs are bit-reproducible; each
+island runs its whole trajectory as one task on up to one thread each, and
+writes only its own rows, so the thread count changes no byte.
 """
 
 from __future__ import annotations
@@ -72,6 +79,10 @@ _REALM_LEAF = 2
 MINIMUM_BASE_LEVEL = -16.0
 # A population step gathers POPULATION_BLOCK entries at a time.
 POPULATION_BLOCK = 1 << 15
+# Independent islands of every trajectory: the unit of streams, of threads and
+# of the population statistics' SEs.  A 1M-entry population makes islands of
+# 62 500 entries (500 KB), which gather faster than the whole 8 MB.
+ISLANDS = 16
 
 POPULATION_MAGIC = b"DGMCPOP1"
 
@@ -116,7 +127,6 @@ class Provenance:
     seed_kind: str
     seed_variance: float
     master_seed: int
-    chunks: int
     overflow_count: int = 0
     detail: dict = field(default_factory=dict)
 
@@ -128,9 +138,17 @@ class Provenance:
         return out
 
 
+def _island_slices(size: int) -> list:
+    """The ``ISLANDS`` slices of a population of ``size`` entries, in stream
+    order; the first size % J islands hold one entry more."""
+    base, extra = divmod(size, ISLANDS)
+    starts = [j * base + min(j, extra) for j in range(ISLANDS + 1)]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:])]
+
+
 @dataclass
 class MassPopulation:
-    """An empirical population of total masses at parameter r."""
+    """An empirical population of total masses at parameter r, in ``ISLANDS`` islands."""
 
     r: float
     masses: np.ndarray
@@ -140,73 +158,73 @@ class MassPopulation:
     def size(self) -> int:
         return self.masses.size
 
+    @property
+    def islands(self) -> list:
+        """The J island slices of ``masses`` (views), each an independent population."""
+        return [self.masses[s] for s in _island_slices(self.size)]
+
+    def island_mean_se(self, values: np.ndarray, ddof: int = 0) -> tuple:
+        """sum(values) / (size - ddof), for one value per entry, and its SE from
+        the spread of the J island values sum / (island size - ddof)."""
+        slices = _island_slices(self.size)
+        sums = np.add.reduceat(values, [s.start for s in slices])
+        island = sums / np.array([s.stop - s.start - ddof for s in slices])
+        return float(values.sum() / (self.size - ddof)), float(
+            island.std(ddof=1) / math.sqrt(ISLANDS))
+
     def central_moments_se(self, k_max: int) -> dict:
-        """{k: (estimate, SE)} for k = 2..k_max: the sample variance (over size - 1),
-        then means of k-th powers of the deviations, as in-place products by fresh
-        deviations (numpy's float ``**`` with an integer exponent above 2 calls
-        ``pow`` per entry, about 10x slower); two such arrays live at most."""
+        """{k: (estimate, island SE)} for k = 2..k_max: the sample variance (over
+        size - 1), then means of k-th powers of the deviations, as in-place
+        products by fresh deviations (numpy's float ``**`` with an integer
+        exponent above 2 calls ``pow`` per entry, about 10x slower); two such
+        arrays live at most."""
         mean = self.masses.mean()
         power = self.masses - mean
         power *= power
-        moments = {2: (float(power.sum() / (self.size - 1)), mean_se(power)[1])}
+        moments = {2: self.island_mean_se(power, ddof=1)}
         for k in range(3, k_max + 1):
             power *= self.masses - mean
-            moments[k] = mean_se(power)
+            moments[k] = self.island_mean_se(power)
         return moments
 
 
-def _chunk_sizes(total: int, chunks: int):
-    base = total // chunks
-    sizes = [base] * chunks
-    for i in range(total - base * chunks):
-        sizes[i] += 1
-    return sizes
-
-
-def population_step(masses: np.ndarray, b: int, streams) -> np.ndarray:
+def population_step(masses: np.ndarray, b: int, rng, out=None) -> np.ndarray:
     """One population-dynamics step by resampling with replacement, unnormalized.
 
-    Output chunk ``c`` (sizes from ``_chunk_sizes``) draws the b^2 factors
-    of each entry from ``streams[c]``, one factor (i, j) at a time in C
-    order, in blocks of ``POPULATION_BLOCK`` entries, which consumes the
-    stream exactly as one (b, b, size) draw would; the product over j and
-    the sum over i run in place.  The chunks run through ``for_each``.
+    Each output entry draws its b^2 factors from ``rng``, one factor (i, j)
+    at a time in C order, in blocks of ``POPULATION_BLOCK`` entries, which
+    consumes the stream exactly as one (b, b, size) draw would; the product
+    over j and the sum over i run in place, into ``out`` when given (an
+    array of the input's size) and else into a fresh array.
     """
-    if masses.size < b * b:
-        raise UsageError(f"population size {masses.size} is below b^2 = {b * b}")
-    sizes = _chunk_sizes(masses.size, len(streams))
-    starts = np.cumsum([0] + sizes)
-    out = np.empty(masses.size)
-
-    def chunk(c):
-        rng, size = streams[c], sizes[c]
-        total = out[starts[c] : starts[c] + size]
-        term, factor = np.empty(size), np.empty(min(size, POPULATION_BLOCK))
-        for i in range(b):
-            acc = total if i == 0 else term
-            for j in range(b):
-                for lo in range(0, size, POPULATION_BLOCK):
-                    block = acc[lo : lo + POPULATION_BLOCK]
-                    into = factor[: block.size] if j else block
-                    # the indices are in range, so "clip" never acts; it spares
-                    # the bounds-checked mode its temporary copy of ``into``
-                    masses.take(rng.integers(masses.size, size=into.size), out=into, mode="clip")
-                    if j:
-                        block *= into
-            if i:
-                total += term
-        total /= b
-
-    for_each(chunk, len(sizes))
-    return out
+    size = masses.size
+    if size < b * b:
+        raise UsageError(f"population size {size} is below b^2 = {b * b}")
+    total = np.empty(size) if out is None else out
+    term, factor = np.empty(size), np.empty(min(size, POPULATION_BLOCK))
+    for i in range(b):
+        acc = total if i == 0 else term
+        for j in range(b):
+            for lo in range(0, size, POPULATION_BLOCK):
+                block = acc[lo : lo + POPULATION_BLOCK]
+                into = factor[: block.size] if j else block
+                # the indices are in range, so "clip" never acts; it spares
+                # the bounds-checked mode its temporary copy of ``into``
+                masses.take(rng.integers(size, size=into.size), out=into, mode="clip")
+                if j:
+                    block *= into
+        if i:
+            total += term
+    total /= b
+    return total
 
 
-def _renormalize(out: np.ndarray):
-    """Divide by the empirical mean in place; returns (normalized, pre-mean, pre-SE)."""
+def _renormalize(out: np.ndarray) -> tuple:
+    """Divide by the empirical mean in place; returns (pre-mean, pre-SE)."""
     pre_mean, pre_se = mean_se(out)
     if math.isfinite(pre_mean) and pre_mean > 0:
         out /= pre_mean
-    return out, pre_mean, pre_se
+    return pre_mean, pre_se
 
 
 def simulate_mass_trajectory(
@@ -217,27 +235,31 @@ def simulate_mass_trajectory(
     size: int,
     master_seed: int,
     snapshot_levels=(),
-    chunks: int = 1,
     profile: "VarianceProfile | None" = None,
 ) -> dict:
-    """Population at r and at snapshot levels (uncopied: no step writes its input).
+    """Population at r and at snapshot levels, each of ``ISLANDS`` islands.
 
     Seeds ``size`` draws of the seed law at r0 = r - depth (enforced to lie
     at or below the asymptotic validity level; ``size`` and ``depth`` are
     held to their budgets before the first draw) and applies ``depth``
-    population-dynamics steps with per-(iteration, chunk) streams, the
-    chunks on min(chunks, usable CPUs) threads.  Returns
-    {level: MassPopulation} with the final level r always present.
+    population-dynamics steps.  Island j draws its seed from the stream
+    (seed realm, 0, j) and step t from (evolve realm, t, j); it runs its
+    whole depth as one ``for_each`` task and writes its snapshot and final
+    rows into its slices of arrays allocated up front, so no step writes its
+    input and no population is copied.  The recorded step means and SEs
+    combine the islands' (entries are iid within a step, given the previous
+    population).  Returns {level: MassPopulation} with the final level r
+    always present.
     """
     if depth < 1:
         raise UsageError("depth must be >= 1")
-    if chunks < 1:
-        raise UsageError(f"chunks ({chunks}) must be >= 1")
     base_level = r - depth
     check_budget("population", size, POPULATION_SIZE_BUDGET)
     check_budget(f"population trajectory from r = {base_level} to {r}", depth, ORBIT_LEVEL_BUDGET)
-    if size < b * b:
-        raise UsageError(f"population size {size} is below b^2 = {b * b}")
+    if size < ISLANDS * b * b:
+        raise UsageError(
+            f"population size {size} is below {ISLANDS} islands of b^2 = {b * b} entries"
+        )
     if base_level > MINIMUM_BASE_LEVEL:
         raise UsageError(
             f"base level r - depth = {base_level} is above {MINIMUM_BASE_LEVEL}; "
@@ -255,60 +277,81 @@ def simulate_mass_trajectory(
     profile = profile or VarianceProfile(b)
     variance = profile.evaluate_R(base_level)
 
-    sizes = _chunk_sizes(size, chunks)
-    masses = np.concatenate(
-        [
-            seed_spec.draw(substream(master_seed, _REALM_SEED, 0, c), n_c, variance)
-            for c, n_c in enumerate(sizes)
-        ]
-    )
-    out = {}
-    pre_means, pre_ses, norm_log = [], [], 0.0
+    # the rows each step leaves behind: the snapshots', then the final ones
+    rows = {off: np.empty(size) for off in offsets if off < depth}
+    rows[depth] = np.empty(size)
+    slices = _island_slices(size)
+    pre = np.empty((2, depth, ISLANDS))  # each step's pre-normalization mean and SE
 
-    def provenance(level, snapshot):
+    def island(j):
+        own = slices[j]
+        seed_rng = substream(master_seed, _REALM_SEED, 0, j)
+        masses = seed_spec.draw(seed_rng, own.stop - own.start, variance)
+        # a seed of mean m makes the first step's mean m^b: at mean 1 every
+        # step's raw mean has expectation 1
+        _renormalize(masses)
+        for iteration in range(1, depth + 1):
+            into = rows[iteration][own] if iteration in rows else None
+            rng = substream(master_seed, _REALM_EVOLVE, iteration, j)
+            # rebinding first frees the input population before the next step allocates
+            masses = population_step(masses, b, rng, into)
+            pre[:, iteration - 1, j] = _renormalize(masses)
+
+    for_each(island, ISLANDS)
+    # exact sums, so that a step's figures do not depend on the steps after it
+    counts = np.array([s.stop - s.start for s in slices])
+    pre_means = [math.fsum(row) / size for row in pre[0] * counts]
+    pre_ses = [math.sqrt(math.fsum(row)) / size for row in (pre[1] * counts) ** 2]
+
+    def population(off, level):
+        masses = rows[off]
         detail = {
-            "step_pre_means": list(pre_means),
-            "step_pre_ses": list(pre_ses),
-            "norm_log": norm_log,
+            "step_pre_means": pre_means[:off],
+            "step_pre_ses": pre_ses[:off],
+            "norm_log": math.fsum(
+                math.log(m) for m in pre_means[:off] if math.isfinite(m) and m > 0),
         }
-        if snapshot:
+        if off < depth:
             detail["snapshot_of"] = r
-        return Provenance(
+        prov = Provenance(
             b=b,
             r=level,
             base_level=base_level,
-            depth=int(round(level - base_level)),
+            depth=off,
             size=size,
             seed_kind=seed_spec.kind,
             seed_variance=variance,
             master_seed=master_seed,
-            chunks=chunks,
             overflow_count=int(np.count_nonzero(~np.isfinite(masses))),
             detail=detail,
         )
+        return MassPopulation(level, masses, prov)
 
-    for iteration in range(1, depth + 1):
-        streams = [substream(master_seed, _REALM_EVOLVE, iteration, c) for c in range(chunks)]
-        # rebinding first frees the input population before renormalizing allocates
-        masses = population_step(masses, b, streams)
-        masses, pre_mean, pre_se = _renormalize(masses)
-        pre_means.append(pre_mean)
-        pre_ses.append(pre_se)
-        if math.isfinite(pre_mean) and pre_mean > 0:
-            norm_log += math.log(pre_mean)
-        if iteration in offsets:
-            level = offsets[iteration]
-            out[level] = MassPopulation(level, masses, provenance(level, True))
-
-    out[r] = MassPopulation(r, masses, provenance(r, False))
+    out = {level: population(off, level) for off, level in offsets.items() if off < depth}
+    out[r] = population(depth, r)
     return out
 
 
 def fractional_moment(pop: MassPopulation, theta: float):
-    """Sample mean and standard error of mass^theta."""
+    """Sample mean of mass^theta and its island SE."""
     if not (0.0 < theta <= 1.0):
         raise UsageError(f"theta must lie in (0, 1], got {theta}")
-    return mean_se(pop.masses**theta)
+    return pop.island_mean_se(pop.masses**theta)
+
+
+def island_group_mean_se(values: np.ndarray) -> tuple:
+    """Mean of per-realization ``values`` and its SE over the island groups.
+
+    Realization i draws its leaves from island i mod J (``sample_measure_batch``),
+    so the group means are independent, and each carries its island's own
+    error, which the spread over realizations alone leaves out.  Given the
+    pool the realizations are independent, so their own SE is a lower bound
+    that the pool's error only adds to; with J - 1 degrees of freedom the
+    groups' spread can fall under it, and the SE is then that bound.
+    """
+    groups = [values[j::ISLANDS].mean() for j in range(min(ISLANDS, values.size))]
+    mean, iid_se = mean_se(values)
+    return mean, max(float(np.std(groups, ddof=1) / math.sqrt(len(groups))), iid_se)
 
 
 def tree_total(leaves: np.ndarray, b: int) -> np.ndarray:
@@ -419,16 +462,18 @@ def sample_measure_batch(
     """Leaf masses for ``count`` independent realizations at (r, n).
 
     Returns an array of shape (count, b^(2n)) in edge order; realization ``i``
-    draws its leaves from the substream (master seed, leaf realm, i).
+    draws its leaves from island i mod J of the pool, with the substream
+    (master seed, leaf realm, i).
     """
     if leaf_population.r != r - n:
         raise UsageError(
             f"leaf population is at r = {leaf_population.r}, need r - n = {r - n}"
         )
     n_leaves = b ** (2 * n)
-    pool = leaf_population.masses
+    pools = leaf_population.islands
     leaves = np.empty((count, n_leaves))
     for i in range(count):
+        pool = pools[i % ISLANDS]
         rng = substream(master_seed, _REALM_LEAF, i)
         leaves[i] = pool[rng.integers(0, pool.size, size=n_leaves)]
     return leaves

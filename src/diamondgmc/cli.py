@@ -8,7 +8,7 @@ key = value text file; command-line flags override file keys; the merged
 settings the run reads are what the manifest records.  Every command writes
 exactly one JSON manifest (config snapshot, per-check verdicts, wall
 clock) next to its data files; data files are byte-reproducible for a fixed
-(config, seed, chunk count).
+(config, seed), whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import __version__
 from .cascade import (
     edge_cells,
     fractional_moment,
+    island_group_mean_se,
     leaf_level,
     overlap_moments,
     sample_measure_batch,
@@ -63,7 +64,6 @@ from .reporting import (
     CheckResult,
     ExperimentReport,
     exact_check,
-    mean_se,
     se_check,
     write_csv,
     write_json,
@@ -107,7 +107,6 @@ class RunConfig:
     seed_spec: str = _setting("two-point", SEED_KINDS)
     grid: str = ""
     out: str = "."
-    chunks: int = 1
     allow_flagged: bool = False
     check: str = _setting("conditional", tuple(GMC_CHECK_SETTINGS))
     realizations: int = 1000
@@ -120,8 +119,7 @@ COMMAND_SETTINGS = {
     "rfunc": {"b", "grid", "kmax", "seed_spec", "allow_flagged"},
     "correlation": {"b", "r", "a", "n"},
     "simulate": {
-        "b", "r", "depth", "size", "seed", "seed_spec", "n", "realizations", "chunks",
-        "allow_flagged",
+        "b", "r", "depth", "size", "seed", "seed_spec", "n", "realizations", "allow_flagged",
     },
     "gmc": set().union(*GMC_CHECK_SETTINGS.values()),
     "fixed-point": {"b", "s"},
@@ -467,7 +465,7 @@ def cmd_simulate(run: _Run) -> int:
     trajectory = simulate_mass_trajectory(
         cfg.b, cfg.r, seed_spec, cfg.depth, cfg.size, cfg.seed,
         snapshot_levels=() if leaf_r is None else (leaf_r,),
-        chunks=cfg.chunks, profile=profile,
+        profile=profile,
     )
     pop = trajectory[cfg.r]
     if cfg.n >= 1:
@@ -479,7 +477,7 @@ def cmd_simulate(run: _Run) -> int:
     del trajectory
     write_population(run.path("population.bin"), pop)
 
-    mean, mean_err = mean_se(pop.masses)
+    mean, mean_err = pop.island_mean_se(pop.masses)
     moments = pop.central_moments_se(4)
     frac, frac_se = fractional_moment(pop, 0.5)
     target_var = profile.evaluate_R(cfg.r)
@@ -536,7 +534,8 @@ def cmd_simulate(run: _Run) -> int:
         hist = pair_count_histogram(LatticeParams(cfg.b, cfg.b), cfg.n)
         for k, pairs in hist.counts:
             target = math.exp(math.log(pairs) + table.log_weight(k))
-            est, se = mean_se(class_sums[k])
+            # SE over the island groups of realizations: it carries the leaf pool's own error
+            est, se = island_group_mean_se(class_sums[k])
             run.report.add(
                 se_check(f"pair-correlation-audit(N={k})", target, est, se, 4.0,
                          detail=f"{pairs} pairs, {cfg.realizations} realizations")

@@ -46,9 +46,11 @@ import math
 import numpy as np
 
 from .cascade import (
+    ISLANDS,
     edge_cells,
     for_each,
     horner,
+    island_group_mean_se,
     leaf_level,
     overlap_moments,
     sample_measure_batch,
@@ -243,7 +245,10 @@ def conditional_gmc_experiment(
       (flagged where those SEs leave the layer uninformative);
     * pooled second moment against 1 + R(r + a), and pooled second and
       third moments against E[T^k | pool], exact for the ``pop_size`` leaf
-      pool the references draw from; cluster SEs, floored by the law SE
+      pool the references draw from (reference i draws from island i mod J,
+      so E[T^k | pool] is the island ladders' mean, weighted by their
+      references); SEs over the J island groups of references, which carry
+      the pool's own error, floored by the law SE
       sqrt((L_2k - L_k^2) / (realizations draws)) of the moment ladder L of
       the law's leaves or of the pool (a lower bound: draws share a reference);
     * for n >= 2, the weight-decomposition audit at (r - 1, a, n): both of
@@ -286,8 +291,15 @@ def conditional_gmc_experiment(
     cond_z = ((totals**2).mean(axis=1) - quad) / cond_se
     pooled_rel_se = math.sqrt(np.sum((cond_se / quad) ** 2)) / realizations
 
-    pooled = {k: mean_se((totals**k).mean(axis=1)) for k in (1, 2, 3)}  # cluster-robust
-    pool_ladder = chaos_moment_ladder(b, [np.mean(leaf.masses**k) for k in range(7)], lam, n)
+    # over the island groups of references: the SEs carry the pool's own error
+    pooled = {k: island_group_mean_se((totals**k).mean(axis=1)) for k in (1, 2, 3)}
+    # the exact E[T^k | pool]: each island's ladder, weighted by its references
+    groups = min(ISLANDS, realizations)
+    pool_ladder = np.average(
+        [chaos_moment_ladder(b, [np.mean(island**k) for k in range(7)], lam, n)
+         for island in leaf.islands[:groups]],
+        axis=0, weights=[len(range(j, realizations, ISLANDS)) for j in range(groups)],
+    ).tolist()
     law_ladder = chaos_moment_ladder(b, law_leaves, lam, n)
 
     report = ExperimentReport(

@@ -17,7 +17,7 @@ earlier library routes as references: the cylinder-vector assembly of leaf
 masses with its dense pair-weight matrix, the asymptotic-expansion solver that
 finds each coefficient from two residual evaluations, the row-by-row
 ``csv.writer`` emission of float tables, the population step that draws
-all b^2 factors of a chunk in one (b, b, size) call, the Kahane moment
+all b^2 factors of a step in one (b, b, size) call, the Kahane moment
 recursion at a numeric edge weight, the moment-ladder step that
 enumerates multinomial compositions, the pair-count histogram by its own
 recursion over ordered pairs, the R orbit seeded and stepped in mpmath, the
@@ -34,7 +34,6 @@ from functools import reduce
 import mpmath as mp
 import numpy as np
 
-from diamondgmc.cascade import _chunk_sizes
 from diamondgmc.errors import BudgetError, UsageError
 from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.reporting import format_float
@@ -311,15 +310,10 @@ def write_csv_by_rows(path, header, rows):
             writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
 
 
-def population_step_one_shot(masses: np.ndarray, b: int, streams) -> np.ndarray:
-    """Population step with each chunk's factors gathered as one (b, b, size) array."""
-    sizes = _chunk_sizes(masses.size, len(streams))
-
-    def chunk(c):
-        idx = streams[c].integers(0, masses.size, size=(b, b, sizes[c]))
-        return masses[idx].prod(axis=1).sum(axis=0) / b
-
-    return np.concatenate([chunk(c) for c in range(len(sizes))])
+def population_step_one_shot(masses: np.ndarray, b: int, rng) -> np.ndarray:
+    """Population step with its factors gathered as one (b, b, size) array."""
+    idx = rng.integers(0, masses.size, size=(b, b, masses.size))
+    return masses[idx].prod(axis=1).sum(axis=0) / b
 
 
 def upsilon_combine(sub_vectors: np.ndarray) -> np.ndarray:

@@ -155,19 +155,21 @@ def test_criterion_05_cascade_law_matching(profile2):
     R0 = profile2.evaluate_R(0.0)
     levels = [-12.0, -10.0, -8.0, -6.0, -4.0]
 
-    def replicas(kind, base_seed, J=16, size=62_500):
-        out = {"v0": [], "m3": [], "m4": [], "lv": {L: [] for L in levels}}
-        for j in range(J):
-            traj = simulate_mass_trajectory(
-                2, 0.0, SeedSpec(kind), 24, size, base_seed + j,
-                snapshot_levels=levels, profile=profile2,
-            )
-            out["v0"].append(traj[0.0].central_moments_se(2)[2][0])
-            out["m3"].append(traj[-10.0].central_moments_se(3)[3][0])
-            out["m4"].append(traj[-12.0].central_moments_se(4)[4][0])
-            for L in levels:
-                out["lv"][L].append(traj[L].central_moments_se(2)[2][0])
-        return {k: (np.array(v) if not isinstance(v, dict) else v) for k, v in out.items()}
+    def central(island, k):
+        dev = island - island.mean()
+        return dev.var(ddof=1) if k == 2 else np.mean(dev**k)
+
+    def replicas(kind, seed, size=1_000_000):
+        # the 16 islands of one trajectory are independent replicas of 62 500
+        traj = simulate_mass_trajectory(
+            2, 0.0, SeedSpec(kind), 24, size, seed, snapshot_levels=levels, profile=profile2,
+        )
+
+        def values(level, k):
+            return np.array([central(island, k) for island in traj[level].islands])
+
+        return {"v0": values(0.0, 2), "m3": values(-10.0, 3), "m4": values(-12.0, 4),
+                "lv": {L: values(L, 2) for L in levels}}
 
     tp = replicas("two-point", 61000)
     ln = replicas("lognormal", 62000)
@@ -175,7 +177,7 @@ def test_criterion_05_cascade_law_matching(profile2):
     def zval(arr, target):
         return (arr.mean() - target) / (arr.std(ddof=1) / math.sqrt(arr.size))
 
-    # sample variance at r = 0 vs R(0), 10^6 samples in 16 replicas
+    # sample variance at r = 0 vs R(0), 10^6 samples in 16 islands
     z_v0 = zval(tp["v0"], R0)
     assert abs(z_v0) <= 4.0
     # variance tracks R along the trajectory
@@ -352,8 +354,7 @@ def test_criterion_12_reproducibility(tmp_path):
     out = tmp_path / "sim"
     sim_args = [
         "simulate", "--b", "2", "--r", "-6", "--depth", "20", "--size", "40000",
-        "--seed", "77", "--n", "1", "--realizations", "1000", "--chunks", "3",
-        "--out", str(out),
+        "--seed", "77", "--n", "1", "--realizations", "1000", "--out", str(out),
     ]
     assert main(sim_args) == 0
     first = {
@@ -378,4 +379,4 @@ def test_criterion_12_reproducibility(tmp_path):
     assert main(shift_args) == 0
     assert (gout / "gmc_shift_report.json").read_bytes() == report_bytes
     announce(12, "population, summary CSV and report JSON byte-identical on rerun "
-                 "(fixed config, seed, chunk count)", time.time() - start, 60.0)
+                 "(fixed config and seed)", time.time() - start, 60.0)

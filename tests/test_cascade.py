@@ -14,6 +14,7 @@ from diamondgmc.cascade import (
     SeedSpec,
     fractional_moment,
     horner,
+    island_group_mean_se,
     leaf_level,
     overlap_moments,
     population_step,
@@ -47,7 +48,7 @@ def ones_population(size=64, b=2):
     prov = Provenance(
         b=b, r=0.0, base_level=-24.0, depth=24, size=size,
         seed_kind="two-point", seed_variance=0.0,
-        master_seed=0, chunks=1,
+        master_seed=0,
     )
     return MassPopulation(0.0, np.ones(size), prov)
 
@@ -84,59 +85,80 @@ class TestEvolvePopulation:
     """One unnormalized step of the population dynamics, as ``simulate_mass_trajectory`` runs it."""
 
     def test_all_ones_is_bitwise_fixed_point(self):
-        out = population_step(np.ones(64), 2, [substream(4, 0)])
+        out = population_step(np.ones(64), 2, substream(4, 0))
         assert np.array_equal(out, np.ones(64))
 
     def test_size_precondition(self, profile2):
         with pytest.raises(UsageError):
-            population_step(np.ones(3), 2, [substream(5, 0)])
+            population_step(np.ones(3), 2, substream(5, 0))
         with pytest.raises(UsageError):
             simulate_mass_trajectory(2, -24.0, SeedSpec(), 24, 3, 5, profile=profile2)
+        # each of the islands needs b^2 entries
+        with pytest.raises(UsageError, match="below 16 islands of b\\^2 = 4 entries"):
+            simulate_mass_trajectory(2, -24.0, SeedSpec(), 24, 63, 5, profile=profile2)
+        simulate_mass_trajectory(2, -24.0, SeedSpec(), 24, 64, 5, profile=profile2)
 
     @staticmethod
-    def assert_one_shot_draws(pop, b, chunks, seed, monkeypatch):
-        expected = population_step_one_shot(
-            pop, b, [substream(seed, pop.size, c) for c in range(chunks)]
+    def step_islands(pop, b, islands, seed, out):
+        """Step each of ``islands`` slices of ``pop`` from its own stream into its
+        slice of ``out``, the islands through ``for_each``, as a trajectory does."""
+        pieces, into = np.array_split(pop, islands), np.array_split(out, islands)
+        cascade.for_each(
+            lambda j: population_step(pieces[j], b, substream(seed, pop.size, j), into[j]),
+            islands,
         )
-        for threads in (1, 2):  # the chunks one after another, then concurrently
+
+    @classmethod
+    def assert_one_shot_draws(cls, pop, b, islands, seed, monkeypatch):
+        expected = np.concatenate([
+            population_step_one_shot(piece, b, substream(seed, pop.size, j))
+            for j, piece in enumerate(np.array_split(pop, islands))
+        ])
+        assert population_step(pop, b, substream(seed, pop.size, 0)).tobytes() == (
+            population_step_one_shot(pop, b, substream(seed, pop.size, 0)).tobytes())
+        for threads in (1, 2):  # the islands one after another, then concurrently
             monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, threads))
-            got = population_step(pop, b, [substream(seed, pop.size, c) for c in range(chunks)])
+            got = np.full(pop.size, np.nan)
+            cls.step_islands(pop, b, islands, seed, got)
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("b", [2, 3, 4])
-    @pytest.mark.parametrize("chunks", [1, 3, 5])
-    def test_keeps_the_one_shot_draws(self, b, chunks, monkeypatch):
-        # 1001 and 4099 are not multiples of 3 or 5: the chunks differ in size
+    @pytest.mark.parametrize("islands", [1, 3, 5])
+    def test_keeps_the_one_shot_draws(self, b, islands, monkeypatch):
+        # 1001 and 4099 are not multiples of 3 or 5: the islands differ in size
         masses = substream(22, b).lognormal(sigma=0.5, size=4099)
-        for size in (b * b + 1, 1001, 4099):
-            self.assert_one_shot_draws(masses[:size], b, chunks, 23, monkeypatch)
+        for size in (islands * (b * b + 1), 1001, 4099):
+            self.assert_one_shot_draws(masses[:size], b, islands, 23, monkeypatch)
 
     @pytest.mark.parametrize("b", [2, 3])
-    @pytest.mark.parametrize("chunks", [1, 3])
-    def test_block_edges_keep_the_one_shot_draws(self, b, chunks, monkeypatch):
-        # every chunk ends one entry short of, at, or past a block edge
+    @pytest.mark.parametrize("islands", [1, 3])
+    def test_block_edges_keep_the_one_shot_draws(self, b, islands, monkeypatch):
+        # every island ends one entry short of, at, or past a block edge
         edges = (POPULATION_BLOCK - 1, POPULATION_BLOCK, POPULATION_BLOCK + 1,
                  2 * POPULATION_BLOCK + 17)
-        masses = substream(24, b).lognormal(sigma=0.5, size=chunks * edges[-1])
+        masses = substream(24, b).lognormal(sigma=0.5, size=islands * edges[-1])
         for edge in edges:
-            self.assert_one_shot_draws(masses[: chunks * edge], b, chunks, 25, monkeypatch)
+            self.assert_one_shot_draws(masses[: islands * edge], b, islands, 25, monkeypatch)
 
     @pytest.mark.parametrize("b", [2, 3])
-    @pytest.mark.parametrize("chunks", [1, 3])
-    def test_leaves_its_input_unchanged(self, b, chunks, monkeypatch):
+    @pytest.mark.parametrize("islands", [1, 3])
+    def test_leaves_its_input_unchanged(self, b, islands, monkeypatch):
         # the trajectory keeps its snapshots without a copy, so no step may write its input
         masses = substream(26, b).lognormal(sigma=0.5, size=2 * POPULATION_BLOCK + 17)
         before = masses.tobytes()
         for threads in (1, 2):
             monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, threads))
-            population_step(masses, b, [substream(27, c) for c in range(chunks)])
+            self.step_islands(masses, b, islands, 27, np.empty(masses.size))
         assert masses.tobytes() == before
 
-    def test_peak_memory_is_three_arrays_and_a_few_blocks(self, profile2):
-        # numpy reports its allocations to tracemalloc; a trajectory step holds
-        # its input, output and branch accumulator, and index and factor blocks,
-        # and the central moments the population and two arrays more
-        size = 400_000
+    def test_peak_memory_is_three_arrays_and_a_few_blocks(self, profile2, monkeypatch):
+        # numpy reports its allocations to tracemalloc; a trajectory holds its
+        # final rows and, for each island running, the island's input, output
+        # and branch accumulator, and index and factor blocks; the central
+        # moments hold the population and two arrays more
+        size, workers = 400_000, 2
+        island = -(-size // cascade.ISLANDS)
+        monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, workers))
         # the profile's orbit and numpy's first-call caches are built outside the trace
         simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 1000, 28, profile=profile2)
         tracemalloc.start()
@@ -150,7 +172,7 @@ class TestEvolvePopulation:
             moment_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert step_peak <= 8 * (3 * size + 4 * POPULATION_BLOCK)
+        assert step_peak <= 8 * (size + workers * (3 * island + 2 * POPULATION_BLOCK))
         assert moment_peak <= 8 * (3 * size + 4 * POPULATION_BLOCK)
 
     def test_one_step_variance_map(self, profile2):
@@ -160,7 +182,7 @@ class TestEvolvePopulation:
             2, -8.0, SeedSpec(), 16, 1_000_000, 71, profile=profile2
         )[-8.0]
         v_in = pop.central_moments_se(2)[2][0]
-        out = replace(pop, masses=population_step(pop.masses, 2, substream(6, 0).spawn(1)))
+        out = replace(pop, masses=population_step(pop.masses, 2, substream(6, 0)))
         v_out, v_se = out.central_moments_se(2)[2]
         assert abs(v_out - psi(2, v_in)) <= 4 * v_se
         m_out, m_se = mean_se(out.masses)
@@ -205,26 +227,25 @@ class TestSimulateMassLaw:
         vb, sb = b.central_moments_se(2)[2]
         assert abs(va - vb) <= 4 * math.hypot(sa, sb)
 
-    def test_reproducibility_and_chunk_contract(self, profile2, monkeypatch):
+    def test_reproducibility_and_island_contract(self, profile2, monkeypatch):
         kwargs = dict(profile=profile2)
-        one = simulate_mass_trajectory(
-            2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs
-        )[-8.0]
-        two = simulate_mass_trajectory(
-            2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=4, **kwargs
-        )[-8.0]
+        one = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_000, 42, **kwargs)[-8.0]
+        two = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_000, 42, **kwargs)[-8.0]
         assert np.array_equal(one.masses, two.masses)
-        # the chunks of a step run concurrently or one after another, to the same bytes
-        masses = substream(42, 7).lognormal(sigma=0.5, size=10_001)
-        monkeypatch.setattr(cascade, "worker_count", lambda tasks: 1)
-        serial = population_step(masses, 2, [substream(42, 8, c) for c in range(4)])
-        monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, 4))
-        threaded = population_step(masses, 2, [substream(42, 8, c) for c in range(4)])
-        assert serial.tobytes() == threaded.tobytes()
-        other_chunks = simulate_mass_trajectory(
-            2, -8.0, SeedSpec(), 16, 10_000, 42, chunks=2, **kwargs
-        )[-8.0]
-        assert not np.array_equal(one.masses, other_chunks.masses)
+        # the islands run concurrently or one after another, to the same bytes
+        for threads in (1, 4):
+            monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, threads))
+            again = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_000, 42, **kwargs)
+            assert again[-8.0].masses.tobytes() == one.masses.tobytes()
+        # island j reads only its own streams: one entry more, which falls to
+        # island 0, leaves the other islands' rows as they were
+        more = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_001, 42, **kwargs)[-8.0]
+        assert [island.size for island in more.islands] == [626] + [625] * 15
+        assert not np.array_equal(one.islands[0], more.islands[0][:625])
+        for j in range(1, 16):
+            assert one.islands[j].tobytes() == more.islands[j].tobytes()
+        # each island is renormalized by its own mean
+        assert all(abs(island.mean() - 1.0) <= 1e-13 for island in one.islands)
 
 
 class TestTrajectoryLeafPool:
@@ -249,6 +270,37 @@ class TestTrajectoryLeafPool:
         assert leaf_level(-4.0, 2, 3) == -6.0
         with pytest.raises(UsageError, match="depth 2 must exceed the generation 2"):
             leaf_level(-20.0, 2, 2)
+
+
+class TestIslandStatistics:
+    """Whole-population estimates with the SE of the spread of the 16 island values."""
+
+    def test_islands_and_island_se(self):
+        masses = substream(30, 0).lognormal(sigma=0.5, size=16 * 100 + 5)
+        pop = replace(ones_population(masses.size), masses=masses)
+        islands = pop.islands
+        assert [island.size for island in islands] == [101] * 5 + [100] * 11
+        assert np.concatenate(islands).tobytes() == masses.tobytes()
+        est, se = fractional_moment(pop, 1.0)
+        assert est == pytest.approx(masses.mean(), rel=1e-14)
+        assert se == pytest.approx(np.std([i.mean() for i in islands], ddof=1) / 4, rel=1e-12)
+        var, var_se = pop.central_moments_se(2)[2]
+        squares = [((i - masses.mean()) ** 2).sum() / (i.size - 1) for i in islands]
+        assert var == pytest.approx(masses.var(ddof=1), rel=1e-12)
+        assert var_se == pytest.approx(np.std(squares, ddof=1) / 4, rel=1e-12)
+
+    def test_group_se_is_never_below_the_realizations_own(self):
+        values = substream(31, 0).standard_normal(1600)
+        iid_se = mean_se(values)[1]
+        # the groups i mod 16 carry a common offset each: their spread sets the SE
+        offsets = np.tile(np.linspace(-1.0, 1.0, 16), 100)
+        est, se = island_group_mean_se(values + offsets)
+        groups = [(values + offsets)[j::16].mean() for j in range(16)]
+        assert est == pytest.approx((values + offsets).mean(), rel=1e-14)
+        assert se == pytest.approx(np.std(groups, ddof=1) / 4, rel=1e-12) and se > iid_se
+        # identical group means: the realizations' own SE
+        flat = values - np.tile([values[j::16].mean() for j in range(16)], 100)
+        assert island_group_mean_se(flat)[1] == mean_se(flat)[1]
 
 
 class TestFractionalMoment:

@@ -21,6 +21,7 @@ from diamondgmc.correlation import pair_count_histogram
 from diamondgmc.errors import UsageError
 from diamondgmc.lattice import LatticeParams
 from diamondgmc.rfunction import VarianceProfile, moment_table
+from test_readme import COMMANDS as README_COMMANDS
 
 
 def read_manifest(path):
@@ -136,9 +137,12 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
          "--draws", "50", "--grid", "4,1"],
         ["gmc", "--check", "strong-disorder", "--n", "1", "--realizations", "20",
          "--draws", "50", "--grid", "1,1"],
+        # removed flags: islands replaced chunks, and the threads follow the islands
         ["simulate", "--chunks", "0"] + _SMALL_SIM,
         ["simulate", "--chunks", "-1"] + _SMALL_SIM,
         ["simulate", "--threads", "-3"] + _SMALL_SIM,
+        # each of the 16 islands needs b^2 entries, checked before any draw
+        ["simulate", "--r", "-20", "--depth", "20", "--size", "63", "--n", "0"],
         # the seed is checked where every stream is keyed, the size before any draw
         ["simulate", "--seed", "-3"] + _SMALL_SIM,
         ["gmc", "--check", "shift", "--seed", "-3"],
@@ -552,8 +556,7 @@ class TestSimulateCommand:
         out = tmp_path / "run"
         args = [
             "simulate", "--b", "2", "--r", "-6", "--depth", "20", "--size", "50000",
-            "--seed", "7", "--n", "1", "--realizations", "2000", "--chunks", "2",
-            "--out", str(out),
+            "--seed", "7", "--n", "1", "--realizations", "2000", "--out", str(out),
         ]
         assert main(args) == 0
         pop_bytes = (out / "population.bin").read_bytes()
@@ -566,6 +569,40 @@ class TestSimulateCommand:
         for key in ("timestamp_utc", "wall_clock_seconds"):
             m1.pop(key), m2.pop(key)
         assert m1 == m2
+
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        # the README run, its islands on 1, 2 and 4 threads; the --out given
+        # last is the one read
+        argv = next(argv for argv, _ in README_COMMANDS if argv[0] == "simulate")
+        outputs = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, workers))
+            out = tmp_path / str(workers)
+            assert main([*argv, "--out", str(out)]) == 2
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()
+                            if path.suffix != ".json"})
+        assert sorted(outputs[0]) == ["population.bin", "summary.csv"]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_variance_census_at_r_minus_6(self, tmp_path):
+        # the variance's SE comes from the spread of the 16 island variances,
+        # which carries the population's own error: over 20 seeds every run
+        # passes and z spreads as a t with 15 degrees of freedom would (sd
+        # 1.07); with each island's seed at mean 1, so does every step's mean
+        # (an unnormalized seed drifted the first step beyond 4 SE at seeds 1
+        # and 8)
+        z = []
+        for seed in range(1, 21):
+            out = tmp_path / str(seed)
+            status = main(
+                ["simulate", "--b", "2", "--r", "-6", "--depth", "20", "--size", "100000",
+                 "--seed", str(seed), "--n", "0", "--out", str(out)]
+            )
+            check = {c["name"]: c for c in read_manifest(out / "simulate_manifest.json")
+                     ["checks"]}["variance-vs-R"]
+            assert status == 0 and check["verdict"] == "pass", (seed, check)
+            z.append((check["estimate"] - check["target"]) / check["se"])
+        assert np.std(z, ddof=1) < 1.5, z
 
     @pytest.mark.parametrize("seed_spec", ["two-point", "lognormal"])
     def test_variance_flagged_by_law_se_at_r0(self, tmp_path, seed_spec):
