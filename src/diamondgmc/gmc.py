@@ -10,8 +10,14 @@ with M(p) = b^(-d_n) prod_{e in p} l_e, so the chaos reweighting
 
 is again a product over edges: a chaos realization is the leaf vector
 ``l * exp(sqrt(lam) g - lam/2)``, and its total mass is the tree reduction
-T = (1/b) sum_i prod_j T_ij.  Every functional used here is a recursion on
-the same tree, at O(b^(2n)) cost per draw:
+T = (1/b) sum_i prod_j T_ij.  The b edges of a bottom branch lie on exactly
+the same cylinders, so W reads only their sum, an N(0, b) normal, and the
+sampled totals (``chaos_totals``) draw one gaussian per bottom branch, with
+edge weight b lam: the same joint law of every W(p), from b times fewer
+normals.  Only the shift law and the weight-decomposition audit keep one
+gaussian per edge, since a shift or an audit vector is a vector over edges.
+Every functional used here is a recursion on the same tree, at O(b^(2n))
+cost per draw:
 
 * integer moments E[T^m] (Kahane): the cascade's overlap polynomial Q_m,
   the sum over m-tuples of cylinders of prod M(p_i) z^(shared edges of all
@@ -89,12 +95,17 @@ def chaos_totals(
 ) -> np.ndarray:
     """Totals of ``draws`` chaos reweightings of one reference leaf vector.
 
-    The gaussians are drawn as one (edges, draws) array.
+    The b edges of a bottom branch lie on the same cylinders, so the field
+    reads only their sum, an N(0, b) normal: one gaussian per bottom branch,
+    with edge weight b lam, has the same joint law of every W(p).  The
+    gaussians are drawn as one (bottom branches, draws) array, b^(2n-1) x
+    ``draws`` normals; the b branches of each bottom diamond then combine
+    as (1/b) sum_i and ``tree_total`` does the levels above.
     """
-    leaves = np.asarray(leaves, dtype=float)
-    weights = _edge_factors(lam, rng.standard_normal((leaves.size, draws)))
-    weights *= leaves[:, None]
-    return tree_total(weights, b)
+    branches = np.asarray(leaves, dtype=float).reshape(-1, b).prod(axis=1)
+    weights = _edge_factors(b * lam, rng.standard_normal((branches.size, draws)))
+    weights *= branches[:, None]
+    return tree_total(weights.reshape(-1, b, draws).sum(axis=1) / b, b)
 
 
 def shift_law(leaves, b: int, lam: float, phi, rng: np.random.Generator, draws: int) -> tuple:
@@ -105,6 +116,9 @@ def shift_law(leaves, b: int, lam: float, phi, rng: np.random.Generator, draws: 
     gaussian blocks.  Returns (exact left side, right-side sample, law SE
     of the sample's mean); the law SE comes from
     E[(T exp(<g, phi> - |phi|^2/2))^2] = exp(|phi|^2) Q_2(l exp(2 sqrt(lam) phi); e^lam).
+    The gaussians stay one per edge, unlike ``chaos_totals``: phi is an
+    arbitrary vector over edges, and <g, phi> reads more of g than the
+    bottom-branch sums.
     """
     leaves = np.asarray(leaves, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -176,8 +190,9 @@ def chaos_moment_ladder(b: int, leaf_moments, lam: float, n: int) -> list:
 
 
 def _uniform_reference(profile: VarianceProfile, r: float, a: float, n: int, draws: int):
-    """(edge weight, leaves) of the uniform reference at (r, a, n), its
-    (edges, draws) gaussian block checked against the budget first."""
+    """(edge weight, leaves) of the uniform reference at (r, a, n), its chaos
+    block checked against the budget first, counted as (edges, draws) cells
+    (``shift_law`` draws them all, ``chaos_totals`` one in b)."""
     b = profile.b
     check_budget(f"chaos draw block at generation {n}", *edge_cells(b, n, draws, "draws"))
     return edge_weight(profile, r, a, n), np.ones((b * b) ** n)
@@ -208,7 +223,10 @@ def kahane_experiment(
     against Kahane's exact Q_m(e^lam)."""
     lam, uniform = _uniform_reference(profile, r, a, n, draws)
     totals = chaos_totals(uniform, profile.b, lam, substream(master_seed, _REALM_GMC, 1), draws)
-    report = ExperimentReport("kahane", provenance={"n": n})
+    report = ExperimentReport(
+        "kahane", diagnostics={"gaussians_drawn": draws * uniform.size // profile.b},
+        provenance={"n": n},
+    )
     report.arrays["totals"] = totals
     overlap = overlap_moments(uniform, profile.b, 3)
     for m in (2, 3):
@@ -235,8 +253,9 @@ def conditional_gmc_experiment(
     For each of ``realizations`` references at (r, n), draw ``draws``
     conditional chaos realizations with the exact-discrete (r, a, n) kernel,
     the weight that makes the 1 + R(r + a) target exact, and pool the total
-    masses.  The references' leaves, each reference's (edges, draws) block
-    of gaussians and the (realizations, draws) totals must fit
+    masses.  The references' leaves, each reference's block of gaussians,
+    counted as (edges, draws) cells (an upper bound: it draws one per bottom
+    branch), and the (realizations, draws) totals must fit
     ``AUDIT_CELL_BUDGET``.  Checks:
 
     * conditional layer -- per reference, the Monte Carlo second moment of
@@ -261,7 +280,7 @@ def conditional_gmc_experiment(
     b = profile.b
     lam = edge_weight(profile, r, a, n)
     # the exact moments below hold every reference's overlap polynomials at
-    # once, and each reference's chaos totals one (edges, draws) block
+    # once, and each reference's chaos totals at most one (edges, draws) block
     check_budget(f"leaf batch at generation {n}", *edge_cells(b, n, realizations, "realizations"))
     check_budget(f"chaos draw block at generation {n}", *edge_cells(b, n, draws, "draws"))
     check_budget(f"totals block of {realizations} x {draws}", realizations * draws,
@@ -359,6 +378,7 @@ def conditional_gmc_experiment(
         {
             "pooled_moments": {str(k): v for k, v in pooled.items()},
             "kernel_edge_weight": lam,
+            "gaussians_drawn": count * refs.shape[1] // b,
         }
     )
     return report
@@ -375,7 +395,8 @@ def renormalization_weight_audit(
     sub-leaves, each block carries its own chaos at (r, a, n - 1), and the
     block totals combine as (1/b) sum_i prod_j.  Returns the relative gap,
     exact up to rounding because the exact-discrete edge weight is
-    level-invariant.
+    level-invariant.  The audit is exact on one vector, not a law, so it
+    keeps one gaussian per edge.
     """
     if n < 2:
         raise UsageError("the composite construction needs n >= 2")
@@ -415,9 +436,12 @@ def strong_disorder_bound(
     kernel K1: this is the finite-dimensional Cameron-Martin/Cauchy-Schwarz
     bound with the field shifted by -sqrt(r) t.  The experiment checks the
     bound per realization, in log space, and the strict decay of the pooled
-    half moment across the strictly increasing grid.  The references'
-    leaves, each chaos draw block and the (grid, realizations) half-moment
-    arrays must fit ``AUDIT_CELL_BUDGET``, checked before the pool is drawn.
+    half moment across the strictly increasing grid: each drop pairs the
+    adjacent grid points of every reference, with its SE over the island
+    groups of references.  The references' leaves, each chaos draw block
+    (counted as (edges, draws) cells, an upper bound) and the (grid,
+    realizations) half-moment arrays must fit ``AUDIT_CELL_BUDGET``, checked
+    before the pool is drawn.
     The realizations run on up to one thread each (``for_each``).
     """
     seed_spec = seed_spec or SeedSpec()
@@ -500,20 +524,22 @@ def strong_disorder_bound(
             detail=f"{realizations} realizations x {len(r_grid)} grid points",
         )
     )
-    pooled = half.mean(axis=1)
-    pooled_se = half.std(axis=1, ddof=1) / math.sqrt(realizations)
-    decays = []
-    for k in range(len(r_grid) - 1):
-        comb = math.hypot(pooled_se[k], pooled_se[k + 1])
-        decays.append(pooled[k] - pooled[k + 1] > comb)
+    # SEs over the island groups of references, which carry the pool's own
+    # error; each drop pairs adjacent grid points on the same references,
+    # where the pool term largely cancels
+    pooled, pooled_se = np.array([island_group_mean_se(row) for row in half]).T
+    drops = [island_group_mean_se(half[k] - half[k + 1]) for k in range(len(r_grid) - 1)]
+    decays = [drop > se for drop, se in drops]
     report.add(
         CheckResult(
             "half-moment-decay",
             "pass" if all(decays) else "fail",
             estimate=float(sum(decays)),
             target=float(len(decays)),
-            tolerance="each consecutive drop exceeds the combined SE",
-            detail=f"pooled half moments {['%.4f' % v for v in pooled]}",
+            tolerance="each consecutive drop, paired by reference, exceeds its SE over the "
+            "island groups",
+            detail=f"pooled half moments {['%.4f' % v for v in pooled]}, "
+            f"paired drops {['%.4f +- %.4f' % drop for drop in drops]}",
         )
     )
     report.add(
@@ -539,6 +565,9 @@ def strong_disorder_bound(
         {
             "pooled_half_moments": dict(zip(map(str, r_grid), map(float, pooled))),
             "pooled_half_moment_ses": dict(zip(map(str, r_grid), map(float, pooled_se))),
+            "half_moment_drops": {f"{lo}-{hi}": list(drop)
+                                  for lo, hi, drop in zip(r_grid, r_grid[1:], drops)},
+            "gaussians_drawn": len(r_grid) * realizations * draws * refs.shape[1] // b,
             "theta_total_mean": float(theta_totals.mean()),
             "kernel_trace_mean": float(traces.mean()),
             "kernel_edge_weight": lam1,

@@ -159,6 +159,14 @@ class TestSampleGmc:
         target = np.exp(kernel) / 64.0
         assert np.max(np.abs(emp - target) / se) <= 4.0
 
+    @pytest.mark.parametrize("b, n", [(2, 2), (3, 2)])
+    def test_one_gaussian_per_bottom_branch(self, b, n):
+        # the generator's next draw is a fresh stream's after b^(2n-1) x draws normals
+        rng, fresh = substream(9, b, n), substream(9, b, n)
+        chaos_totals(np.ones((b * b) ** n), b, 0.37, rng, 30)
+        fresh.standard_normal(b ** (2 * n - 1) * 30)
+        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+
     def test_weights_nonnegative_finite(self, lam2):
         factors = gmc._edge_factors(lam2, substream(3, 9).standard_normal((16, 1000)))
         assert np.all(factors >= 0) and np.all(np.isfinite(factors))
@@ -170,11 +178,13 @@ class TestShiftField:
     """The Cameron-Martin law E[T(g + phi)] = E[T(g) exp(<g, phi> - |phi|^2/2)]."""
 
     def test_zero_shift_identity(self, lam2):
-        # at phi = 0 the density is 1: the sample is the chaos totals of the same draws
+        # at phi = 0 the density is 1: the sample is the per-edge chaos totals
+        # of the same draws (shift_law keeps one gaussian per edge)
         leaves = substream(5, 8).lognormal(size=16)
         target, sample, _ = shift_law(leaves, 2, lam2, np.zeros(16), substream(5, 9), 50)
         assert target == tree_total(leaves, 2)
-        assert np.array_equal(sample, chaos_totals(leaves, 2, lam2, substream(5, 9), 50))
+        g = substream(5, 9).standard_normal((16, 50))
+        assert np.array_equal(sample, tree_total(leaves[:, None] * gmc._edge_factors(lam2, g), 2))
 
     def test_shift_covariance_exact(self, params2, kernel2, lam2):
         # E[T(g + phi)]: each cylinder's mean weight picks up exp(sqrt(lam) sum_{e in p} phi_e);
@@ -266,7 +276,9 @@ class TestDenseEquivalence:
     def test_totals(self, b, n, setup):
         lam, leaves, reference, _, factor = setup
         totals = chaos_totals(leaves, b, lam, substream(51, b, n), 40)
-        g = substream(51, b, n).standard_normal((leaves.size, 40))
+        # one N(0, b) normal h per bottom branch: each of its b edges carries h / sqrt(b)
+        h = substream(51, b, n).standard_normal((leaves.size // b, 40))
+        g = np.repeat(h / math.sqrt(b), b, axis=0)
         assert self.close(totals, dense_chaos(factor, reference, g).sum(axis=0))
         assert self.close(tree_total(leaves, b), reference.sum())
 
@@ -506,6 +518,23 @@ class TestExperiments:
             master_seed=103, pop_size=100_000,
         )
         assert not report.failed
+        # the decay reads each reference's paired drop, with its SE over the island groups
+        half = report.arrays["half_moments"]
+        drop, se = cascade.island_group_mean_se(half[:, 0] - half[:, 1])
+        assert report.diagnostics["half_moment_drops"] == {"1.0-4.0": [drop, se]}
+
+    def test_gaussians_drawn_one_per_bottom_branch(self, profile2, profile3):
+        kahane = gmc.kahane_experiment(profile3, 0.0, 1.0, 2, 30, 1)
+        assert kahane.diagnostics["gaussians_drawn"] == 3**3 * 30
+        conditional = conditional_gmc_experiment(
+            profile2, -6.0, 1.0, 2, 24, realizations=10, draws=20,
+            master_seed=9, pop_size=20_000,
+        )
+        assert conditional.diagnostics["gaussians_drawn"] == 10 * 20 * 2**3
+        strong = strong_disorder_bound(
+            profile2, [1.0, 4.0], 2, 24, realizations=4, draws=5, master_seed=1, pop_size=1000
+        )
+        assert strong.diagnostics["gaussians_drawn"] == 2 * 4 * 5 * 2**3
 
     def test_strong_disorder_grid_validated(self, profile2):
         with pytest.raises(UsageError):
