@@ -11,11 +11,10 @@ with M(p) = b^(-d_n) prod_{e in p} l_e, so the chaos reweighting
 is again a product over edges: a chaos realization is the leaf vector
 ``l * exp(sqrt(lam) g - lam/2)``, and its total mass is the tree reduction
 T = (1/b) sum_i prod_j T_ij.  The b edges of a bottom branch lie on exactly
-the same cylinders, so W reads only their sum, an N(0, b) normal, and the
-sampled totals (``chaos_totals``) draw one gaussian per bottom branch, with
-edge weight b lam: the same joint law of every W(p), from b times fewer
-normals.  Only the shift law and the weight-decomposition audit keep one
-gaussian per edge, since a shift or an audit vector is a vector over edges.
+the same cylinders, so W reads only their sum, an N(0, b) normal: every
+chaos here draws one gaussian h per bottom branch, with factor
+exp(sqrt(b lam) h - b lam/2) on the branch's leaf product, the same joint
+law of every W(p) from b times fewer normals.
 Every functional used here is a recursion on the same tree, at O(b^(2n))
 cost per draw:
 
@@ -26,9 +25,10 @@ cost per draw:
 * edge marginals m_e, the mass of the cylinders through e, from one upward
   and one downward pass; t(p) = (K M)(p) = lam sum_{e in p} m_e and
   theta = lam sum_e m_e^2, a second route to theta;
-* the Cameron-Martin law of the total under a shift phi of the gaussians:
-  reweighting T(g) by exp(<g, phi> - |phi|^2/2) gives E[T(g + phi)], the
-  total of the leaves l exp(sqrt(lam) phi).
+* the Cameron-Martin law of the total under a shift psi of the branch
+  gaussians: reweighting T(h) by exp(<h, psi> - |psi|^2/2) gives
+  E[T(h + psi)], the total of the leaves tilted by exp(sqrt(lam / b) psi_B)
+  on each edge of branch B.
 
 The edge weight is the exact-discrete one,
 lam = log[(1 + R(r + a - n)) / (1 + R(r - n))] (``correlation.edge_weight``,
@@ -83,56 +83,53 @@ from .reporting import (
 _REALM_GMC = 3
 
 
-def _edge_factors(lam: float, g: np.ndarray) -> np.ndarray:
-    """Chaos edge factors exp(sqrt(lam) g_e - lam/2), computed in place of ``g``."""
-    g *= math.sqrt(lam)
-    g -= 0.5 * lam
-    return np.exp(g, out=g)
+def _branch_chaos_totals(branches, h: np.ndarray, b: int, lam: float) -> np.ndarray:
+    """Chaos totals from bottom-branch leaf products ``branches`` (broadcast
+    against ``h``) and normals ``h``, one per bottom branch on the first axis,
+    trailing axes batched: ``h`` becomes exp(sqrt(b lam) h - b lam/2) in place,
+    the b branches of each bottom diamond combine as (1/b) sum_i, and
+    ``tree_total`` does the levels above."""
+    h *= math.sqrt(b * lam)
+    h -= 0.5 * b * lam
+    np.exp(h, out=h)
+    h *= branches
+    return tree_total(h.reshape(-1, b, *h.shape[1:]).sum(axis=1) / b, b)
 
 
 def chaos_totals(
     leaves, b: int, lam: float, rng: np.random.Generator, draws: int
 ) -> np.ndarray:
-    """Totals of ``draws`` chaos reweightings of one reference leaf vector.
-
-    The b edges of a bottom branch lie on the same cylinders, so the field
-    reads only their sum, an N(0, b) normal: one gaussian per bottom branch,
-    with edge weight b lam, has the same joint law of every W(p).  The
-    gaussians are drawn as one (bottom branches, draws) array, b^(2n-1) x
-    ``draws`` normals; the b branches of each bottom diamond then combine
-    as (1/b) sum_i and ``tree_total`` does the levels above.
-    """
+    """Totals of ``draws`` chaos reweightings of one reference leaf vector,
+    from one (bottom branches, draws) block of b^(2n-1) x ``draws`` normals."""
     branches = np.asarray(leaves, dtype=float).reshape(-1, b).prod(axis=1)
-    weights = _edge_factors(b * lam, rng.standard_normal((branches.size, draws)))
-    weights *= branches[:, None]
-    return tree_total(weights.reshape(-1, b, draws).sum(axis=1) / b, b)
+    h = rng.standard_normal((branches.size, draws))
+    return _branch_chaos_totals(branches[:, None], h, b, lam)
 
 
-def shift_law(leaves, b: int, lam: float, phi, rng: np.random.Generator, draws: int) -> tuple:
-    """The Cameron-Martin law E[T(g + phi)] = E[T(g) exp(<g, phi> - |phi|^2/2)].
+def shift_law(leaves, b: int, lam: float, psi, rng: np.random.Generator, draws: int) -> tuple:
+    """The Cameron-Martin law E[T(h + psi)] = E[T(h) exp(<h, psi> - |psi|^2/2)].
 
-    T is the chaos total over ``leaves``.  The left side is exact, the tree
-    total of l exp(sqrt(lam) phi); the right side is sampled over ``draws``
-    gaussian blocks.  Returns (exact left side, right-side sample, law SE
-    of the sample's mean); the law SE comes from
-    E[(T exp(<g, phi> - |phi|^2/2))^2] = exp(|phi|^2) Q_2(l exp(2 sqrt(lam) phi); e^lam).
-    The gaussians stay one per edge, unlike ``chaos_totals``: phi is an
-    arbitrary vector over edges, and <g, phi> reads more of g than the
-    bottom-branch sums.
+    T is the chaos total over ``leaves`` and ``psi`` holds one shift per
+    bottom branch.  The left side is exact, the tree total of the leaves
+    with each edge of branch B tilted by exp(sqrt(lam / b) psi_B); the right
+    side is sampled over ``draws`` blocks of branch gaussians.  Returns
+    (exact left side, right-side sample, law SE of the sample's mean); the
+    law SE comes from
+    E[(T exp(<h, psi> - |psi|^2/2))^2] = exp(|psi|^2) Q_2(l tilt^2; e^lam).
     """
     leaves = np.asarray(leaves, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    g = rng.standard_normal((leaves.size, draws))
-    norm_sq = float(phi @ phi)
-    density = np.exp(phi @ g - 0.5 * norm_sq)  # read before g becomes the edge factors
-    weights = _edge_factors(lam, g)
-    weights *= leaves[:, None]
-    tilt = np.exp(math.sqrt(lam) * phi)
+    psi = np.asarray(psi, dtype=float)
+    h = rng.standard_normal((psi.size, draws))
+    norm_sq = float(psi @ psi)
+    density = np.exp(psi @ h - 0.5 * norm_sq)  # read before h becomes the branch factors
+    branches = leaves.reshape(-1, b).prod(axis=1)
+    sample = _branch_chaos_totals(branches[:, None], h, b, lam) * density
+    tilt = np.repeat(np.exp(math.sqrt(lam / b) * psi), b)
     target = float(tree_total(leaves * tilt, b))
     second = math.exp(norm_sq) * float(
         horner(overlap_moments(leaves * tilt**2, b, 2)[2], math.exp(lam))
     )
-    return target, tree_total(weights, b) * density, law_se([1.0, target, second], 1, draws)
+    return target, sample, law_se([1.0, target, second], 1, draws)
 
 
 def _sibling_products(x: np.ndarray) -> np.ndarray:
@@ -192,7 +189,7 @@ def chaos_moment_ladder(b: int, leaf_moments, lam: float, n: int) -> list:
 def _uniform_reference(profile: VarianceProfile, r: float, a: float, n: int, draws: int):
     """(edge weight, leaves) of the uniform reference at (r, a, n), its chaos
     block checked against the budget first, counted as (edges, draws) cells
-    (``shift_law`` draws them all, ``chaos_totals`` one in b)."""
+    (an upper bound: the chaos draws one gaussian per bottom branch)."""
     b = profile.b
     check_budget(f"chaos draw block at generation {n}", *edge_cells(b, n, draws, "draws"))
     return edge_weight(profile, r, a, n), np.ones((b * b) ** n)
@@ -201,16 +198,17 @@ def _uniform_reference(profile: VarianceProfile, r: float, a: float, n: int, dra
 def shift_experiment(
     profile: VarianceProfile, r: float, a: float, n: int, draws: int, master_seed: int
 ) -> ExperimentReport:
-    """``shift_law`` over the uniform reference, with phi = m / (2 |m|) along
-    the edge marginals m: a flipped density sign moves the mean at first
-    order by sum_e m_e phi_e.  The density's variance, exp(|phi|^2) - 1, is
-    0.28 at |phi| = 1/2 (law SE near 5% of the target at 1000 draws)."""
+    """``shift_law`` over the uniform reference with a constant psi, |psi| = 1/2:
+    its branches carry equal mass, so psi points along their marginals, where
+    a flipped density sign moves the mean at first order.  The density's
+    variance, exp(|psi|^2) - 1, is 0.28 (law SE near 5% of the target at 1000 draws)."""
     lam, uniform = _uniform_reference(profile, r, a, n, draws)
-    marginals = edge_marginals(uniform, profile.b)
-    phi = 0.5 * marginals / np.linalg.norm(marginals)
+    branches = uniform.size // profile.b
+    psi = np.full(branches, 0.5 / math.sqrt(branches))
     rng = substream(master_seed, _REALM_GMC, 0)
-    target, sample, law = shift_law(uniform, profile.b, lam, phi, rng, draws)
-    report = ExperimentReport("shift", diagnostics={"law_se": law}, provenance={"n": n})
+    target, sample, law = shift_law(uniform, profile.b, lam, psi, rng, draws)
+    diagnostics = {"law_se": law, "gaussians_drawn": draws * branches}
+    report = ExperimentReport("shift", diagnostics=diagnostics, provenance={"n": n})
     report.add(se_check("cameron-martin-law", target, *mean_se(sample), 4.0,
                         detail=f"law SE {law:.3g}", floor=law))
     return report
@@ -389,14 +387,13 @@ def renormalization_weight_audit(
 ) -> float:
     """Deterministic product-structure audit of one renormalization step.
 
-    For one seeded Gaussian edge vector and lognormal leaves, compares the
-    total of the level-n chaos at (r + 1, a, n) with the composite one:
+    For one seeded vector of branch gaussians and lognormal leaves, compares
+    the total of the level-n chaos at (r + 1, a, n) with the composite one:
     the leaves split into b^2 consecutive blocks of generation-(n - 1)
     sub-leaves, each block carries its own chaos at (r, a, n - 1), and the
     block totals combine as (1/b) sum_i prod_j.  Returns the relative gap,
     exact up to rounding because the exact-discrete edge weight is
-    level-invariant.  The audit is exact on one vector, not a law, so it
-    keeps one gaussian per edge.
+    level-invariant.
     """
     if n < 2:
         raise UsageError("the composite construction needs n >= 2")
@@ -404,12 +401,13 @@ def renormalization_weight_audit(
     lam_full = edge_weight(profile, r + 1, a, n)
     lam_sub = edge_weight(profile, r, a, n - 1)
     rng = substream(master_seed, _REALM_GMC, 0)
-    g = rng.standard_normal((b * b) ** n)
-    leaves = rng.lognormal(mean=0.0, sigma=0.5, size=g.size)
+    h = rng.standard_normal(b ** (2 * n - 1))
+    branches = rng.lognormal(mean=0.0, sigma=0.5, size=(h.size, b)).prod(axis=1)
 
-    single = float(tree_total(leaves * _edge_factors(lam_full, g.copy()), b))
-    blocks = (leaves * _edge_factors(lam_sub, g.copy())).reshape(b * b, -1)
-    composite = float(tree_total(tree_total(blocks.T, b), b))
+    single = float(_branch_chaos_totals(branches, h.copy(), b, lam_full))
+    # the b^2 blocks of sub-leaves as a trailing axis
+    blocks = _branch_chaos_totals(branches.reshape(b * b, -1).T, h.reshape(b * b, -1).T, b, lam_sub)
+    composite = float(tree_total(blocks, b))
     return abs(single - composite) / max(abs(single), 1e-300)
 
 
@@ -530,18 +528,19 @@ def strong_disorder_bound(
     pooled, pooled_se = np.array([island_group_mean_se(row) for row in half]).T
     drops = [island_group_mean_se(half[k] - half[k + 1]) for k in range(len(r_grid) - 1)]
     decays = [drop > se for drop, se in drops]
-    report.add(
-        CheckResult(
-            "half-moment-decay",
-            "pass" if all(decays) else "fail",
-            estimate=float(sum(decays)),
-            target=float(len(decays)),
-            tolerance="each consecutive drop, paired by reference, exceeds its SE over the "
-            "island groups",
-            detail=f"pooled half moments {['%.4f' % v for v in pooled]}, "
-            f"paired drops {['%.4f +- %.4f' % drop for drop in drops]}",
+    if drops:  # a one-point grid has no drop to compare
+        report.add(
+            CheckResult(
+                "half-moment-decay",
+                "pass" if all(decays) else "fail",
+                estimate=float(sum(decays)),
+                target=float(len(decays)),
+                tolerance="each consecutive drop, paired by reference, exceeds its SE over "
+                "the island groups",
+                detail=f"pooled half moments {['%.4f' % v for v in pooled]}, "
+                f"paired drops {['%.4f +- %.4f' % drop for drop in drops]}",
+            )
         )
-    )
     report.add(
         exact_check(
             "theta-audit", audit_gap, 1e-12, detail="edge marginals vs pair class sums"

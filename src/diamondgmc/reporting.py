@@ -135,8 +135,6 @@ class ExperimentReport:
 
 def format_float(x: float) -> str:
     """CSV float format: '.'-decimal, 17 significant digits."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.17g}"
 
 

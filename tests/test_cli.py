@@ -692,7 +692,7 @@ class TestGmcCommand:
         assert report["diagnostics"]["law_se"] < 0.1 * check["estimate"]
 
     def test_shift_check_budget(self, tmp_path, capsys):
-        # 1000 draws of 4^5 edge gaussians fit the budget of 2^20 cells, 4^6 do not
+        # 1000 draws of 4^5 edge cells fit the budget of 2^20 cells, 4^6 do not
         for n, status in ((5, 0), (6, 1)):
             assert main(
                 ["gmc", "--check", "shift", "--b", "2", "--r", "0", "--a", "1",

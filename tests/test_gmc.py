@@ -67,13 +67,11 @@ def kahane(leaves, b, lam, m):
 
 def readme_shift_law(profile2, seed, sign):
     """``shift_law`` as ``gmc --check shift`` runs it at the README settings (b 2,
-    r 0, a 1, n 2, 1000 draws): phi = m / (2 |m|) along the edge marginals m,
-    times ``sign``."""
+    r 0, a 1, n 2, 1000 draws): the constant psi of norm 1/2 over the 8 bottom
+    branches, times ``sign``."""
     lam = edge_weight(profile2, 0.0, 1.0, 2)
-    uniform = np.ones(16)
-    marginals = edge_marginals(uniform, 2)
-    phi = sign * 0.5 * marginals / np.linalg.norm(marginals)
-    return shift_law(uniform, 2, lam, phi, substream(seed, _REALM_GMC, 0), 1000)
+    psi = np.full(8, sign * 0.5 / math.sqrt(8))
+    return shift_law(np.ones(16), 2, lam, psi, substream(seed, _REALM_GMC, 0), 1000)
 
 
 def cylinder_weights(leaves, lam, g, b, n):
@@ -160,41 +158,61 @@ class TestSampleGmc:
         assert np.max(np.abs(emp - target) / se) <= 4.0
 
     @pytest.mark.parametrize("b, n", [(2, 2), (3, 2)])
-    def test_one_gaussian_per_bottom_branch(self, b, n):
-        # the generator's next draw is a fresh stream's after b^(2n-1) x draws normals
-        rng, fresh = substream(9, b, n), substream(9, b, n)
-        chaos_totals(np.ones((b * b) ** n), b, 0.37, rng, 30)
-        fresh.standard_normal(b ** (2 * n - 1) * 30)
-        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+    def test_one_gaussian_per_bottom_branch(self, b, n, request, monkeypatch):
+        # each route's generator, next drawn, is a fresh stream's after b^(2n-1)
+        # normals per draw (and after the audit's b^(2n) lognormal leaves)
+        profile = request.getfixturevalue(f"profile{b}")
+        leaves, branches = np.ones((b * b) ** n), b ** (2 * n - 1)
+
+        def audit(rng):
+            monkeypatch.setattr(gmc, "substream", lambda *key: rng)
+            renormalization_weight_audit(profile, 0.0, 1.0, n, 0)
+
+        for take, normals, leaf_draws in (
+            (lambda rng: chaos_totals(leaves, b, 0.37, rng, 30), branches * 30, 0),
+            (lambda rng: shift_law(leaves, b, 0.37, np.full(branches, 0.1), rng, 30),
+             branches * 30, 0),
+            (audit, branches, leaves.size),
+        ):
+            rng, fresh = substream(9, b, n), substream(9, b, n)
+            take(rng)
+            fresh.standard_normal(normals)
+            fresh.lognormal(sigma=0.5, size=leaf_draws)
+            assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
 
     def test_weights_nonnegative_finite(self, lam2):
-        factors = gmc._edge_factors(lam2, substream(3, 9).standard_normal((16, 1000)))
-        assert np.all(factors >= 0) and np.all(np.isfinite(factors))
         totals = chaos_totals(np.ones(16), 2, lam2, substream(4, 9), 1000)
         assert np.all(totals >= 0) and np.all(np.isfinite(totals))
 
 
 class TestShiftField:
-    """The Cameron-Martin law E[T(g + phi)] = E[T(g) exp(<g, phi> - |phi|^2/2)]."""
+    """The Cameron-Martin law E[T(h + psi)] = E[T(h) exp(<h, psi> - |psi|^2/2)],
+    one gaussian h and one shift psi per bottom branch."""
 
-    def test_zero_shift_identity(self, lam2):
-        # at phi = 0 the density is 1: the sample is the per-edge chaos totals
-        # of the same draws (shift_law keeps one gaussian per edge)
+    def test_zero_shift_identity(self, kernel2, lam2):
+        # at psi = 0 the density is 1: the sample is the chaos totals of the
+        # same draws, and the dense oracle's with each edge of branch B
+        # carrying h_B / sqrt(b)
+        _, factor = kernel2
         leaves = substream(5, 8).lognormal(size=16)
-        target, sample, _ = shift_law(leaves, 2, lam2, np.zeros(16), substream(5, 9), 50)
+        target, sample, _ = shift_law(leaves, 2, lam2, np.zeros(8), substream(5, 9), 50)
         assert target == tree_total(leaves, 2)
-        g = substream(5, 9).standard_normal((16, 50))
-        assert np.array_equal(sample, tree_total(leaves[:, None] * gmc._edge_factors(lam2, g), 2))
+        assert np.array_equal(sample, chaos_totals(leaves, 2, lam2, substream(5, 9), 50))
+        g = np.repeat(substream(5, 9).standard_normal((8, 50)) / math.sqrt(2), 2, axis=0)
+        dense = dense_chaos(factor, assemble(leaves, 2, 2), g).sum(axis=0)
+        assert np.max(np.abs(sample - dense) / dense) <= 1e-12
 
     def test_shift_covariance_exact(self, params2, kernel2, lam2):
-        # E[T(g + phi)]: each cylinder's mean weight picks up exp(sqrt(lam) sum_{e in p} phi_e);
-        # the law SE's second moment is exp(|phi|^2) sum_pq w_p w_q exp(K(p, q)) with
+        # E[T(h + psi)]: each cylinder's mean weight picks up exp(sqrt(lam) sum_{e in p} phi_e)
+        # with the per-edge phi = psi_B / sqrt(b) on each edge of branch B; the law SE's
+        # second moment is exp(|phi|^2) sum_pq w_p w_q exp(K(p, q)) with
         # w = M exp(2 sqrt(lam) sum_{e in p} phi_e)
         kernel, _ = kernel2
         leaves = substream(6, 8).lognormal(size=16)
-        phi = substream(6, 9).standard_normal(16)
+        psi = substream(6, 9).standard_normal(8)
+        phi = np.repeat(psi / math.sqrt(2), 2)
         draws = 7
-        target, _, law = shift_law(leaves, 2, lam2, phi, substream(6, 10), draws)
+        target, _, law = shift_law(leaves, 2, lam2, psi, substream(6, 10), draws)
         inc = incidence_matrix(params2, 2, index_ordered_paths(params2, 2))
         shift = math.sqrt(lam2) * inc @ phi
         reference = assemble(leaves, 2, 2)
@@ -312,16 +330,26 @@ class TestDenseEquivalence:
         assert self.close(bounds, want)
 
     def test_shift_covariance(self, b, n, setup):
-        lam, leaves, reference, _, factor = setup
-        rng = substream(52, b, n)
-        g = rng.standard_normal(leaves.size)
-        phi = rng.standard_normal(leaves.size)
-        chaos = leaves * gmc._edge_factors(lam, g.copy())
-        assert self.close(assemble(chaos, b, n), dense_chaos(factor, reference, g))
-        # the field shifted by phi is the chaos over the leaves l exp(sqrt(lam) phi),
+        lam, leaves, reference, kernel, factor = setup
+        branches, draws = leaves.size // b, 40
+        psi = substream(53, b, n).standard_normal(branches)
+        target, sample, law = shift_law(leaves, b, lam, psi, substream(52, b, n), draws)
+        # per edge, each of branch B's b edges carries h_B / sqrt(b) and psi_B / sqrt(b)
+        h = substream(52, b, n).standard_normal((branches, draws))
+        g, phi = np.repeat(h / math.sqrt(b), b, axis=0), np.repeat(psi / math.sqrt(b), b)
+        density = np.exp(phi @ g - 0.5 * phi @ phi)
+        assert self.close(sample, dense_chaos(factor, reference, g).sum(axis=0) * density)
+        # the field shifted by phi is the chaos over the leaves tilted by
+        # exp(sqrt(lam / b) psi_B) on each edge of branch B, whose total is
         # the exact side of the Cameron-Martin law
-        shifted = chaos * np.exp(math.sqrt(lam) * phi)
-        assert self.close(assemble(shifted, b, n), dense_chaos(factor, reference, g + phi))
+        tilted = leaves * np.exp(math.sqrt(lam) * phi)
+        shifted = chaos_totals(tilted, b, lam, substream(52, b, n), draws)
+        assert self.close(shifted, dense_chaos(factor, reference, g + phi[:, None]).sum(axis=0))
+        shift = factor @ phi
+        assert self.close(target, reference @ np.exp(shift))
+        weighted = reference * np.exp(2 * shift)
+        second = math.exp(phi @ phi) * (weighted @ np.exp(kernel) @ weighted)
+        assert self.close(law**2 * draws + target**2, second)
 
 
 class TestCompositionStructure:
@@ -524,6 +552,8 @@ class TestExperiments:
         assert report.diagnostics["half_moment_drops"] == {"1.0-4.0": [drop, se]}
 
     def test_gaussians_drawn_one_per_bottom_branch(self, profile2, profile3):
+        shift = gmc.shift_experiment(profile3, 0.0, 1.0, 2, 30, 1)
+        assert shift.diagnostics["gaussians_drawn"] == 3**3 * 30
         kahane = gmc.kahane_experiment(profile3, 0.0, 1.0, 2, 30, 1)
         assert kahane.diagnostics["gaussians_drawn"] == 3**3 * 30
         conditional = conditional_gmc_experiment(
@@ -535,6 +565,15 @@ class TestExperiments:
             profile2, [1.0, 4.0], 2, 24, realizations=4, draws=5, master_seed=1, pop_size=1000
         )
         assert strong.diagnostics["gaussians_drawn"] == 2 * 4 * 5 * 2**3
+
+    def test_strong_disorder_one_point_grid_has_no_decay(self, profile2):
+        # one grid point has no drop to compare: the decay row is omitted, the bound still runs
+        report = strong_disorder_bound(
+            profile2, [4.0], 2, 24, realizations=16, draws=20, master_seed=1, pop_size=1000
+        )
+        names = [c.name for c in report.checks]
+        assert "half-moment-decay" not in names and "half-moment-bound" in names
+        assert report.diagnostics["half_moment_drops"] == {}
 
     def test_strong_disorder_grid_validated(self, profile2):
         with pytest.raises(UsageError):
