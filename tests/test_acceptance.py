@@ -370,13 +370,17 @@ def test_criterion_12_reproducibility(tmp_path):
         "--seed", "78", "--out", str(gout),
     ]
     assert main(gmc_args) == 0
-    report_bytes = (gout / "gmc_kahane_report.json").read_bytes()
+    first = {
+        name: (gout / name).read_bytes()
+        for name in ("gmc_kahane_report.json", "gmc_kahane_totals.csv")
+    }
     assert main(gmc_args) == 0
-    assert (gout / "gmc_kahane_report.json").read_bytes() == report_bytes
+    for name, payload in first.items():
+        assert (gout / name).read_bytes() == payload, f"{name} not byte-identical"
     shift_args = ["gmc", "--check", "shift", "--draws", "2000", "--out", str(gout)]
     assert main(shift_args) == 0
     report_bytes = (gout / "gmc_shift_report.json").read_bytes()
     assert main(shift_args) == 0
     assert (gout / "gmc_shift_report.json").read_bytes() == report_bytes
-    announce(12, "population, summary CSV and report JSON byte-identical on rerun "
+    announce(12, "population, summary and totals CSVs and report JSONs byte-identical on rerun "
                  "(fixed config and seed)", time.time() - start, 60.0)

@@ -21,6 +21,7 @@ from diamondgmc.correlation import pair_count_histogram
 from diamondgmc.errors import UsageError
 from diamondgmc.lattice import LatticeParams
 from diamondgmc.rfunction import VarianceProfile, moment_table
+from _oracles import write_csv_by_rows
 from test_readme import COMMANDS as README_COMMANDS
 
 
@@ -810,4 +811,21 @@ class TestGmcCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "gmc_kahane_report.json").read_bytes() == (
             out2 / "gmc_kahane_report.json"
+        ).read_bytes()
+
+    def test_totals_csv_bytes_match_row_route(self, tmp_path, monkeypatch):
+        reports = []
+
+        def recording(*args):
+            reports.append(gmc.kahane_experiment(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "kahane_experiment", recording)
+        args = ["gmc", "--check", "kahane", "--b", "2", "--n", "2", "--draws", "30000",
+                "--seed", "78", "--out", str(tmp_path)]
+        assert main(args) == 0
+        write_csv_by_rows(tmp_path / "rows.csv", ["totals"],
+                          reports[0].arrays["totals"][:, None])
+        assert (tmp_path / "gmc_kahane_totals.csv").read_bytes() == (
+            tmp_path / "rows.csv"
         ).read_bytes()

@@ -1,11 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _oracles import write_csv_by_rows
 from diamondgmc.reporting import (
+    CSV_BLOCK_ROWS,
     CheckResult,
     ExperimentReport,
     exact_check,
@@ -102,8 +107,29 @@ class TestEmission:
             np.array([[math.nan, -math.inf, -0.0, 5e-324], [-math.nan, math.inf, 1e308, 1 / 3]]),
             np.empty((0, 1)),
             np.array([[0.1]]),
-            np.random.default_rng(0).standard_normal((65537, 1)),  # crosses a block boundary
+            np.random.default_rng(0).standard_normal((65537, 1)),  # crosses block boundaries
             np.random.default_rng(1).standard_normal((5, 3)),
+            np.empty((3, 0)),
+            # every power of ten from 1e-8 to 1e19 and its ulp neighbours, both signs
+            np.array([
+                sign * np.nextafter(float(f"1e{k}"), toward)
+                for k in range(-8, 20)
+                for toward in (0.0, float(f"1e{k}"), math.inf)
+                for sign in (1.0, -1.0)
+            ])[:, None],
+            # the edges of fixed notation; 2^53 and 2^53 + 2, the first doubles 2 apart
+            np.array([[1e-4, np.nextafter(1e-4, 0.0), 99999999999999984.0, 1e17,
+                       2.0**53, 2.0**53 + 2]]).T,
+            # exact ties at the 17th digit, rounding to even both ways
+            np.array([[1 + 2**-17, 1 + 3 * 2**-17, -(1 + 2**-17), 1e15 + 0.25, 1e15 + 0.75]]).T,
+            # trailing zeros in the integer part, short decimals
+            np.array([[1e16, 901558.0, 100.0, -100.0, 0.5, 1.25, 0.1, -0.001]]).T,
+            np.array([[5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, -1e-320]]).T,
+            np.random.default_rng(2)
+            .integers(0, 2**64, 200_000, dtype=np.uint64)
+            .view(np.float64)[:, None],
+            # strong-disorder writes a transposed (realizations, grid) array
+            np.random.default_rng(3).lognormal(0.0, 3.0, (3, CSV_BLOCK_ROWS + 1)).T,
         ],
     )
     def test_float_array_bytes_match_row_route(self, tmp_path, array):
@@ -111,3 +137,28 @@ class TestEmission:
         write_csv(tmp_path / "blocks.csv", header, array)
         write_csv_by_rows(tmp_path / "rows.csv", header, array)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 30), st.integers(1, 4)),
+            elements=st.floats(),
+        )
+    )
+    def test_float_array_bytes_match_row_route_property(self, tmp_path_factory, array):
+        path = tmp_path_factory.mktemp("csv")
+        header = [f"c{i}" for i in range(array.shape[1])]
+        write_csv(path / "blocks.csv", header, array)
+        write_csv_by_rows(path / "rows.csv", header, array)
+        assert (path / "blocks.csv").read_bytes() == (path / "rows.csv").read_bytes()
+
+    def test_float_array_write_memory_is_a_few_blocks(self, tmp_path):
+        array = np.random.default_rng(4).lognormal(0.0, 1.0, (1_000_000, 1))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "totals.csv", ["total"], array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's text rows are 16384 x 48 bytes; the whole text would be 48 MB
+        assert peak < 8 * 2**20
