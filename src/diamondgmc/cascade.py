@@ -69,14 +69,13 @@ from .errors import (
     AUDIT_CELL_BUDGET, ORBIT_LEVEL_BUDGET, POPULATION_SIZE_BUDGET, UsageError, check_budget,
 )
 from .reporting import mean_se
-from .rfunction import SeedSpec, VarianceProfile  # SeedSpec: re-exported
+from .rfunction import MINIMUM_BASE_LEVEL, SeedSpec, VarianceProfile  # SeedSpec: re-exported
 
 # Stream realms (second key component after the master seed).
 _REALM_SEED = 0
 _REALM_EVOLVE = 1
 _REALM_LEAF = 2
 
-MINIMUM_BASE_LEVEL = -16.0
 # A population step gathers POPULATION_BLOCK entries at a time.
 POPULATION_BLOCK = 1 << 15
 # Independent islands of every trajectory: the unit of streams, of threads and
@@ -330,13 +329,6 @@ def simulate_mass_trajectory(
     out = {level: population(off, level) for off, level in offsets.items() if off < depth}
     out[r] = population(depth, r)
     return out
-
-
-def fractional_moment(pop: MassPopulation, theta: float):
-    """Sample mean of mass^theta and its island SE."""
-    if not (0.0 < theta <= 1.0):
-        raise UsageError(f"theta must lie in (0, 1], got {theta}")
-    return pop.island_mean_se(pop.masses**theta)
 
 
 def island_group_mean_se(values: np.ndarray) -> tuple:

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .cascade import (
     edge_cells,
-    fractional_moment,
     island_group_mean_se,
     leaf_level,
     overlap_moments,
@@ -242,12 +241,6 @@ class _Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
-    def extend(self, report: ExperimentReport):
-        self.report.checks.extend(report.checks)
-        for note in report.notes:
-            if note not in self.report.notes:
-                self.report.notes.append(note)
-
     def finish(self) -> int:
         if self.report.failed:
             status = 1
@@ -379,15 +372,11 @@ def cmd_correlation(run: _Run) -> int:
     profile = VarianceProfile(cfg.b)
     n_max = cfg.n
 
-    hist = pair_count_histogram(params, n_max)
     table_n = correlation_table(profile, cfg.r, n_max)
     write_csv(
         run.path("histogram.csv"),
         ["N", "count_log10", "weight_log"],
-        [
-            [k, math.log10(c), table_n.log_weight(k)]
-            for k, c in hist.counts
-        ],
+        [[k, math.log10(c), table_n.log_weight(k)] for k, c in pair_count_histogram(params, n_max)],
     )
 
     target = 1.0 + profile.evaluate_R(cfg.r)
@@ -459,8 +448,8 @@ def cmd_simulate(run: _Run) -> int:
         check_budget(f"leaf batch at generation {cfg.n}",
                      *edge_cells(cfg.b, cfg.n, cfg.realizations, "realizations"))
     # the law the run draws, whose mu4 gives the variance's exact SE: the
-    # ladder from the trajectory's own base level r - depth, whose step
-    # budget refuses a too-deep run before any population step
+    # ladder from the trajectory's own base level r - depth, which refuses a
+    # too-deep run (its step budget) or a too-shallow one before any population step
     law = moment_table(profile, [cfg.r], k_max=4, seed_kind=cfg.seed_spec, depth=cfg.depth)
     trajectory = simulate_mass_trajectory(
         cfg.b, cfg.r, seed_spec, cfg.depth, cfg.size, cfg.seed,
@@ -479,7 +468,7 @@ def cmd_simulate(run: _Run) -> int:
 
     mean, mean_err = pop.island_mean_se(pop.masses)
     moments = pop.central_moments_se(4)
-    frac, frac_se = fractional_moment(pop, 0.5)
+    frac, frac_se = pop.island_mean_se(pop.masses**0.5)
     target_var = profile.evaluate_R(cfg.r)
     write_csv(
         run.path("summary.csv"),
@@ -531,8 +520,7 @@ def cmd_simulate(run: _Run) -> int:
                         detail=f"relative, sum_k S_k vs T^2 over {cfg.realizations} realizations")
         )
         table = correlation_table(profile, cfg.r, cfg.n)
-        hist = pair_count_histogram(LatticeParams(cfg.b, cfg.b), cfg.n)
-        for k, pairs in hist.counts:
+        for k, pairs in pair_count_histogram(LatticeParams(cfg.b, cfg.b), cfg.n):
             target = math.exp(math.log(pairs) + table.log_weight(k))
             # SE over the island groups of realizations: it carries the leaf pool's own error
             est, se = island_group_mean_se(class_sums[k])
@@ -569,7 +557,7 @@ def cmd_gmc(run: _Run) -> int:
             profile, grid, cfg.n, cfg.depth,
             cfg.realizations, cfg.draws, cfg.seed, SeedSpec(cfg.seed_spec),
         )
-    run.extend(report)
+    run.report = report
     write_json(run.path(f"gmc_{cfg.check}_report.json"), report.to_dict())
     for label, values in report.arrays.items():
         arr = np.atleast_2d(np.asarray(values))

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .errors import HISTOGRAM_EDGE_BUDGET, DomainError, UsageError, check_budget
+from .errors import HISTOGRAM_EDGE_BUDGET, DomainError, RangeError, UsageError, check_budget
 from .lattice import LatticeParams, decision_count, path_count_int
 from .rfunction import VarianceProfile
 
@@ -79,20 +79,12 @@ def _power(h: dict, b: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class PairCountHistogram:
-    """Exact counts of ordered path pairs in Gamma_n x Gamma_n by shared-edge number."""
-
-    params: LatticeParams
-    n: int
-    counts: tuple  # sorted (N, count) pairs, counts exact ints
-
-
-def pair_count_histogram(params: LatticeParams, n: int) -> PairCountHistogram:
+def pair_count_histogram(params: LatticeParams, n: int) -> tuple:
+    """Exact counts of ordered path pairs in Gamma_n x Gamma_n by shared-edge
+    number N, as sorted (N, count) pairs."""
     params.require_critical()
-    conditional = conditional_pair_histogram(params.b, n)
     gamma = path_count_int(params, n)
-    return PairCountHistogram(params, n, tuple((k, gamma * c) for k, c in conditional))
+    return tuple((k, gamma * c) for k, c in conditional_pair_histogram(params.b, n))
 
 
 @lru_cache(maxsize=None)
@@ -214,15 +206,23 @@ def rho_total(table: CorrelationTable) -> float:
 
     The product part puts 1/|Gamma_n|^2 on every pair; rho puts
     [(1 + R(r-n))^N - 1] / (R(r) |Gamma_n|^2), vanishing exactly when N = 0
-    and totalling one.  Its total is (S / |Gamma_n| - 1) / R(r) for the
-    30-digit sum S = sum_k c_n(k) (1 + R(r - n))^k of ``histogram_mass``,
-    with the 1 taken off before rounding to double.
+    and totalling one.  Its total is sum_k c_n(k) ((1 + R)^k - 1) /
+    (|Gamma_n| R(r)) with R = R(r - n), summed in ``decimal`` term by term:
+    as S / |Gamma_n| - 1 for S = sum_k c_n(k) (1 + R)^k it would cancel to
+    nothing once 30 digits of 1 + R round R away (R below about 1e-30).
+    The context carries as many more digits as R has leading zeros, so each
+    (1 + R)^k - 1 keeps 30 digits of its own.
     """
     R_r = table.profile.evaluate_R(table.r)
     if R_r <= 0:
         raise UsageError("Lebesgue split requires R(r) > 0")
-    with decimal.localcontext(_MASS_CONTEXT):
-        return float((_conditional_mass(table, 0.0, 1) - 1) / decimal.Decimal(R_r))
+    b, D = table.profile.b, decimal.Decimal
+    R = D(table.R_shifted)
+    with decimal.localcontext(_MASS_CONTEXT) as ctx:
+        ctx.prec += max(0, -R.adjusted())
+        x = 1 + R
+        total = sum(c * (x**k - 1) for k, c in table.conditional)
+        return float(total / D(b) ** decision_count(b, table.n) / D(R_r))
 
 
 def kernel_marginal_identity_check(profile: VarianceProfile, r: float, n: int):
@@ -235,6 +235,8 @@ def kernel_marginal_identity_check(profile: VarianceProfile, r: float, n: int):
     so callers compare them as |expm1(log lhs - log rhs)|.
     """
     R_shift, Rp_shift = profile.evaluate_pair(r - n)
+    if Rp_shift == 0:
+        raise RangeError(f"R' underflows double precision at r - n = {r - n} (b={profile.b})")
     log_gamma = decision_count(profile.b, n) * math.log(profile.b)
     lu = math.log1p(R_shift)
     terms = [

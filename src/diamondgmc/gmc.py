@@ -208,7 +208,7 @@ def shift_experiment(
     rng = substream(master_seed, _REALM_GMC, 0)
     target, sample, law = shift_law(uniform, profile.b, lam, psi, rng, draws)
     diagnostics = {"law_se": law, "gaussians_drawn": draws * branches}
-    report = ExperimentReport("shift", diagnostics=diagnostics, provenance={"n": n})
+    report = ExperimentReport("shift", diagnostics=diagnostics)
     report.add(se_check("cameron-martin-law", target, *mean_se(sample), 4.0,
                         detail=f"law SE {law:.3g}", floor=law))
     return report
@@ -222,8 +222,7 @@ def kahane_experiment(
     lam, uniform = _uniform_reference(profile, r, a, n, draws)
     totals = chaos_totals(uniform, profile.b, lam, substream(master_seed, _REALM_GMC, 1), draws)
     report = ExperimentReport(
-        "kahane", diagnostics={"gaussians_drawn": draws * uniform.size // profile.b},
-        provenance={"n": n},
+        "kahane", diagnostics={"gaussians_drawn": draws * uniform.size // profile.b}
     )
     report.arrays["totals"] = totals
     overlap = overlap_moments(uniform, profile.b, 3)
@@ -285,7 +284,8 @@ def conditional_gmc_experiment(
                  AUDIT_CELL_BUDGET)
     count = realizations * draws
     # the law's leaf moments, at the pool's own base level r - depth; the
-    # ladder's step budget refuses a too-deep run before the pool is drawn
+    # ladder refuses a too-deep (its step budget) or too-shallow run before
+    # the pool is drawn
     leaf_r = leaf_level(r, n, depth)
     law_leaves = moment_table(profile, [leaf_r], 4, seed_spec.kind, depth - n).raw[0]
     leaf = simulate_mass_trajectory(
@@ -319,23 +319,7 @@ def conditional_gmc_experiment(
     ).tolist()
     law_ladder = chaos_moment_ladder(b, law_leaves, lam, n)
 
-    report = ExperimentReport(
-        name="conditional-gmc",
-        notes=[SEEDING_BIAS_NOTE],
-        provenance={
-            "b": b,
-            "r": r,
-            "a": a,
-            "n": n,
-            "depth": depth,
-            "realizations": realizations,
-            "draws": draws,
-            "master_seed": master_seed,
-            "seed_kind": seed_spec.kind,
-            "mode": "exact-discrete",
-            "pop_size": pop_size,
-        },
-    )
+    report = ExperimentReport(name="conditional-gmc", notes=[SEEDING_BIAS_NOTE])
     report.add(se_check("mean-vs-one", 1.0, pooled[1][0], pooled[1][1], 4.0))
     # With the exact SE, Chebyshev puts >= 93.75% of the references within
     # 4 SE whatever the skew of the chaos totals; sharpness comes from the
@@ -377,6 +361,7 @@ def conditional_gmc_experiment(
             "pooled_moments": {str(k): v for k, v in pooled.items()},
             "kernel_edge_weight": lam,
             "gaussians_drawn": count * refs.shape[1] // b,
+            "pop_size": pop_size,
         }
     )
     return report
@@ -438,8 +423,9 @@ def strong_disorder_bound(
     adjacent grid points of every reference, with its SE over the island
     groups of references.  The references' leaves, each chaos draw block
     (counted as (edges, draws) cells, an upper bound) and the (grid,
-    realizations) half-moment arrays must fit ``AUDIT_CELL_BUDGET``, checked
-    before the pool is drawn.
+    realizations) half-moment arrays must fit ``AUDIT_CELL_BUDGET``, and
+    each grid point's branch weight b r kappa^2 / n^2 must be finite, both
+    checked before the pool is drawn.
     The realizations run on up to one thread each (``for_each``).
     """
     seed_spec = seed_spec or SeedSpec()
@@ -452,6 +438,10 @@ def strong_disorder_bound(
         raise UsageError("kernel needs generation >= 1")
     b = profile.b
     lam1 = kappa_sq(b) / n**2
+    for rr in r_grid:  # each chaos at rr takes the square root of its branch weight
+        if not math.isfinite(b * (rr * lam1)):
+            raise UsageError(f"strong-disorder grid point {rr:g} at n = {n} puts the branch "
+                             "weight b r kappa^2 / n^2 beyond double range")
     check_budget(f"leaf batch at generation {n}", *edge_cells(b, n, realizations, "realizations"))
     check_budget(f"chaos draw block at generation {n}", *edge_cells(b, n, draws, "draws"))
     check_budget(f"half-moment block of {len(r_grid)} x {realizations}",
@@ -492,21 +482,7 @@ def strong_disorder_bound(
     upward = lam1 * (np.arange(len(pair_sums)) @ pair_sums)
     audit_gap = float(np.max(np.abs(theta_totals - upward) / np.maximum(theta_totals, 1e-300)))
 
-    report = ExperimentReport(
-        name="strong-disorder",
-        notes=[SEEDING_BIAS_NOTE],
-        provenance={
-            "b": b,
-            "n": n,
-            "depth": depth,
-            "r_grid": r_grid,
-            "realizations": realizations,
-            "draws": draws,
-            "master_seed": master_seed,
-            "seed_kind": seed_spec.kind,
-            "pop_size": pop_size,
-        },
-    )
+    report = ExperimentReport(name="strong-disorder", notes=[SEEDING_BIAS_NOTE])
     # mc > bound + 4 SE, compared as log(mc - 4 SE) > log(bound)
     excess = half - 4.0 * half_se
     positive = excess > 0
@@ -570,6 +546,7 @@ def strong_disorder_bound(
             "theta_total_mean": float(theta_totals.mean()),
             "kernel_trace_mean": float(traces.mean()),
             "kernel_edge_weight": lam1,
+            "pop_size": pop_size,
         }
     )
     return report

@@ -109,7 +109,6 @@ class ExperimentReport:
     checks: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
     # raw sample arrays for CSV emission; not serialized into the JSON report
     arrays: dict = field(default_factory=dict, repr=False)
 
@@ -130,7 +129,6 @@ class ExperimentReport:
             "checks": [c.to_dict() for c in self.checks],
             "diagnostics": self.diagnostics,
             "notes": list(self.notes),
-            "provenance": self.provenance,
         }
 
 

@@ -68,6 +68,9 @@ _FOLD_TERMS = [
 ]
 
 SEED_KINDS = ("lognormal", "two-point")
+# The highest base level a seed law is drawn at, or a moment ladder of given
+# depth seeded at: the seed laws match R there, in its asymptotic regime.
+MINIMUM_BASE_LEVEL = -16.0
 
 # The R evaluator seeds its orbit SEED_DEPTH levels below the target with the
 # asymptotic series through 1/t^SEED_ORDER and doubles the depth, up to
@@ -456,8 +459,7 @@ def raw_to_centered(raw) -> list:
 class MomentTable:
     """Raw and centered total-mass moments over an r-grid."""
 
-    r_values: np.ndarray
-    raw: np.ndarray       # shape (len(r_values), k_max + 1)
+    raw: np.ndarray       # shape (grid points, k_max + 1)
     centered: np.ndarray  # same shape; column m is the m-th centered moment
 
 
@@ -471,10 +473,11 @@ def moment_table(
     """Iterate the moment map from a matched seed up through an r-grid.
 
     Each residue class r mod 1 of the grid runs its own ladder, seeded
-    ``depth`` iterations below its smallest point; by default at the
-    variance orbit's converged seed depth there.  A class whose ladder needs
-    more than ``ORBIT_LEVEL_BUDGET`` steps raises ``BudgetError`` before it
-    runs, and so does a grid whose classes' orbits cannot fit
+    ``depth`` iterations below its smallest point, no higher than
+    ``MINIMUM_BASE_LEVEL``; by default at the variance orbit's converged
+    seed depth there.  A class whose ladder needs more than
+    ``ORBIT_LEVEL_BUDGET`` steps raises ``BudgetError`` before it runs, and
+    so does a grid whose classes' orbits cannot fit
     ``PROFILE_LEVEL_BUDGET`` levels.  ``k_max`` lies in
     2..``MOMENT_ORDER_BUDGET``.  Rows come back in grid order; a row holding
     an order beyond double range, or above ``_FLOAT_CAP``, is nan.
@@ -498,6 +501,9 @@ def moment_table(
     for positions in classes.values():
         r_min = float(r_values[positions].min())
         base = r_min - (profile.orbit_depth(r_min) if depth is None else depth)
+        if base > MINIMUM_BASE_LEVEL:
+            raise UsageError(f"base level r - depth = {base} is above {MINIMUM_BASE_LEVEL}; "
+                             "increase depth so the asymptotic seed is in its validity regime")
         targets = {}
         for pos in positions:
             targets.setdefault(int(round(r_values[pos] - base)), []).append(pos)
@@ -523,4 +529,4 @@ def moment_table(
             for row in raw_rows
         ]
     )
-    return MomentTable(r_values, raw_rows, centered_rows)
+    return MomentTable(raw_rows, centered_rows)

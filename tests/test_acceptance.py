@@ -100,15 +100,15 @@ def test_criterion_02_asymptotics():
 
 def test_criterion_03_exact_combinatorics(params2):
     start = time.time()
-    assert dict(pair_count_histogram(params2, 1).counts) == {0: 2, 2: 2}
-    assert dict(pair_count_histogram(params2, 2).counts) == {0: 40, 2: 16, 4: 8}
-    assert dict(pair_count_histogram(params2, 1).counts) == brute_pair_histogram(params2, 1)
-    assert dict(pair_count_histogram(params2, 2).counts) == brute_pair_histogram(params2, 2)
+    assert dict(pair_count_histogram(params2, 1)) == {0: 2, 2: 2}
+    assert dict(pair_count_histogram(params2, 2)) == {0: 40, 2: 16, 4: 8}
+    assert dict(pair_count_histogram(params2, 1)) == brute_pair_histogram(params2, 1)
+    assert dict(pair_count_histogram(params2, 2)) == brute_pair_histogram(params2, 2)
     for n in range(11):
         hist = pair_count_histogram(params2, n)
         pairs = path_count_int(params2, n) ** 2
-        assert sum(k * c for k, c in hist.counts) == pairs               # mean N_n = 1, exactly
-        assert sum(k * k * c for k, c in hist.counts) == (1 + n) * pairs  # mean N_n^2 = 1 + n(b-1)
+        assert sum(k * c for k, c in hist) == pairs               # mean N_n = 1, exactly
+        assert sum(k * k * c for k, c in hist) == (1 + n) * pairs  # mean N_n^2 = 1 + n(b-1)
     announce(3, "histograms equal brute force at n <= 2; N-moment identities "
                 "exact (big integers) for n <= 10", time.time() - start, 5.0)
 
@@ -133,7 +133,7 @@ def test_criterion_04_upsilon_consistency(profile2, params2):
     table8 = correlation_table(profile2, 0.0, 8)
     terms = [
         math.log(c) + table8.log_weight(k) + k * edge_weight(profile2, 0.0, 1.0, 8)
-        for k, c in pair_count_histogram(params2, 8).counts
+        for k, c in pair_count_histogram(params2, 8)
     ]
     peak = max(terms)
     rn_mass = math.exp(peak) * math.fsum(math.exp(t - peak) for t in terms)

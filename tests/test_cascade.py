@@ -12,7 +12,6 @@ from diamondgmc.cascade import (
     MassPopulation,
     Provenance,
     SeedSpec,
-    fractional_moment,
     horner,
     island_group_mean_se,
     leaf_level,
@@ -281,7 +280,7 @@ class TestIslandStatistics:
         islands = pop.islands
         assert [island.size for island in islands] == [101] * 5 + [100] * 11
         assert np.concatenate(islands).tobytes() == masses.tobytes()
-        est, se = fractional_moment(pop, 1.0)
+        est, se = pop.island_mean_se(pop.masses)
         assert est == pytest.approx(masses.mean(), rel=1e-14)
         assert se == pytest.approx(np.std([i.mean() for i in islands], ddof=1) / 4, rel=1e-12)
         var, var_se = pop.central_moments_se(2)[2]
@@ -305,14 +304,9 @@ class TestIslandStatistics:
 
 class TestFractionalMoment:
     def test_unit_population(self):
-        est, se = fractional_moment(ones_population(), 0.5)
+        pop = ones_population()
+        est, se = pop.island_mean_se(pop.masses**0.5)
         assert est == 1.0 and se == 0.0
-
-    def test_theta_domain(self):
-        with pytest.raises(UsageError):
-            fractional_moment(ones_population(), 0.0)
-        with pytest.raises(UsageError):
-            fractional_moment(ones_population(), 1.5)
 
     def test_strong_disorder_decay(self, profile2):
         estimates = []
@@ -320,7 +314,7 @@ class TestFractionalMoment:
             pop = simulate_mass_trajectory(
                 2, r, SeedSpec(), 24 + int(r), 300_000, 13, profile=profile2
             )[r]
-            estimates.append(fractional_moment(pop, 0.5))
+            estimates.append(pop.island_mean_se(pop.masses**0.5))
         for (e1, s1), (e2, s2) in zip(estimates, estimates[1:]):
             assert e1 - e2 > math.hypot(s1, s2)
 
@@ -328,7 +322,7 @@ class TestFractionalMoment:
         pop = simulate_mass_trajectory(
             2, -4.0, SeedSpec(), 20, 200_000, 14, profile=profile2
         )[-4.0]
-        est, se = fractional_moment(pop, 1.0)
+        est, se = pop.island_mean_se(pop.masses)
         assert abs(est - 1.0) <= 4 * max(se, 1e-15)
 
 
@@ -381,7 +375,7 @@ class TestPairClassSums:
         params = LatticeParams(b, b)
         for n in range(1, n_max + 1):
             sums = overlap_moments(np.ones((b * b) ** n), b, 2)[2]
-            hist = dict(pair_count_histogram(params, n).counts)
+            hist = dict(pair_count_histogram(params, n))
             pairs = path_count_int(params, n) ** 2
             want = [hist.get(k, 0) / pairs for k in range(b**n + 1)]
             assert sums.tolist() == pytest.approx(want, rel=1e-14, abs=0)

@@ -186,6 +186,13 @@ _SMALL_SIM = ["--r", "-20", "--depth", "20", "--size", "100", "--n", "0"]
         # each law keeps the one edge weight it is stated for: no --mode flag
         ["gmc", "--check", "conditional", "--mode", "asymptotic"],
         ["gmc", "--n", "abc"],
+        # a branch weight b r kappa^2 / n^2 beyond double range
+        ["gmc", "--check", "strong-disorder", "--n", "1", "--depth", "30", "--realizations", "2",
+         "--draws", "2", "--grid", "1e308"],
+        # a base level above -16, refused before the law ladder runs
+        ["simulate", "--r", "0", "--depth", "2", "--size", "1000", "--n", "0"],
+        ["gmc", "--check", "conditional", "--r", "0", "--n", "1", "--depth", "2",
+         "--realizations", "2", "--draws", "2"],
         [],
     ],
     ids=lambda args: " ".join(args) or "no-command",
@@ -314,6 +321,25 @@ def test_too_deep_run_refused_before_any_population(args, error, tmp_path, capsy
     assert err.startswith(error)
     assert "above the budget of 262144" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--r", "0", "--depth", "2", "--size", "1000", "--n", "0"],
+        ["gmc", "--check", "conditional", "--r", "0", "--n", "1", "--depth", "2",
+         "--realizations", "2", "--draws", "2"],
+    ],
+    ids=["simulate", "gmc-conditional"],
+)
+def test_too_shallow_run_names_the_base_level(args, tmp_path, capsys):
+    # the law ladder runs first; it names the base level, not the seed law
+    # that the base level puts out of its range
+    assert main(args + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: base level r - depth = -2.0 is above -16.0; increase depth so the "
+        "asymptotic seed is in its validity regime\n"
+    )
 
 
 class TestFixedPointCommand:
@@ -537,6 +563,25 @@ class TestCorrelationCommand:
         checks = {c["name"]: c for c in manifest["checks"]}
         assert checks["kernel-marginal-identity"]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("r", ["-1e162", "-1e200", "-1e308"])
+    def test_underflowing_R_prime_exits_one(self, r, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["correlation", "--b", "2", "--r", r, "--n", "1",
+                           "--out", str(tmp_path)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: R' underflows double precision at r - n = ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("r", ["-1e30", "-1e40"])
+    def test_rho_total_passes_where_1_plus_R_rounds_to_1(self, r, tmp_path):
+        assert main(["correlation", "--b", "2", "--r", r, "--n", "3",
+                     "--out", str(tmp_path)]) == 0
+        manifest = read_manifest(tmp_path / "correlation_manifest.json")
+        checks = {c["name"]: c for c in manifest["checks"]}
+        assert checks["rho-total(n=3)"]["verdict"] == "pass"
+
     def test_exact_checks_hold_at_b3_n8(self, tmp_path):
         # 2 log|Gamma_8| is about 7207 at b = 3: summed as float logs, the
         # mass and RN terms lose about 1.6e-12 to rounding alone, above the
@@ -674,7 +719,7 @@ class TestSimulateCommand:
             assert status == 0
             manifest = read_manifest(out / "simulate_manifest.json")
             checks = {c["name"]: c for c in manifest["checks"]}
-            classes = dict(pair_count_histogram(LatticeParams(2, 2), n).counts)
+            classes = dict(pair_count_histogram(LatticeParams(2, 2), n))
             assert {f"pair-correlation-audit(N={k})" for k in classes} <= set(checks)
             assert checks["measure-additivity-audit"]["verdict"] == "pass"
 
@@ -800,6 +845,40 @@ class TestGmcCommand:
              "--grid", "1,4", "--seed", "5", "--out", str(tmp_path)]
         )
         assert status == 0
+
+    def test_strong_disorder_half_moments_underflow_to_zero(self, tmp_path):
+        # at n = 3 the branch weight at r = 1e308 is finite: its half moments
+        # underflow to 0, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(
+                ["gmc", "--check", "strong-disorder", "--n", "3", "--realizations", "2",
+                 "--draws", "2", "--grid", "1,1e308", "--out", str(tmp_path)]
+            )
+        assert status == 0
+        with open(tmp_path / "gmc_strong-disorder_half_moments.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(row[1]) for row in rows] == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            ("shift", []),
+            ("kahane", ["--n", "1", "--draws", "100"]),
+            ("conditional", ["--r", "-4", "--n", "1", "--realizations", "20", "--draws", "20"]),
+            ("strong-disorder", ["--n", "1", "--realizations", "20", "--draws", "20"]),
+        ],
+    )
+    def test_report_holds_checks_notes_and_diagnostics(self, check, args, tmp_path):
+        # the settings are the manifest's config; the report holds the rest
+        main(["gmc", "--check", check, *args, "--out", str(tmp_path)])
+        report = read_manifest(tmp_path / f"gmc_{check}_report.json")
+        manifest = read_manifest(tmp_path / "gmc_manifest.json")
+        assert set(report) == {"checks", "diagnostics", "name", "notes"}
+        assert manifest["checks"] == report["checks"]
+        assert manifest["notes"] == report["notes"]
+        if check in ("conditional", "strong-disorder"):
+            assert report["diagnostics"]["pop_size"] == 1_000_000
 
     def test_report_bytes_reproducible(self, tmp_path):
         args = [

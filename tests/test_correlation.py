@@ -32,23 +32,23 @@ from diamondgmc.rfunction import VarianceProfile, kappa_sq, psi
 
 class TestPairCountHistogram:
     def test_matches_brute_force_n1(self, params2):
-        assert dict(pair_count_histogram(params2, 1).counts) == brute_pair_histogram(
+        assert dict(pair_count_histogram(params2, 1)) == brute_pair_histogram(
             params2, 1
         ) == {0: 2, 2: 2}
 
     def test_matches_brute_force_n2(self, params2):
-        assert dict(pair_count_histogram(params2, 2).counts) == brute_pair_histogram(
+        assert dict(pair_count_histogram(params2, 2)) == brute_pair_histogram(
             params2, 2
         ) == {0: 40, 2: 16, 4: 8}
 
     def test_matches_brute_force_b3_n1(self):
         params = LatticeParams(3, 3)
-        assert dict(pair_count_histogram(params, 1).counts) == brute_pair_histogram(
+        assert dict(pair_count_histogram(params, 1)) == brute_pair_histogram(
             params, 1
         )
 
     def test_mass_partition_n2(self, params2):
-        assert sum(c for _, c in pair_count_histogram(params2, 2).counts) == 64
+        assert sum(c for _, c in pair_count_histogram(params2, 2)) == 64
 
     @pytest.mark.parametrize("b, n_max", [(2, 13), (3, 8), (4, 6), (5, 5)])
     def test_exact_moment_identities_to_budget_edge(self, b, n_max):
@@ -58,16 +58,16 @@ class TestPairCountHistogram:
         for n in range(n_max + 1):
             hist = pair_count_histogram(params, n)
             total = path_count_int(params, n) ** 2
-            assert sum(c for _, c in hist.counts) == total
-            assert sum(k * c for k, c in hist.counts) == total
-            assert sum(k * k * c for k, c in hist.counts) == (1 + (b - 1) * n) * total
+            assert sum(c for _, c in hist) == total
+            assert sum(k * c for k, c in hist) == total
+            assert sum(k * k * c for k, c in hist) == (1 + (b - 1) * n) * total
 
     def test_matches_recursion_oracle(self):
         # H_n = |Gamma_n| c_n against the pair recursion, exactly
         for b, n_max in ((2, 11), (3, 6), (4, 4)):
             for n in range(n_max + 1):
                 hist = pair_count_histogram(LatticeParams(b, b), n)
-                assert hist.counts == pair_histogram_by_recursion(b, n)
+                assert hist == pair_histogram_by_recursion(b, n)
 
     def test_non_critical_rejected(self):
         with pytest.raises(UsageError):
@@ -107,7 +107,7 @@ class TestHistogramMass:
         # the reference sums every term of the pair counts H_n over
         # |Gamma_n|^2, the marginal every term of c_n
         table = correlation_table(VarianceProfile(b), r, n)
-        pairs = pair_count_histogram(LatticeParams(b, b), n).counts
+        pairs = pair_count_histogram(LatticeParams(b, b), n)
         assert histogram_mass(table, tilt) == histogram_mass_all_terms(table, pairs, tilt)
         assert marginal_check(table) == histogram_mass_all_terms(table, table.conditional)
 
@@ -186,7 +186,7 @@ class TestRnKernel:
                 math.log(c)
                 + table.log_weight(k)
                 + k * edge_weight(profile2, 0.0, 1.0, n)
-                for k, c in pair_count_histogram(LatticeParams(2, 2), n).counts
+                for k, c in pair_count_histogram(LatticeParams(2, 2), n)
             ]
             peak = max(terms)
             total = math.exp(peak) * math.fsum(math.exp(t - peak) for t in terms)
@@ -218,6 +218,15 @@ class TestLebesgue:
     def test_rho_total_is_one(self, profile2):
         assert rho_total(correlation_table(profile2, 0.0, 3)) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("r", [-1e40, -1e100])
+    def test_rho_total_is_one_where_1_plus_R_rounds_to_1(self, b, r):
+        # R(r - 3), about kappa^2 / |r|, is below 1e-30: 30 digits of 1 + R
+        # read 1, and S / |Gamma_n| - 1 would read 0
+        profile = VarianceProfile(b)
+        assert profile.evaluate_R(r - 3) < 1e-30
+        assert rho_total(correlation_table(profile, r, 3)) == pytest.approx(1.0, abs=1e-9)
+
     def test_diagonal_dominates(self, profile2):
         # rho's weight (1 + R(r - n))^N - 1 grows with the shared-edge count N
         table = correlation_table(profile2, 0.0, 3)
@@ -227,7 +236,7 @@ class TestLebesgue:
     def test_product_part_is_uniform(self, profile2):
         table = correlation_table(profile2, 0.0, 3)
         # 1/|Gamma_n|^2 on every pair, one in total
-        pairs = sum(c for _, c in pair_count_histogram(LatticeParams(2, 2), 3).counts)
+        pairs = sum(c for _, c in pair_count_histogram(LatticeParams(2, 2), 3))
         assert pairs == path_count_int(LatticeParams(2, 2), 3) ** 2
         assert pairs * math.exp(-2 * table.log_gamma) == pytest.approx(1.0, rel=1e-12)
 

@@ -619,7 +619,7 @@ class TestThetaSummary:
         table = correlation_table(profile2, r, n)
         expected = lam * sum(
             k * c * math.exp(table.log_weight(k))
-            for k, c in pair_count_histogram(LatticeParams(2, 2), n).counts
+            for k, c in pair_count_histogram(LatticeParams(2, 2), n)
         )
         leaf = simulate_mass_trajectory(
             2, r - n, SeedSpec(), 24 - n, 400_000, 41, profile=profile2
