@@ -18,10 +18,10 @@ understates the population's own error; the islands are independent
 replicas, and every population statistic takes its SE from the spread of
 its J island values.  The generation-n leaves of a measure realization at r
 are total masses at level r - n, which the trajectory to r passes through:
-the ``simulate`` command takes its leaf pool from a snapshot of its own
-trajectory at r - n, and realization i draws its leaves from island i mod J,
-so realizations grouped by island are independent and their group means
-carry the pool's own error.
+a trajectory draws the leaves it is asked for on its way, and realization i
+draws its leaves from island i mod J as that island reaches r - n, so
+realizations grouped by island are independent and their group means carry
+the pool's own error.
 
 Leaf arrays follow the lattice edge order: leaf k of a generation-n tree is
 edge k, the base-b^2 integer whose most significant digit is the top-level
@@ -60,7 +60,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -116,27 +116,6 @@ def substream(master_seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-@dataclass(frozen=True)
-class Provenance:
-    b: int
-    r: float
-    base_level: float
-    depth: int
-    size: int
-    seed_kind: str
-    seed_variance: float
-    master_seed: int
-    overflow_count: int = 0
-    detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The fields by name; ``detail`` only when it holds anything."""
-        out = asdict(self)
-        if not self.detail:
-            del out["detail"]
-        return out
-
-
 def _island_slices(size: int) -> list:
     """The ``ISLANDS`` slices of a population of ``size`` entries, in stream
     order; the first size % J islands hold one entry more."""
@@ -147,11 +126,12 @@ def _island_slices(size: int) -> list:
 
 @dataclass
 class MassPopulation:
-    """An empirical population of total masses at parameter r, in ``ISLANDS`` islands."""
+    """An empirical population of total masses in ``ISLANDS`` islands, with the
+    header ``population.bin`` stores: the trajectory's settings (level ``r``
+    among them), its overflow count and its step record (``detail``)."""
 
-    r: float
     masses: np.ndarray
-    provenance: Provenance
+    header: dict
 
     @property
     def size(self) -> int:
@@ -233,22 +213,27 @@ def simulate_mass_trajectory(
     depth: int,
     size: int,
     master_seed: int,
-    snapshot_levels=(),
+    leaves=None,
     profile: "VarianceProfile | None" = None,
-) -> dict:
-    """Population at r and at snapshot levels, each of ``ISLANDS`` islands.
+) -> tuple:
+    """Population at r, of ``ISLANDS`` islands, and the leaves it was asked for.
 
     Seeds ``size`` draws of the seed law at r0 = r - depth (enforced to lie
     at or below the asymptotic validity level; ``size`` and ``depth`` are
     held to their budgets before the first draw) and applies ``depth``
     population-dynamics steps.  Island j draws its seed from the stream
     (seed realm, 0, j) and step t from (evolve realm, t, j); it runs its
-    whole depth as one ``for_each`` task and writes its snapshot and final
-    rows into its slices of arrays allocated up front, so no step writes its
-    input and no population is copied.  The recorded step means and SEs
-    combine the islands' (entries are iid within a step, given the previous
-    population).  Returns {level: MassPopulation} with the final level r
-    always present.
+    whole depth as one ``for_each`` task and writes its final rows into its
+    slice of an array allocated up front, so no step writes its input and no
+    population is copied.  The recorded step means and SEs combine the
+    islands' (entries are iid within a step, given the previous population).
+
+    ``leaves=(r_m, n, count)`` asks for the leaf masses of ``count``
+    independent measure realizations at (r_m, n): total masses at level
+    r_m - n, which must be a step of the trajectory.  Realization i draws its
+    b^(2n) leaves, in edge order, from island i mod J as soon as that island
+    has reached r_m - n, with the substream (master seed, leaf realm, i).
+    Returns (population at r, leaves of shape (count, b^(2n)) or None).
     """
     if depth < 1:
         raise UsageError("depth must be >= 1")
@@ -264,21 +249,20 @@ def simulate_mass_trajectory(
             f"base level r - depth = {base_level} is above {MINIMUM_BASE_LEVEL}; "
             f"increase depth so the asymptotic seed is in its validity regime"
         )
-    offsets = {}
-    for level in snapshot_levels:
-        off = int(round(level - base_level))
-        if not (0 < off <= depth) or abs(base_level + off - level) > 1e-9:
+    leaf_step, batch = None, None
+    if leaves is not None:
+        r_m, n, count = leaves
+        leaf_step = int(round(r_m - n - base_level))
+        if not (0 < leaf_step <= depth) or abs(base_level + leaf_step - (r_m - n)) > 1e-9:
             raise UsageError(
-                f"snapshot level {level} is not an integer step of the trajectory "
+                f"leaf level r - n = {r_m - n} is not a level of the trajectory "
                 f"{base_level}..{r}"
             )
-        offsets[off] = float(level)
+        batch = np.empty((count, b ** (2 * n)))
     profile = profile or VarianceProfile(b)
     variance = profile.evaluate_R(base_level)
 
-    # the rows each step leaves behind: the snapshots', then the final ones
-    rows = {off: np.empty(size) for off in offsets if off < depth}
-    rows[depth] = np.empty(size)
+    final = np.empty(size)
     slices = _island_slices(size)
     pre = np.empty((2, depth, ISLANDS))  # each step's pre-normalization mean and SE
 
@@ -290,51 +274,44 @@ def simulate_mass_trajectory(
         # step's raw mean has expectation 1
         _renormalize(masses)
         for iteration in range(1, depth + 1):
-            into = rows[iteration][own] if iteration in rows else None
+            into = final[own] if iteration == depth else None
             rng = substream(master_seed, _REALM_EVOLVE, iteration, j)
             # rebinding first frees the input population before the next step allocates
             masses = population_step(masses, b, rng, into)
             pre[:, iteration - 1, j] = _renormalize(masses)
+            if iteration == leaf_step:
+                for i in range(j, batch.shape[0], ISLANDS):
+                    rng = substream(master_seed, _REALM_LEAF, i)
+                    batch[i] = masses[rng.integers(0, masses.size, size=batch.shape[1])]
 
     for_each(island, ISLANDS)
     # exact sums, so that a step's figures do not depend on the steps after it
     counts = np.array([s.stop - s.start for s in slices])
     pre_means = [math.fsum(row) / size for row in pre[0] * counts]
     pre_ses = [math.sqrt(math.fsum(row)) / size for row in (pre[1] * counts) ** 2]
-
-    def population(off, level):
-        masses = rows[off]
-        detail = {
-            "step_pre_means": pre_means[:off],
-            "step_pre_ses": pre_ses[:off],
-            "norm_log": math.fsum(
-                math.log(m) for m in pre_means[:off] if math.isfinite(m) and m > 0),
-        }
-        if off < depth:
-            detail["snapshot_of"] = r
-        prov = Provenance(
-            b=b,
-            r=level,
-            base_level=base_level,
-            depth=off,
-            size=size,
-            seed_kind=seed_spec.kind,
-            seed_variance=variance,
-            master_seed=master_seed,
-            overflow_count=int(np.count_nonzero(~np.isfinite(masses))),
-            detail=detail,
-        )
-        return MassPopulation(level, masses, prov)
-
-    out = {level: population(off, level) for off, level in offsets.items() if off < depth}
-    out[r] = population(depth, r)
-    return out
+    header = {
+        "b": b,
+        "r": r,
+        "base_level": base_level,
+        "depth": depth,
+        "size": size,
+        "seed_kind": seed_spec.kind,
+        "seed_variance": variance,
+        "master_seed": master_seed,
+        "overflow_count": int(np.count_nonzero(~np.isfinite(final))),
+        "detail": {
+            "step_pre_means": pre_means,
+            "step_pre_ses": pre_ses,
+            "norm_log": math.fsum(math.log(m) for m in pre_means if math.isfinite(m) and m > 0),
+        },
+    }
+    return MassPopulation(final, header), batch
 
 
 def island_group_mean_se(values: np.ndarray) -> tuple:
     """Mean of per-realization ``values`` and its SE over the island groups.
 
-    Realization i draws its leaves from island i mod J (``sample_measure_batch``),
+    Realization i draws its leaves from island i mod J (``simulate_mass_trajectory``),
     so the group means are independent, and each carries its island's own
     error, which the spread over realizations alone leaves out.  Given the
     pool the realizations are independent, so their own SE is a lower bound
@@ -443,40 +420,12 @@ def leaf_level(r: float, n: int, depth: int) -> float:
     return r - n
 
 
-def sample_measure_batch(
-    b: int,
-    r: float,
-    n: int,
-    count: int,
-    leaf_population: MassPopulation,
-    master_seed: int,
-) -> np.ndarray:
-    """Leaf masses for ``count`` independent realizations at (r, n).
-
-    Returns an array of shape (count, b^(2n)) in edge order; realization ``i``
-    draws its leaves from island i mod J of the pool, with the substream
-    (master seed, leaf realm, i).
-    """
-    if leaf_population.r != r - n:
-        raise UsageError(
-            f"leaf population is at r = {leaf_population.r}, need r - n = {r - n}"
-        )
-    n_leaves = b ** (2 * n)
-    pools = leaf_population.islands
-    leaves = np.empty((count, n_leaves))
-    for i in range(count):
-        pool = pools[i % ISLANDS]
-        rng = substream(master_seed, _REALM_LEAF, i)
-        leaves[i] = pool[rng.integers(0, pool.size, size=n_leaves)]
-    return leaves
-
-
 # -- population persistence ----------------------------------------------------
 
 
 def write_population(path, pop: MassPopulation):
     """Binary snapshot: magic, version header (JSON), then little-endian float64."""
-    header = {"version": 1, **pop.provenance.to_dict()}
+    header = {"version": 1, **pop.header}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(POPULATION_MAGIC)
@@ -497,5 +446,5 @@ def read_population(path) -> MassPopulation:
         raise UsageError(
             f"{path}: expected {header['size']} masses, found {data.size}"
         )
-    prov = Provenance(**{f.name: header[f.name] for f in fields(Provenance) if f.name in header})
-    return MassPopulation(header["r"], data.copy(), prov)
+    header.pop("version", None)
+    return MassPopulation(data.copy(), header)

@@ -29,7 +29,6 @@ from .cascade import (
     island_group_mean_se,
     leaf_level,
     overlap_moments,
-    sample_measure_batch,
     simulate_mass_trajectory,
     tree_total,
     write_population,
@@ -372,12 +371,11 @@ def cmd_correlation(run: _Run) -> int:
     profile = VarianceProfile(cfg.b)
     n_max = cfg.n
 
+    # written after the identity checks, which may raise: a failed run leaves no files
     table_n = correlation_table(profile, cfg.r, n_max)
-    write_csv(
-        run.path("histogram.csv"),
-        ["N", "count_log10", "weight_log"],
-        [[k, math.log10(c), table_n.log_weight(k)] for k, c in pair_count_histogram(params, n_max)],
-    )
+    histogram_rows = [
+        [k, math.log10(c), table_n.log_weight(k)] for k, c in pair_count_histogram(params, n_max)
+    ]
 
     target = 1.0 + profile.evaluate_R(cfg.r)
     masses = [
@@ -424,6 +422,7 @@ def cmd_correlation(run: _Run) -> int:
     run.report.add(
         exact_check("kernel-marginal-identity", worst_rel, 1e-8, detail="relative")
     )
+    write_csv(run.path("histogram.csv"), ["N", "count_log10", "weight_log"], histogram_rows)
     write_csv(
         run.path("identity_checks.csv"),
         ["check", "lhs", "rhs", "abs_err", "rel_err"],
@@ -439,31 +438,23 @@ def cmd_simulate(run: _Run) -> int:
     seed_spec = SeedSpec(cfg.seed_spec)
 
     # the generation-n leaves are total masses at r - n, a level the
-    # trajectory to r passes: snapshot it there instead of simulating it again
-    leaf_r = None
+    # trajectory to r passes: it draws them there instead of simulating it again
+    leaves = None
     if cfg.n >= 1:
-        leaf_r = leaf_level(cfg.r, cfg.n, cfg.depth)
+        leaf_level(cfg.r, cfg.n, cfg.depth)
         if cfg.realizations < 2:
             raise UsageError("the measure audits need --realizations >= 2")
         check_budget(f"leaf batch at generation {cfg.n}",
                      *edge_cells(cfg.b, cfg.n, cfg.realizations, "realizations"))
+        leaves = (cfg.r, cfg.n, cfg.realizations)
     # the law the run draws, whose mu4 gives the variance's exact SE: the
     # ladder from the trajectory's own base level r - depth, which refuses a
     # too-deep run (its step budget) or a too-shallow one before any population step
     law = moment_table(profile, [cfg.r], k_max=4, seed_kind=cfg.seed_spec, depth=cfg.depth)
-    trajectory = simulate_mass_trajectory(
-        cfg.b, cfg.r, seed_spec, cfg.depth, cfg.size, cfg.seed,
-        snapshot_levels=() if leaf_r is None else (leaf_r,),
-        profile=profile,
+    # one leaf batch serves both audits (class sums S_k, tree totals)
+    pop, batch = simulate_mass_trajectory(
+        cfg.b, cfg.r, seed_spec, cfg.depth, cfg.size, cfg.seed, leaves=leaves, profile=profile,
     )
-    pop = trajectory[cfg.r]
-    if cfg.n >= 1:
-        # one leaf batch serves both audits (class sums S_k, tree totals); its
-        # own substreams let it be drawn first, so the snapshot is freed here
-        leaves = sample_measure_batch(
-            cfg.b, cfg.r, cfg.n, cfg.realizations, trajectory[leaf_r], cfg.seed
-        ).T
-    del trajectory
     write_population(run.path("population.bin"), pop)
 
     mean, mean_err = pop.island_mean_se(pop.masses)
@@ -482,8 +473,8 @@ def cmd_simulate(run: _Run) -> int:
         ],
     )
 
-    pre_means = pop.provenance.detail.get("step_pre_means", [])
-    pre_ses = pop.provenance.detail.get("step_pre_ses", [])
+    pre_means = pop.header["detail"]["step_pre_means"]
+    pre_ses = pop.header["detail"]["step_pre_ses"]
     drift = [
         (m, s) for m, s in zip(pre_means, pre_ses) if abs(m - 1.0) > 4.0 * s
     ]
@@ -500,20 +491,20 @@ def cmd_simulate(run: _Run) -> int:
     # mu4 comes from tail events no feasible population holds
     run.report.add(se_check("variance-vs-R", target_var, *moments[2], 4.0,
                             floor=law_se(law.centered[0], 2, pop.size)))
-    if pop.provenance.overflow_count:
+    if pop.header["overflow_count"]:
         run.report.add(
             CheckResult(
                 "overflow-samples",
                 "flagged",
-                estimate=float(pop.provenance.overflow_count),
+                estimate=float(pop.header["overflow_count"]),
                 detail="non-finite masses counted, not dropped",
             )
         )
     del pop  # the audit reads only the leaf batch
 
     if cfg.n >= 1:
-        class_sums = overlap_moments(leaves, cfg.b, 2)[2]
-        squares = tree_total(leaves, cfg.b) ** 2
+        class_sums = overlap_moments(batch.T, cfg.b, 2)[2]
+        squares = tree_total(batch.T, cfg.b) ** 2
         gap = np.abs(class_sums.sum(axis=0) - squares) / np.maximum(squares, 1e-300)
         run.report.add(
             exact_check("measure-additivity-audit", float(gap.max()), 1e-12,

@@ -59,7 +59,6 @@ from .cascade import (
     island_group_mean_se,
     leaf_level,
     overlap_moments,
-    sample_measure_batch,
     simulate_mass_trajectory,
     substream,
     tree_total,
@@ -288,10 +287,10 @@ def conditional_gmc_experiment(
     # the pool is drawn
     leaf_r = leaf_level(r, n, depth)
     law_leaves = moment_table(profile, [leaf_r], 4, seed_spec.kind, depth - n).raw[0]
-    leaf = simulate_mass_trajectory(
-        b, leaf_r, seed_spec, depth - n, pop_size, master_seed, profile=profile
-    )[leaf_r]
-    refs = sample_measure_batch(b, r, n, realizations, leaf, master_seed)
+    leaf, refs = simulate_mass_trajectory(
+        b, leaf_r, seed_spec, depth - n, pop_size, master_seed,
+        leaves=(r, n, realizations), profile=profile,
+    )
 
     totals = np.empty((realizations, draws))
 
@@ -447,10 +446,10 @@ def strong_disorder_bound(
     check_budget(f"half-moment block of {len(r_grid)} x {realizations}",
                  len(r_grid) * realizations, AUDIT_CELL_BUDGET)
     leaf_r = leaf_level(0.0, n, depth)
-    leaf = simulate_mass_trajectory(
-        b, leaf_r, seed_spec, depth - n, pop_size, master_seed, profile=profile
-    )[leaf_r]
-    refs = sample_measure_batch(b, 0.0, n, realizations, leaf, master_seed)
+    refs = simulate_mass_trajectory(
+        b, leaf_r, seed_spec, depth - n, pop_size, master_seed,
+        leaves=(0.0, n, realizations), profile=profile,
+    )[1]
 
     half = np.empty((len(r_grid), realizations))
     half_se = np.empty_like(half)

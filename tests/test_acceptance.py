@@ -24,7 +24,6 @@ from _oracles import (
 from test_gmc import kahane, readme_shift_law
 from diamondgmc.cascade import (
     SeedSpec,
-    sample_measure_batch,
     simulate_mass_trajectory,
     substream,
 )
@@ -160,10 +159,15 @@ def test_criterion_05_cascade_law_matching(profile2):
         return dev.var(ddof=1) if k == 2 else np.mean(dev**k)
 
     def replicas(kind, seed, size=1_000_000):
-        # the 16 islands of one trajectory are independent replicas of 62 500
-        traj = simulate_mass_trajectory(
-            2, 0.0, SeedSpec(kind), 24, size, seed, snapshot_levels=levels, profile=profile2,
-        )
+        # the 16 islands of one trajectory are independent replicas of 62 500;
+        # the trajectory to each level starts at the same base level -24, so
+        # every level reads the same streams
+        traj = {
+            L: simulate_mass_trajectory(
+                2, L, SeedSpec(kind), int(L) + 24, size, seed, profile=profile2,
+            )[0]
+            for L in levels + [0.0]
+        }
 
         def values(level, k):
             return np.array([central(island, k) for island in traj[level].islands])
@@ -214,10 +218,10 @@ def test_criterion_05_cascade_law_matching(profile2):
 def test_criterion_06_measure_level_correlations(profile2, params2):
     start = time.time()
     r, n, count = -6.0, 2, 10_000
-    leaf = simulate_mass_trajectory(
-        2, r - n, SeedSpec(), 24 - n, 4_000_000, 7, profile=profile2
-    )[r - n]
-    batch = assemble(sample_measure_batch(2, r, n, count, leaf, 7), 2, n)
+    leaves = simulate_mass_trajectory(
+        2, r - n, SeedSpec(), 24 - n, 4_000_000, 7, leaves=(r, n, count), profile=profile2
+    )[1]
+    batch = assemble(leaves, 2, n)
     support = index_ordered_paths(params2, n)
     target = upsilon_pair_matrix(correlation_table(profile2, r, n), support)
     prods = batch[:, :, None] * batch[:, None, :]

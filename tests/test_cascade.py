@@ -10,7 +10,6 @@ from diamondgmc.errors import DomainError, UsageError
 from diamondgmc.cascade import (
     POPULATION_BLOCK,
     MassPopulation,
-    Provenance,
     SeedSpec,
     horner,
     island_group_mean_se,
@@ -18,7 +17,6 @@ from diamondgmc.cascade import (
     overlap_moments,
     population_step,
     read_population,
-    sample_measure_batch,
     simulate_mass_trajectory,
     substream,
     tree_total,
@@ -44,12 +42,12 @@ from _oracles import (
 
 
 def ones_population(size=64, b=2):
-    prov = Provenance(
-        b=b, r=0.0, base_level=-24.0, depth=24, size=size,
-        seed_kind="two-point", seed_variance=0.0,
-        master_seed=0,
-    )
-    return MassPopulation(0.0, np.ones(size), prov)
+    header = {
+        "b": b, "r": 0.0, "base_level": -24.0, "depth": 24, "size": size,
+        "seed_kind": "two-point", "seed_variance": 0.0,
+        "master_seed": 0, "overflow_count": 0,
+    }
+    return MassPopulation(np.ones(size), header)
 
 
 class TestSeedSpec:
@@ -142,7 +140,7 @@ class TestEvolvePopulation:
     @pytest.mark.parametrize("b", [2, 3])
     @pytest.mark.parametrize("islands", [1, 3])
     def test_leaves_its_input_unchanged(self, b, islands, monkeypatch):
-        # the trajectory keeps its snapshots without a copy, so no step may write its input
+        # a trajectory draws its leaves from a step's output, so no step may write its input
         masses = substream(26, b).lognormal(sigma=0.5, size=2 * POPULATION_BLOCK + 17)
         before = masses.tobytes()
         for threads in (1, 2):
@@ -152,34 +150,41 @@ class TestEvolvePopulation:
 
     def test_peak_memory_is_three_arrays_and_a_few_blocks(self, profile2, monkeypatch):
         # numpy reports its allocations to tracemalloc; a trajectory holds its
-        # final rows and, for each island running, the island's input, output
-        # and branch accumulator, and index and factor blocks; the central
-        # moments hold the population and two arrays more
+        # final rows, the leaf batch it was asked for and, for each island
+        # running, the island's input, output and branch accumulator, and
+        # index and factor blocks; the central moments hold the population
+        # and two arrays more
         size, workers = 400_000, 2
         island = -(-size // cascade.ISLANDS)
         monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, workers))
         # the profile's orbit and numpy's first-call caches are built outside the trace
-        simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 1000, 28, profile=profile2)
-        tracemalloc.start()
-        try:
-            pop = simulate_mass_trajectory(
-                2, -8.0, SeedSpec(), 16, size, 28, profile=profile2
-            )[-8.0]
-            step_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            pop.central_moments_se(4)
-            moment_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert step_peak <= 8 * (size + workers * (3 * island + 2 * POPULATION_BLOCK))
-        assert moment_peak <= 8 * (3 * size + 4 * POPULATION_BLOCK)
+        simulate_mass_trajectory(
+            2, -8.0, SeedSpec(), 16, 1000, 28, leaves=(-8.0, 2, 20), profile=profile2
+        )
+        # no leaves, then 1000 realizations drawn mid-trajectory and at the final level
+        for leaves in (None, (-8.0, 2, 1000), (-6.0, 2, 1000)):
+            tracemalloc.start()
+            try:
+                pop, batch = simulate_mass_trajectory(
+                    2, -8.0, SeedSpec(), 16, size, 28, leaves=leaves, profile=profile2
+                )
+                step_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                pop.central_moments_se(4)
+                moment_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            batch_bytes = 0 if batch is None else batch.nbytes
+            assert step_peak <= batch_bytes + 8 * (
+                size + workers * (3 * island + 2 * POPULATION_BLOCK))
+            assert moment_peak <= batch_bytes + 8 * (3 * size + 4 * POPULATION_BLOCK)
 
     def test_one_step_variance_map(self, profile2):
         # at a weak-disorder level the one-step output variance matches
         # psi(v) of the input sample variance within Monte Carlo error
         pop = simulate_mass_trajectory(
             2, -8.0, SeedSpec(), 16, 1_000_000, 71, profile=profile2
-        )[-8.0]
+        )[0]
         v_in = pop.central_moments_se(2)[2][0]
         out = replace(pop, masses=population_step(pop.masses, 2, substream(6, 0)))
         v_out, v_se = out.central_moments_se(2)[2]
@@ -194,21 +199,21 @@ class TestSimulateMassLaw:
             simulate_mass_trajectory(2, 0.0, SeedSpec(), 8, 1000, 0, profile=profile2)
 
     def test_variance_tracks_R_along_trajectory(self, profile2):
+        # one trajectory per level from the same base level -24: the same streams
         levels = [-12.0, -8.0, -6.0, -4.0]
-        traj = simulate_mass_trajectory(
-            2, -4.0, SeedSpec(), 20, 400_000, 81,
-            snapshot_levels=levels[:-1], profile=profile2,
-        )
         for level in levels:
-            var, se = traj[level].central_moments_se(2)[2]
+            pop = simulate_mass_trajectory(
+                2, level, SeedSpec(), int(level) + 24, 400_000, 81, profile=profile2
+            )[0]
+            var, se = pop.central_moments_se(2)[2]
             assert abs(var - profile2.evaluate_R(level)) <= 4 * se
 
     def test_mean_is_pinned_and_steps_recorded(self, profile2):
         pop = simulate_mass_trajectory(
             2, -6.0, SeedSpec(), 18, 100_000, 5, profile=profile2
-        )[-6.0]
+        )[0]
         assert pop.masses.mean() == pytest.approx(1.0, abs=1e-13)
-        detail = pop.provenance.detail
+        detail = pop.header["detail"]
         assert len(detail["step_pre_means"]) == 18
         assert all(
             abs(m - 1.0) <= 4 * s
@@ -218,27 +223,33 @@ class TestSimulateMassLaw:
     def test_seed_kinds_agree_in_distribution(self, profile2):
         a = simulate_mass_trajectory(
             2, -6.0, SeedSpec("two-point"), 18, 200_000, 9, profile=profile2
-        )[-6.0]
+        )[0]
         b = simulate_mass_trajectory(
             2, -6.0, SeedSpec("lognormal"), 18, 200_000, 10, profile=profile2
-        )[-6.0]
+        )[0]
         va, sa = a.central_moments_se(2)[2]
         vb, sb = b.central_moments_se(2)[2]
         assert abs(va - vb) <= 4 * math.hypot(sa, sb)
 
     def test_reproducibility_and_island_contract(self, profile2, monkeypatch):
         kwargs = dict(profile=profile2)
-        one = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_000, 42, **kwargs)[-8.0]
-        two = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_000, 42, **kwargs)[-8.0]
+        one = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_000, 42, **kwargs)[0]
+        two = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_000, 42, **kwargs)[0]
         assert np.array_equal(one.masses, two.masses)
         # the islands run concurrently or one after another, to the same bytes
+        # and so are the leaves drawn on the way
+        leaves = []
         for threads in (1, 4):
             monkeypatch.setattr(cascade, "worker_count", lambda tasks: min(tasks, threads))
-            again = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_000, 42, **kwargs)
-            assert again[-8.0].masses.tobytes() == one.masses.tobytes()
+            again, batch = simulate_mass_trajectory(
+                2, -8.0, SeedSpec(), 16, 10_000, 42, leaves=(-8.0, 2, 100), **kwargs
+            )
+            assert again.masses.tobytes() == one.masses.tobytes()
+            leaves.append(batch.tobytes())
+        assert leaves[0] == leaves[1]
         # island j reads only its own streams: one entry more, which falls to
         # island 0, leaves the other islands' rows as they were
-        more = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_001, 42, **kwargs)[-8.0]
+        more = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 10_001, 42, **kwargs)[0]
         assert [island.size for island in more.islands] == [626] + [625] * 15
         assert not np.array_equal(one.islands[0], more.islands[0][:625])
         for j in range(1, 16):
@@ -250,20 +261,25 @@ class TestSimulateMassLaw:
 class TestTrajectoryLeafPool:
     """``simulate`` draws its cylinder leaves from its own trajectory's level r - n."""
 
-    def test_snapshot_is_the_separate_leaf_run(self, profile2):
-        r, n, depth, size, seed = 0.0, 2, 20, 4096, 24
-        level = leaf_level(r, n, depth)
-        snapshot = simulate_mass_trajectory(
-            2, r, SeedSpec(), depth, size, seed, snapshot_levels=(level,), profile=profile2
-        )[level]
-        separate = simulate_mass_trajectory(
-            2, r - n, SeedSpec(), depth - n, size, seed, profile=profile2
-        )[r - n]
-        assert snapshot.r == separate.r == r - n
-        assert snapshot.masses.tobytes() == separate.masses.tobytes()
-        for key in ("step_pre_means", "step_pre_ses", "norm_log"):
-            assert snapshot.provenance.detail[key] == separate.provenance.detail[key]
-        assert replace(snapshot.provenance, detail={}) == replace(separate.provenance, detail={})
+    def test_leaves_on_the_way_are_the_run_stopped_there(self, profile2):
+        # the simulate route (leaves at r - n, on the way to r) against the gmc
+        # route (leaves at the final level of the trajectory to r - n)
+        r, n, depth, size, seed, count = 0.0, 2, 20, 4096, 24, 50
+        pop, on_the_way = simulate_mass_trajectory(
+            2, r, SeedSpec(), depth, size, seed, leaves=(r, n, count), profile=profile2
+        )
+        stopped, at_the_end = simulate_mass_trajectory(
+            2, r - n, SeedSpec(), depth - n, size, seed, leaves=(r, n, count), profile=profile2
+        )
+        assert on_the_way.shape == (count, 16)
+        assert on_the_way.tobytes() == at_the_end.tobytes()
+        for key in ("step_pre_means", "step_pre_ses"):
+            assert pop.header["detail"][key][: depth - n] == stopped.header["detail"][key]
+        # realization i draws from island i mod 16 with its own leaf substream
+        for i in range(count):
+            island = stopped.islands[i % cascade.ISLANDS]
+            picks = substream(seed, cascade._REALM_LEAF, i).integers(0, island.size, size=16)
+            assert on_the_way[i].tobytes() == island[picks].tobytes()
 
     def test_leaf_level_needs_a_step_below_it(self):
         assert leaf_level(-4.0, 2, 3) == -6.0
@@ -313,7 +329,7 @@ class TestFractionalMoment:
         for r in (0.0, 2.0, 4.0, 6.0, 8.0):
             pop = simulate_mass_trajectory(
                 2, r, SeedSpec(), 24 + int(r), 300_000, 13, profile=profile2
-            )[r]
+            )[0]
             estimates.append(pop.island_mean_se(pop.masses**0.5))
         for (e1, s1), (e2, s2) in zip(estimates, estimates[1:]):
             assert e1 - e2 > math.hypot(s1, s2)
@@ -321,7 +337,7 @@ class TestFractionalMoment:
     def test_theta_one_mean(self, profile2):
         pop = simulate_mass_trajectory(
             2, -4.0, SeedSpec(), 20, 200_000, 14, profile=profile2
-        )[-4.0]
+        )[0]
         est, se = pop.island_mean_se(pop.masses)
         assert abs(est - 1.0) <= 4 * max(se, 1e-15)
 
@@ -401,37 +417,38 @@ class TestMeasureSamples:
     def test_additivity_audit(self, profile2):
         # sum_k S_k = T^2: the class sums and the tree totals are independent
         # recursions over the same leaves
-        leaf = simulate_mass_trajectory(
-            2, -5.0, SeedSpec(), 21, 100_000, 15, profile=profile2
-        )[-5.0]
-        leaves = sample_measure_batch(2, -2.0, 3, 50, leaf, 15).T
+        leaves = simulate_mass_trajectory(
+            2, -5.0, SeedSpec(), 21, 100_000, 15, leaves=(-2.0, 3, 50), profile=profile2
+        )[1].T
         sums = overlap_moments(leaves, 2, 2)[2]
         squares = tree_total(leaves, 2) ** 2
         assert np.max(np.abs(sums.sum(axis=0) / squares - 1.0)) <= 1e-12
         assert np.all(sums >= 0)
 
     def test_cylinder_means(self, profile2):
-        leaf = simulate_mass_trajectory(
-            2, -6.0, SeedSpec(), 22, 200_000, 16, profile=profile2
-        )[-6.0]
-        batch = assemble(sample_measure_batch(2, -4.0, 2, 4000, leaf, 16), 2, 2)
+        leaves = simulate_mass_trajectory(
+            2, -6.0, SeedSpec(), 22, 200_000, 16, leaves=(-4.0, 2, 4000), profile=profile2
+        )[1]
+        batch = assemble(leaves, 2, 2)
         se = batch.std(axis=0, ddof=1) / math.sqrt(batch.shape[0])
         assert np.all(np.abs(batch.mean(axis=0) - 1.0 / 8.0) <= 4 * se)
 
     def test_batch_reproducible(self, profile2):
-        leaf = simulate_mass_trajectory(
-            2, -5.0, SeedSpec(), 19, 50_000, 17, profile=profile2
-        )[-5.0]
-        one = sample_measure_batch(2, -4.0, 1, 100, leaf, 17)
-        two = sample_measure_batch(2, -4.0, 1, 100, leaf, 17)
+        one, two = (
+            simulate_mass_trajectory(
+                2, -5.0, SeedSpec(), 19, 50_000, 17, leaves=(-4.0, 1, 100), profile=profile2
+            )[1]
+            for _ in range(2)
+        )
         assert np.array_equal(one, two)
 
     def test_leaf_level_checked(self, profile2):
-        leaf = simulate_mass_trajectory(
-            2, -5.0, SeedSpec(), 19, 50_000, 18, profile=profile2
-        )[-5.0]
-        with pytest.raises(UsageError):
-            sample_measure_batch(2, -3.0, 1, 10, leaf, 18)
+        # above r, off the integer steps, and at the seed level: no step reaches there
+        for leaves in ((-3.0, 1, 10), (-4.5, 1, 10), (-23.0, 1, 10)):
+            with pytest.raises(UsageError, match="not a level of the trajectory"):
+                simulate_mass_trajectory(
+                    2, -5.0, SeedSpec(), 19, 50_000, 18, leaves=leaves, profile=profile2
+                )
 
 
 class TestUpsilonCombine:
@@ -455,12 +472,13 @@ class TestUpsilonCombine:
 
 class TestPersistence:
     def test_roundtrip_and_byte_stability(self, tmp_path, profile2):
-        pop = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 5000, 21, profile=profile2)[-8.0]
+        pop = simulate_mass_trajectory(2, -8.0, SeedSpec(), 16, 5000, 21, profile=profile2)[0]
         path = tmp_path / "pop.bin"
         write_population(path, pop)
         loaded = read_population(path)
         assert np.array_equal(loaded.masses, pop.masses)
-        assert loaded.provenance.master_seed == 21
+        assert loaded.header["master_seed"] == 21
+        assert loaded.header == pop.header
         first = path.read_bytes()
         write_population(path, pop)
         assert path.read_bytes() == first

@@ -565,14 +565,16 @@ class TestCorrelationCommand:
 
     @pytest.mark.parametrize("r", ["-1e162", "-1e200", "-1e308"])
     def test_underflowing_R_prime_exits_one(self, r, tmp_path, capsys):
+        out = tmp_path / "corr"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status = main(["correlation", "--b", "2", "--r", r, "--n", "1",
-                           "--out", str(tmp_path)])
+                           "--out", str(out)])
         assert status == 1
         err = capsys.readouterr().err
         assert err.startswith("error: R' underflows double precision at r - n = ")
         assert err.count("\n") == 1
+        assert not out.exists()  # no partial output directory
 
     @pytest.mark.parametrize("r", ["-1e30", "-1e40"])
     def test_rho_total_passes_where_1_plus_R_rounds_to_1(self, r, tmp_path):

@@ -22,7 +22,6 @@ from diamondgmc.cascade import (
     SeedSpec,
     horner,
     overlap_moments,
-    sample_measure_batch,
     simulate_mass_trajectory,
     substream,
     tree_total,
@@ -403,17 +402,15 @@ class TestCompositionStructure:
         # a = 0: combining b^2 independent references reproduces the law one
         # level up; matched-size second moments agree within 4 combined SEs
         count = 1500
-        leaf_low = simulate_mass_trajectory(
-            2, -7.0, SeedSpec(), 23, 300_000, 23, profile=profile2
-        )[-7.0]
-        subs = assemble(
-            sample_measure_batch(2, -6.0, 1, count * 4, leaf_low, 23), 2, 1
-        ).reshape(count, 2, 2, 2)
+        leaves_low = simulate_mass_trajectory(
+            2, -7.0, SeedSpec(), 23, 300_000, 23, leaves=(-6.0, 1, count * 4), profile=profile2
+        )[1]
+        subs = assemble(leaves_low, 2, 1).reshape(count, 2, 2, 2)
         combined_totals = upsilon_combine(subs).sum(axis=-1)
-        leaf_up = simulate_mass_trajectory(
-            2, -7.0, SeedSpec(), 22, 300_000, 24, profile=profile2
-        )[-7.0]
-        up_totals = tree_total(sample_measure_batch(2, -5.0, 2, count, leaf_up, 24).T, 2)
+        leaves_up = simulate_mass_trajectory(
+            2, -7.0, SeedSpec(), 22, 300_000, 24, leaves=(-5.0, 2, count), profile=profile2
+        )[1]
+        up_totals = tree_total(leaves_up.T, 2)
         a2, b2 = combined_totals**2, up_totals**2
         comb = math.hypot(
             a2.std(ddof=1) / math.sqrt(count), b2.std(ddof=1) / math.sqrt(count)
@@ -464,10 +461,9 @@ class TestChaosMomentLadder:
 class TestExperiments:
     def test_conditional_zero_coupling_totals_equal_reference(self, profile2):
         lam = edge_weight(profile2, -6.0, 0.0, 2)
-        leaf = simulate_mass_trajectory(
-            2, -8.0, SeedSpec(), 22, 100_000, 31, profile=profile2
-        )[-8.0]
-        refs = sample_measure_batch(2, -6.0, 2, 5, leaf, 31)
+        refs = simulate_mass_trajectory(
+            2, -8.0, SeedSpec(), 22, 100_000, 31, leaves=(-6.0, 2, 5), profile=profile2
+        )[1]
         for i in range(5):
             totals = chaos_totals(refs[i], 2, lam, substream(31, 9, i), 7)
             assert np.allclose(totals, assemble(refs[i], 2, 2).sum(), rtol=0, atol=1e-15)
@@ -621,10 +617,9 @@ class TestThetaSummary:
             k * c * math.exp(table.log_weight(k))
             for k, c in pair_count_histogram(LatticeParams(2, 2), n)
         )
-        leaf = simulate_mass_trajectory(
-            2, r - n, SeedSpec(), 24 - n, 400_000, 41, profile=profile2
-        )[r - n]
-        refs = sample_measure_batch(2, r, n, 4000, leaf, 41)
+        refs = simulate_mass_trajectory(
+            2, r - n, SeedSpec(), 24 - n, 400_000, 41, leaves=(r, n, 4000), profile=profile2
+        )[1]
         thetas = theta_from_pair_sums(refs.T, 2, lam)
         se = thetas.std(ddof=1) / math.sqrt(thetas.size)
         assert abs(thetas.mean() - expected) <= 4 * se
