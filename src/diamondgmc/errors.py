@@ -38,14 +38,14 @@ AUDIT_CELL_BUDGET = 1 << 20
 # above its import baseline (38 MiB at 1M, 159 MiB at 4M), so 2^24 entries
 # is about 0.6 GiB.
 POPULATION_SIZE_BUDGET = 1 << 24
-# Levels of one R orbit: a level holds about 135 bytes and takes about
-# 11 us, so 2^18 levels take 3 s and 35 MiB.  A residue class's moment
-# ladder (about 10 us a step), a population trajectory's steps and a
+# Levels of one R orbit: a level holds 16 bytes of floats and takes about
+# 2 us, so 2^18 levels take about 0.5 s and 4 MiB.  A residue class's
+# moment ladder (about 10 us a step), a population trajectory's steps and a
 # ``--grid``'s points are held to the same number.
 ORBIT_LEVEL_BUDGET = 1 << 18
-# Levels of all the orbits of one profile: at 135 bytes a level, 2^22 levels
-# are about 0.53 GiB, the memory class of a population.  ``rfunc --grid
-# -8:0.004:8`` holds 1.35M levels in 659 orbits (13 s, 211 MiB peak).
+# Levels of all the orbits of one profile: at about 17 bytes a level, 2^22
+# levels are about 70 MiB.  ``rfunc --grid -8:0.004:8`` holds 1.35M levels
+# in 659 orbits (about 5 s, 56 MiB peak).
 PROFILE_LEVEL_BUDGET = 1 << 22
 # Edges of one generation-n path (b^n), the span of a pair histogram: at
 # b = 2 the step to n = 12 takes about 0.2 s and the step to n = 13 about

@@ -48,6 +48,8 @@ variance R(r0).
 from __future__ import annotations
 
 import math
+from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -61,12 +63,6 @@ from .errors import (
 )
 
 _FLOAT_CAP = 1e300
-# the terms (C(k, j), j, k - j) of the moment ladder's binomial fold, per order k
-_FOLD_TERMS = [
-    [(math.comb(k, j), j, k - j) for j in range(k + 1)]
-    for k in range(MOMENT_ORDER_BUDGET + 1)
-]
-
 SEED_KINDS = ("lognormal", "two-point")
 # The highest base level a seed law is drawn at, or a moment ladder of given
 # depth seeded at: the seed laws match R there, in its asymptotic regime.
@@ -233,7 +229,7 @@ class _Orbit:
     """One residue class of the recursion, iterated upward from a deep seed.
 
     The state (R, R') at the top cached offset is held as integers scaled
-    by 2^bits.
+    by 2^bits; the floats of every offset are held flat, 16 bytes a level.
     """
 
     __slots__ = ("xi", "base_floor", "depth", "values", "bits", "R", "Rp")
@@ -246,8 +242,11 @@ class _Orbit:
         self.R = R
         self.Rp = Rp
         one = 1 << bits
-        # (R, R') float pairs, offset i <-> r = xi + base_floor + i
-        self.values = [(R / one, Rp / one)]
+        # R and R' of offset i <-> r = xi + base_floor + i at 2i and 2i + 1
+        self.values = array("d", (R / one, Rp / one))
+
+    def levels(self) -> int:
+        return len(self.values) // 2
 
 
 @dataclass
@@ -277,7 +276,7 @@ class VarianceProfile:
                 bits = math.ceil((PRECISION_DPS - min(0, Rp.adjusted())) * math.log2(10))
                 orbit = _Orbit(xi, base_floor, depth, bits, int(R * 2**bits), int(Rp * 2**bits))
             self._extend_orbit(orbit, probe_floor)
-            probe_val = orbit.values[-1][0]
+            probe_val = orbit.values[-2]
             if prev is not None:
                 scale = max(1.0, abs(probe_val))
                 if abs(probe_val - prev) <= TOLERANCE * scale:
@@ -297,15 +296,15 @@ class VarianceProfile:
         each product truncated back to ``bits`` fractional bits.  Floats are
         the correctly rounded quotients R / 2^bits.
         """
-        need = top_floor - orbit.base_floor + 1 - len(orbit.values)
+        need = top_floor - orbit.base_floor + 1 - orbit.levels()
         if need <= 0:
             return
         levels = min(top_floor, TOP_PROBE) - orbit.base_floor + 1
         check_budget(f"R orbit from r = {orbit.xi + orbit.base_floor} to {orbit.xi + top_floor}",
                      levels, ORBIT_LEVEL_BUDGET)
-        held = sum(len(o.values) for o in self._orbits.values() if o is not orbit)
+        held = sum(o.levels() for o in self._orbits.values() if o is not orbit)
         check_budget(f"R orbits of the b = {self.b} profile", held + levels, PROFILE_LEVEL_BUDGET)
-        b, bits, values = self.b, orbit.bits, orbit.values
+        b, bits, append = self.b, orbit.bits, orbit.values.append
         one = 1 << bits
         shift = bits * (b - 2)
         R, Rp = orbit.R, orbit.Rp
@@ -315,18 +314,19 @@ class VarianceProfile:
             R_next = ((power * s >> bits) - one) // b
             Rp_next = power * Rp >> bits
             try:
-                pair = (R_next / one, Rp_next / one)
+                R_float, Rp_float = R_next / one, Rp_next / one
             except OverflowError:  # either quotient beyond double range
-                pair = (math.inf, math.inf)
-            if pair[0] > _FLOAT_CAP:
+                R_float = Rp_float = math.inf
+            if R_float > _FLOAT_CAP:
                 # leave the cache at the last representable level; the
                 # integer state must stay aligned with the cached values
                 orbit.R, orbit.Rp = R, Rp
                 raise RangeError(
                     f"R overflows double precision above r = "
-                    f"{orbit.xi + orbit.base_floor + len(values) - 1} (b={self.b})"
+                    f"{orbit.xi + orbit.base_floor + orbit.levels() - 1} (b={self.b})"
                 )
-            values.append(pair)
+            append(R_float)
+            append(Rp_float)
             R, Rp = R_next, Rp_next
         orbit.R, orbit.Rp = R, Rp
 
@@ -337,8 +337,13 @@ class VarianceProfile:
         xi = r - floor_r
         orbit = self._orbits.get(xi)
         if orbit is None or floor_r < orbit.base_floor:
-            orbit = self._build_orbit(xi, min(floor_r, TOP_PROBE))
-            self._orbits[xi] = orbit
+            deeper = self._build_orbit(xi, min(floor_r, TOP_PROBE))
+            # the deeper orbit is cached only if the budget lets it climb back
+            # to the cached top: else every r the cached one serves is refused
+            if orbit is None or (orbit.base_floor + orbit.levels() - deeper.base_floor
+                                 <= ORBIT_LEVEL_BUDGET):
+                self._orbits[xi] = deeper
+            orbit = deeper
         self._extend_orbit(orbit, floor_r)
         return orbit, floor_r - orbit.base_floor
 
@@ -346,7 +351,7 @@ class VarianceProfile:
 
     def evaluate_pair(self, r: float) -> tuple:
         orbit, offset = self._orbit_for(r)
-        return orbit.values[offset]
+        return orbit.values[2 * offset], orbit.values[2 * offset + 1]
 
     def evaluate_R(self, r: float) -> float:
         return self.evaluate_pair(r)[0]
@@ -413,7 +418,21 @@ class SeedSpec:
         return [0.5 * ((1.0 + sigma) ** k + (1.0 - sigma) ** k) for k in range(k_max + 1)]
 
 
-def moment_recursion_step(b: int, moments) -> list:
+@lru_cache(maxsize=None)
+def _fold_plan(b: int, n: int) -> tuple:
+    """The fold of orders 0..n-1 as (term j, order k) arrays, the scale b^k,
+    and the largest branch moment B for which no value the fold forms (at
+    most b^k B^b) can overflow.  Term j of order k is (C(k, j) * acc[j]) *
+    branch[k - j]; one with j > k reads order 0 (m_0 = 1) with coefficient
+    0, so it adds +0.0 and never reads an inf order."""
+    check_budget(f"moment ladder step of orders 0..{n - 1}", n - 1, MOMENT_ORDER_BUDGET)
+    j, k = np.indices((n, n))
+    coef = np.array([[math.comb(order, term) for order in range(n)] for term in range(n)], dtype=float)
+    scale = np.array([b**order for order in range(n)], dtype=float)
+    return coef[:, :, None], np.triu(j), np.triu(k - j), scale[:, None], (1e300 / b**n) ** (1 / b)
+
+
+def moment_recursion_step(b: int, moments):
     """Push raw moments m_0..m_K through one renormalization step.
 
     A branch is b independent factors in series, with moments x_k = m_k^b;
@@ -421,20 +440,34 @@ def moment_recursion_step(b: int, moments) -> list:
     average divides the k-th moment by b^k.  Order k reads only orders <= k,
     so an order beyond double range reads inf (never raises), the orders
     below it stay exact, and inf carries upward.
+
+    ``moments`` holds the orders on its first axis and may hold independent
+    ladders (lanes) on a trailing one, each stepped exactly as alone: the
+    powers are Python's float power one value at a time (``np.power`` rounds
+    differently) and each order's terms add left to right.  A moment list
+    comes back as a list.
     """
-    moments = list(moments)
-    if not moments or moments[0] != 1.0:
+    lanes = np.asarray(moments, dtype=float)
+    flat = lanes.ravel().tolist()
+    n = len(lanes)
+    width = len(flat) // max(n, 1)  # lanes; m_0 of each opens ``flat``
+    if not flat or flat[:width].count(1.0) < width:
         raise UsageError("moment vector must start with m_0 = 1")
-    k_max = len(moments) - 1
-    check_budget(f"moment ladder step of orders 0..{k_max}", k_max, MOMENT_ORDER_BUDGET)
-    branch = [or_inf(pow, m, b) for m in moments]
+    coef, low, high, scale, safe = _fold_plan(b, n)
+    try:
+        branch = [m**b for m in flat]
+    except OverflowError:
+        branch = [or_inf(pow, m, b) for m in flat]
+    # an overflow reads inf, silently; entering errstate costs more than a
+    # one-lane fold, so it is entered only where an overflow can happen
+    quiet = nullcontext() if max(branch) <= safe else np.errstate(over="ignore")
+    branch = np.array(branch).reshape(n, -1)
     acc = branch
-    for _ in range(1, b):
-        acc = [
-            sum([c * acc[i] * branch[j] for c, i, j in _FOLD_TERMS[k]])
-            for k in range(k_max + 1)
-        ]
-    return [x / b**k for k, x in enumerate(acc)]
+    with quiet:
+        for _ in range(1, b):
+            acc = np.add.accumulate(coef * acc.take(low, 0) * branch.take(high, 0))[-1]
+    out = acc / scale
+    return out.ravel().tolist() if lanes.ndim == 1 else out
 
 
 def law_se(moments, k: int, count: int) -> float:
@@ -472,15 +505,17 @@ def moment_table(
 ) -> MomentTable:
     """Iterate the moment map from a matched seed up through an r-grid.
 
-    Each residue class r mod 1 of the grid runs its own ladder, seeded
-    ``depth`` iterations below its smallest point, no higher than
+    Each residue class r mod 1 of the grid is one lane of a single ladder,
+    seeded ``depth`` iterations below its smallest point, no higher than
     ``MINIMUM_BASE_LEVEL``; by default at the variance orbit's converged
-    seed depth there.  A class whose ladder needs more than
-    ``ORBIT_LEVEL_BUDGET`` steps raises ``BudgetError`` before it runs, and
-    so does a grid whose classes' orbits cannot fit
-    ``PROFILE_LEVEL_BUDGET`` levels.  ``k_max`` lies in
-    2..``MOMENT_ORDER_BUDGET``.  Rows come back in grid order; a row holding
-    an order beyond double range, or above ``_FLOAT_CAP``, is nan.
+    seed depth there.  ``BudgetError`` comes before the first orbit if the
+    orbits of the class minima and of their seed levels cannot fit
+    ``PROFILE_LEVEL_BUDGET`` levels, and before the first step if a class
+    needs more than ``ORBIT_LEVEL_BUDGET`` steps.  ``k_max`` lies in
+    2..``MOMENT_ORDER_BUDGET``.  A lane leaves at its top point or at its
+    first order beyond double range, or above ``_FLOAT_CAP``, whose row and
+    every later one are nan.  Rows come back in grid order, each as its
+    class's ladder alone would give it.
     """
     r_values = np.atleast_1d(np.asarray(r_values, dtype=float))
     if r_values.size == 0:
@@ -493,13 +528,17 @@ def moment_table(
     classes = {}
     for pos, rv in enumerate(r_values.tolist()):
         classes.setdefault(round(rv - math.floor(rv), 12), []).append(pos)
-    # each class builds an orbit, and a converged one spans two seed depths
+    minima = [float(r_values[positions].min()) for positions in classes.values()]
+    # each distinct float residue builds an orbit spanning two seed depths
+    plan_depth = 2 * SEED_DEPTH if depth is None else depth
+    residues = {r - math.floor(r) for r_min in minima for r in (r_min, r_min - plan_depth)}
     least = 2 * SEED_DEPTH + 1
-    check_budget(f"grid of {len(classes)} residue classes", len(classes) * least,
-                 PROFILE_LEVEL_BUDGET, f"each builds an R orbit of at least {least} levels")
-    raw_rows = np.full((r_values.size, k_max + 1), np.nan)
-    for positions in classes.values():
-        r_min = float(r_values[positions].min())
+    check_budget(f"grid of {len(classes)} residue classes", len(residues) * least,
+                 PROFILE_LEVEL_BUDGET,
+                 f"their {len(residues)} R orbits each hold at least {least} levels")
+    # every check and orbit build runs before the first step
+    lanes, seeds = [], []  # each class's {step: grid positions} and seed law
+    for positions, r_min in zip(classes.values(), minima):
         base = r_min - (profile.orbit_depth(r_min) if depth is None else depth)
         if base > MINIMUM_BASE_LEVEL:
             raise UsageError(f"base level r - depth = {base} is above {MINIMUM_BASE_LEVEL}; "
@@ -509,19 +548,38 @@ def moment_table(
             targets.setdefault(int(round(r_values[pos] - base)), []).append(pos)
         steps = max(targets)
         check_budget(f"moment ladder from r = {base} to {base + steps}", steps, ORBIT_LEVEL_BUDGET)
-        moments = seed.raw_moments(profile.evaluate_R(base), k_max)
-        # the two-point m_2 = ((1 + s)^2 + (1 - s)^2) / 2 can round below 1
-        variance = max(moments[2] - 1.0, 0.0)
-        for step in range(1, steps + 1):
-            moments = moment_recursion_step(profile.b, moments)
-            # same map for the k = 2 channel in cancellation-free form:
-            # m_2' - 1 = psi_b(m_2 - 1) exactly
-            variance = psi(profile.b, variance) if moments[2] <= _FLOAT_CAP else math.inf
-            moments[2] = 1.0 + variance
-            if not all(math.isfinite(m) and m <= _FLOAT_CAP for m in moments):
-                break  # this row and every later one stay nan
-            for pos in targets.get(step, ()):
-                raw_rows[pos] = moments
+        lanes.append(targets)
+        seeds.append(seed.raw_moments(profile.evaluate_R(base), k_max))
+
+    raw_rows = np.full((r_values.size, k_max + 1), np.nan)
+    moments = np.array(seeds).T
+    # the two-point m_2 = ((1 + s)^2 + (1 - s)^2) / 2 can round below 1
+    variances = [max(m[2] - 1.0, 0.0) for m in seeds]
+    rows_due = set().union(*lanes)
+    for step in range(1, max(rows_due) + 1):
+        moments = moment_recursion_step(profile.b, moments)
+        # same map for the k = 2 channel in cancellation-free form:
+        # m_2' - 1 = psi_b(m_2 - 1) exactly
+        variances = [psi(profile.b, v) if m2 <= _FLOAT_CAP else math.inf
+                     for v, m2 in zip(variances, moments[2].tolist())]
+        moments[2] = [1.0 + v for v in variances]
+        # a lane leaves at its top row, or at its first order past the cap,
+        # whose row and every later one stay nan; max propagates nan, which
+        # compares false, so a step with no row due and no lane past the cap
+        # needs no lane-by-lane look
+        if step not in rows_due and np.maximum.reduce(moments, None) <= _FLOAT_CAP:
+            continue
+        fine = (moments.max(axis=0) <= _FLOAT_CAP).tolist()
+        for targets, lane_fine, column in zip(lanes, fine, moments.T):
+            if lane_fine and step in targets:
+                raw_rows[targets[step]] = column
+        keep = [lane_fine and max(targets) > step for targets, lane_fine in zip(lanes, fine)]
+        if not all(keep):
+            lanes = [targets for targets, kept in zip(lanes, keep) if kept]
+            if not lanes:
+                break
+            moments = moments[:, keep]
+            variances = [v for v, kept in zip(variances, keep) if kept]
 
     centered_rows = np.array(
         [

@@ -19,7 +19,8 @@ finds each coefficient from two residual evaluations, the row-by-row
 ``csv.writer`` emission of float tables, the population step that draws
 all b^2 factors of a step in one (b, b, size) call, the Kahane moment
 recursion at a numeric edge weight, the moment-ladder step that
-enumerates multinomial compositions, the pair-count histogram by its own
+enumerates multinomial compositions, the moment ladder stepped one residue
+class at a time on Python floats, the pair-count histogram by its own
 recursion over ordered pairs, the R orbit seeded and stepped in mpmath, the
 correlation-measure sum over every histogram entry, and the quoted two-term
 asymptotic of R.
@@ -37,7 +38,7 @@ import numpy as np
 from diamondgmc.errors import BudgetError, UsageError
 from diamondgmc.lattice import LatticeParams, path_count_int
 from diamondgmc.reporting import format_float
-from diamondgmc.rfunction import asymptotic_expansion, eta, kappa_sq
+from diamondgmc.rfunction import SeedSpec, asymptotic_expansion, eta, kappa_sq, or_inf, psi
 
 INCIDENCE_CELL_BUDGET = 1 << 24
 
@@ -426,6 +427,46 @@ def moment_step_by_compositions(b: int, moments) -> list:
             total += coef * prod**b
         out.append(total / b**k)
     return out
+
+
+def scalar_moment_step(b: int, moments) -> list:
+    """One moment-ladder step on Python floats: the binomial fold term by
+    term, each order's terms added left to right."""
+    branch = [or_inf(pow, m, b) for m in moments]
+    acc = branch
+    for _ in range(1, b):
+        acc = [
+            sum([math.comb(k, j) * acc[j] * branch[k - j] for j in range(k + 1)])
+            for k in range(len(moments))
+        ]
+    return [x / b**k for k, x in enumerate(acc)]
+
+
+def moment_table_by_classes(profile, r_values, k_max: int, seed_kind: str, depth) -> np.ndarray:
+    """Raw moment rows of a grid, each residue class's ladder run alone with
+    ``scalar_moment_step``; a class stops at its first row beyond 1e300."""
+    raw = np.full((len(r_values), k_max + 1), np.nan)
+    classes = {}
+    for pos, rv in enumerate(r_values):
+        classes.setdefault(round(rv - math.floor(rv), 12), []).append(pos)
+    for positions in classes.values():
+        r_min = min(r_values[pos] for pos in positions)
+        base = r_min - (profile.orbit_depth(r_min) if depth is None else depth)
+        targets = {}
+        for pos in positions:
+            targets.setdefault(round(r_values[pos] - base), []).append(pos)
+        moments = SeedSpec(seed_kind).raw_moments(profile.evaluate_R(base), k_max)
+        variance = max(moments[2] - 1.0, 0.0)
+        for step in range(1, max(targets) + 1):
+            moments = scalar_moment_step(profile.b, moments)
+            # the k = 2 channel through psi, m_2' - 1 = psi_b(m_2 - 1)
+            variance = psi(profile.b, variance) if moments[2] <= 1e300 else math.inf
+            moments[2] = 1.0 + variance
+            if not all(math.isfinite(m) and m <= 1e300 for m in moments):
+                break
+            for pos in targets.get(step, ()):
+                raw[pos] = moments
+    return raw
 
 
 def pair_histogram_by_recursion(b: int, n: int) -> tuple:

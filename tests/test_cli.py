@@ -450,9 +450,10 @@ class TestRfuncCommand:
         assert {c["verdict"] for c in checks.values()} == {"pass"}
 
     def test_orbit_total_budget(self, tmp_path, capsys, monkeypatch):
-        # a 0.004 grid holds 1.35M orbit levels (about 13 s and 211 MiB), within the
-        # profile's total; a 0.0001 grid would hold about 53M, and its 10000
-        # residue classes are refused before any orbit is built
+        # a 0.004 grid holds 1.35M orbit levels (about 5 s and 56 MiB), within the
+        # profile's total; a 0.0001 grid would hold about 41M in the orbits of
+        # its 10000 residue classes and their 9984 other seed-level residues,
+        # and is refused before any orbit is built
         def no_orbit(*args):
             raise AssertionError("an orbit was built before the budget check")
 
@@ -460,8 +461,8 @@ class TestRfuncCommand:
         monkeypatch.setattr(VarianceProfile, "_build_orbit", no_orbit)
         assert main(["rfunc", "--grid", "-8:0.0001:8", "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: grid of 10000 residue classes needs 20490000, "
-                              "above the budget of 4194304")
+        assert err.startswith("error: grid of 10000 residue classes needs 40947216, "
+                              "above the budget of 4194304; their 19984 R orbits")
         assert not (tmp_path / "out").exists()
 
 

@@ -8,11 +8,13 @@ from _oracles import (
     asymptotic_R_two_term,
     expansion_by_two_evaluations,
     moment_step_by_compositions,
+    moment_table_by_classes,
     orbit_by_mpmath,
 )
 from diamondgmc import cli, rfunction
 from diamondgmc.errors import BudgetError, ConvergenceError, DomainError, RangeError, UsageError
 from diamondgmc.rfunction import (
+    SEED_KINDS,
     MomentTable,
     SeedSpec,
     VarianceProfile,
@@ -139,6 +141,26 @@ class TestEvaluateR:
             profile.evaluate_R(-7.5)
         assert len(profile._orbits) == 1
 
+    def test_deep_evaluation_keeps_the_cached_orbit(self):
+        # an orbit the budget cannot climb back to the cached top does not
+        # replace it, so the class keeps serving its shallow points
+        fresh = VarianceProfile(2).evaluate_pair(-1.0)
+        profile = VarianceProfile(2)
+        assert profile.evaluate_pair(-1.0) == fresh
+        for deep in (-1e6, -1e162):
+            profile.evaluate_pair(deep)
+            assert profile.evaluate_pair(-1.0) == fresh
+        # a deeper orbit within reach of the cached top replaces it
+        profile.evaluate_pair(-5000.0)
+        assert profile._orbits[0.0].base_floor == -5000 - profile.orbit_depth(-5000.0)
+
+    def test_uncached_deep_orbit_counts_against_the_profile(self, monkeypatch):
+        monkeypatch.setattr(rfunction, "PROFILE_LEVEL_BUDGET", 3000)
+        profile = VarianceProfile(2)
+        profile.evaluate_R(-1.0)  # one converged orbit of 2049 levels
+        with pytest.raises(BudgetError, match="R orbits of the b = 2 profile needs 3074"):
+            profile.evaluate_R(-1e6)
+
     def test_overflow_guard(self, profile3):
         with pytest.raises(RangeError):
             profile3.evaluate_R(9.0)
@@ -173,7 +195,7 @@ class TestEvaluateR:
         for _ in range(2):
             with pytest.raises(RangeError):
                 prof.evaluate_pair(r + 1.0)
-            assert orbit.values[-1] == (R, Rp)
+            assert tuple(orbit.values[-2:]) == (R, Rp)
             assert (orbit.R / one, orbit.Rp / one) == (R, Rp)
         assert VarianceProfile(b).evaluate_pair(r) == (R, Rp)
 
@@ -190,9 +212,9 @@ class TestEvaluateR:
                     prof.evaluate_pair(r)
                     r += 1.0
             orbit = prof._orbits[xi]
-            want = orbit_by_mpmath(b, xi + orbit.base_floor, len(orbit.values))
-            assert len(orbit.values) > orbit.depth + 40
-            for got, ref in zip(orbit.values, want):
+            want = orbit_by_mpmath(b, xi + orbit.base_floor, orbit.levels())
+            assert orbit.levels() > orbit.depth + 40
+            for got, ref in zip(zip(orbit.values[::2], orbit.values[1::2]), want):
                 for g, w in zip(got, ref):
                     assert abs(g - w) <= math.ulp(w)
 
@@ -369,6 +391,9 @@ class TestMomentTable:
         monkeypatch.setattr(rfunction, "moment_recursion_step", stepped)
         with pytest.raises(BudgetError, match=r"to -1\.0 needs 1002047, above the budget"):
             moment_table(VarianceProfile(2), [-1e6, -1.0])
+        # every class is checked before the first step of any
+        with pytest.raises(BudgetError, match=r"to -0\.5 needs 1002047, above the budget"):
+            moment_table(VarianceProfile(2), [-1.0, -1e6 + 0.5, -0.5])
         with pytest.raises(BudgetError, match=f"above the budget of {rfunction.ORBIT_LEVEL_BUDGET}"):
             moment_table(VarianceProfile(2), [-1.0], depth=rfunction.ORBIT_LEVEL_BUDGET + 1)
 
@@ -383,3 +408,44 @@ class TestMomentTable:
                 alone = moment_table(profile, [grid[i] for i in pos], k_max=6)
                 assert table.raw[pos].tobytes() == alone.raw.tobytes()
                 assert table.centered[pos].tobytes() == alone.centered.tobytes()
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 5])
+    def test_lanes_match_one_class_at_a_time(self, b):
+        # the lane ladder gives every row bit for bit as the scalar fold run
+        # one residue class at a time; the row at 9.5 overflows at every b
+        grid = [0.5, -3.0, -1.25, 2.0, -3.0, -7.5, 8.0, -20.0, 3.0, 9.5]
+        profile = VarianceProfile(b)
+        for k_max in (2, 6, 16):
+            for kind in SEED_KINDS:
+                for depth in (None, 21):
+                    table = moment_table(profile, grid, k_max, kind, depth)
+                    want = moment_table_by_classes(profile, grid, k_max, kind, depth)
+                    assert table.raw.tobytes() == want.tobytes()
+                    assert np.isnan(table.raw[-1]).all()
+                    assert np.isfinite(table.raw[7]).all()
+
+    def test_one_step_per_level_of_the_longest_class(self, monkeypatch):
+        # the 8 classes of a 0.125 grid share one ladder, which ends where its
+        # last class overflows: at r = 0, 2056 levels above the seed at
+        # -8 - 2048.  One ladder per class made 16 441 steps.
+        calls = []
+        step = rfunction.moment_recursion_step
+
+        def counting(b, moments):
+            calls.append(np.shape(moments))
+            return step(b, moments)
+
+        monkeypatch.setattr(rfunction, "moment_recursion_step", counting)
+        moment_table(VarianceProfile(2), cli.parse_grid("-8:0.125:8"), k_max=6)
+        assert len(calls) == 2056
+        assert calls[0] == (7, 8)
+
+    def test_orbit_plan_counts_seed_level_residues(self, monkeypatch):
+        # a class whose seed level r - depth is another float residue builds
+        # a second orbit; the plan counts both and refuses before any build
+        def no_orbit(*args):
+            raise AssertionError("an orbit was built")
+
+        monkeypatch.setattr(VarianceProfile, "_build_orbit", no_orbit)
+        with pytest.raises(BudgetError, match="their 2498 R orbits"):
+            moment_table(VarianceProfile(2), cli.parse_grid("-8:0.0008:8"))
